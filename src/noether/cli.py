@@ -9,8 +9,10 @@ Commands
     numcheck     integrate the dynamics and measure drift of each integral
 
 Flags override the problem file's [ansatz] and [numeric] sections.  With
-``--json`` the full structured result is emitted; ``--deterministic``
-suppresses the timestamp so identical inputs give byte-identical output.
+``--json`` the full structured result is emitted: one object for one file,
+an array of objects for several.  Each object carries a ``timestamp``
+unless ``--deterministic`` is given, so identical inputs give byte-identical
+output.
 Exit status: 0 all checks passed, 1 a verification or drift check failed,
 2 invalid input.
 """
@@ -27,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .engine import (Ansatz, NoetherSolution, UnsupportedProblem, solve_noether,
                      verify, verify_candidate)
-from .jets import Generator
+from .jets import Generator, HeadroomError
 from .numeric import (NumericConfig, drift_report, integrate_el,
                       seeded_initial_conditions)
 from .parsing import ParseError
@@ -166,7 +168,7 @@ def run_file(command: str, path: str, args) -> Tuple[int, str, Dict]:
             status = _run_verify(problem, el, args, lines, result)
         else:
             status = _run_numcheck(problem, el, args, lines, result)
-    except (UnsupportedProblem, ValueError) as err:
+    except (ValueError, HeadroomError) as err:
         result["error"] = str(err)
         return EXIT_BAD_INPUT, f"{path}: error: {err}", result
     result["status"] = "ok" if status == EXIT_OK else "failed"
@@ -301,13 +303,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.as_json:
             print(text)
     if args.as_json:
-        out = payload[0] if len(payload) == 1 else payload
         if not args.deterministic:
             stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-            if isinstance(out, dict):
-                out["timestamp"] = stamp
-            else:
-                out = {"timestamp": stamp, "results": out}
+            for obj in payload:
+                obj["timestamp"] = stamp
+        out = payload[0] if len(payload) == 1 else payload
         print(json.dumps(out, sort_keys=True, indent=2))
     return worst
 

@@ -18,10 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import PARAMETER, Expr, Monomial, VarId, mono_key, mono_mul
-from .jets import Generator, JetSpace, _prolong, total_derivative
+from .expr import Expr, Monomial, VarId, mono_key, mono_mul
+from .jets import (Generator, JetSpace, _characteristics, _prolong,
+                   total_derivative)
 from .linalg import Row, nullspace, solve_affine
-from .variational import ELSystem, Lagrangian, ReductionError, euler_lagrange, reduce_mod_el
+from .variational import (ELSystem, Lagrangian, ReductionError,
+                          _apply_multi_derivative, euler_lagrange,
+                          reduce_mod_el)
 
 
 class NonSymmetryError(ValueError):
@@ -100,8 +103,11 @@ class VerificationReport:
 class DeterminingSystem:
     """Homogeneous linear system over the ansatz parameters.
 
-    ``rows`` are sparse over positions in ``unknowns``; the templates allow a
-    parameter assignment to be materialized back into a generator and gauge.
+    ``rows`` are sparse over positions in ``unknowns``.  The templates are
+    linear in the parameters, one parameter per term, and are the one
+    description of the ansatz: ``materialize`` splits them into columns
+    (parameter k -> template, monomial, coefficient) and reads a parameter
+    assignment out as a generator and gauge term by term.
     """
 
     unknowns: List[VarId]
@@ -158,26 +164,7 @@ def condition_residual(L: Lagrangian, g: Generator,
 
 def characteristics(L: Lagrangian, g: Generator) -> List[Expr]:
     """Q_i = eta_i - sum_j xi_j * u_i,j for each dependent variable."""
-    space = L.space
-    out = []
-    for i, dep in enumerate(space.dependents):
-        q = g.eta_of(dep)
-        for j, x in enumerate(space.independents):
-            xi_j = g.xi_of(x)
-            if xi_j.is_zero:
-                continue
-            e_j = [0] * len(space.independents)
-            e_j[j] = 1
-            q = q - xi_j * Expr.variable(space.jet(i, tuple(e_j)))
-        out.append(q)
-    return out
-
-
-def _multi_derivative(e: Expr, multi: Sequence[int], space: JetSpace) -> Expr:
-    for j, count in enumerate(multi):
-        for _ in range(count):
-            e = total_derivative(e, space.independents[j], space)
-    return e
+    return _characteristics(g, L.space)
 
 
 def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
@@ -196,7 +183,7 @@ def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
 
         def q_d(multi: Tuple[int, ...]) -> Expr:
             if multi not in q_derivs:
-                q_derivs[multi] = _multi_derivative(qs[i], multi, space)
+                q_derivs[multi] = _apply_multi_derivative(qs[i], multi, space)
             return q_derivs[multi]
 
         for v in space.jet_vars(dep_index=i, max_order=L.order):
@@ -286,14 +273,12 @@ def hessian_relation_check(L: Lagrangian, g: Generator, integral: Expr) -> bool:
                          "Lagrangian")
     if g.dependence_order > 1:
         raise ValueError("hessian relation requires derivative dependence <= 1")
-    t = space.independents[0]
-    tau = g.xi_of(t)
+    qs = characteristics(L, g)
     vels = [space.jet(i, (1,)) for i in range(len(space.dependents))]
     for j, vj in enumerate(vels):
         lhs = integral.partial(vj)
         rhs = Expr.zero()
-        for i, vi in enumerate(vels):
-            q_i = g.eta_of(space.dependents[i]) - Expr.variable(vi) * tau
+        for q_i, vi in zip(qs, vels):
             rhs = rhs - q_i * L.body.partial(vi).partial(vj)
         if lhs != rhs:
             return False
@@ -321,15 +306,65 @@ def _monomials_upto(vars: Sequence[VarId], degree: int,
     return monos
 
 
-def _ansatz_polynomial(space: JetSpace, label: str, monos: Sequence[Monomial],
+def _ansatz_polynomial(space: JetSpace, monos: Sequence[Monomial],
                        unknowns: List[VarId]) -> Expr:
     """A fresh linear combination of monomials with new parameters."""
-    total = Expr.zero()
+    terms: Dict[Monomial, Fraction] = {}
     for mono in monos:
         c = space.parameter(f"c{len(unknowns)}")
         unknowns.append(c)
-        total = total + Expr.term(1, mono_mul(((c, 1),), mono))
-    return total
+        terms[mono_mul(((c, 1),), mono)] = Fraction(1)
+    return Expr(terms)
+
+
+def _affine_system(e: Expr, unknowns: Sequence[VarId]
+                   ) -> Dict[Monomial, Tuple[Row, Fraction]]:
+    """The equation e = 0, for e affine in ``unknowns``, as sparse rows.
+
+    Maps each monomial in the other variables, ascending by ``mono_key``,
+    to (row, rhs): the row holds the monomial's coefficient of each unknown
+    by column, and rhs is minus its unknown-free coefficient.
+    """
+    index = {c: k for k, c in enumerate(unknowns)}
+    rows: Dict[Monomial, Row] = {}
+    rhs: Dict[Monomial, Fraction] = {}
+    for mono, coeff in e.term_map().items():
+        at = [p for p, (v, _) in enumerate(mono) if v in index]
+        if not at:
+            rows.setdefault(mono, {})
+            rhs[mono] = -coeff
+        elif len(at) == 1 and mono[at[0]][1] == 1:
+            p = at[0]
+            rest = mono[:p] + mono[p + 1:]
+            rows.setdefault(rest, {})[index[mono[p][0]]] = coeff
+        else:
+            raise AssertionError(
+                "internal error: expression is not affine in the unknowns")
+    return {m: (rows[m], rhs.get(m, Fraction(0)))
+            for m in sorted(rows, key=mono_key)}
+
+
+def _columns(templates: Sequence[Expr], unknowns: Sequence[VarId]
+             ) -> Dict[VarId, Tuple[int, Monomial, Fraction]]:
+    """Unknown -> (template position, monomial, coefficient); every unknown
+    occurs in one term of one template, as ``_ansatz_polynomial`` builds."""
+    columns = {}
+    for slot, t in enumerate(templates):
+        for mono, (row, _) in _affine_system(t, unknowns).items():
+            for k, coeff in row.items():
+                columns[unknowns[k]] = (slot, mono, coeff)
+    return columns
+
+
+def _read_out(columns: Dict[VarId, Tuple[int, Monomial, Fraction]],
+              n_slots: int, values) -> List[Expr]:
+    """The templates at (unknown, value) pairs: one multiply per nonzero."""
+    terms: List[Dict[Monomial, Fraction]] = [{} for _ in range(n_slots)]
+    for c, value in values:
+        if value:
+            slot, mono, coeff = columns[c]
+            terms[slot][mono] = coeff * value
+    return [Expr(t) for t in terms]
 
 
 def _check_solving_supported(L: Lagrangian):
@@ -373,41 +408,26 @@ def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
     eta_templates: Dict[VarId, Expr] = {}
     if not ansatz.suppress_xi:
         for x in space.independents:
-            xi_templates[x] = _ansatz_polynomial(space, x.name, coeff_monos,
-                                                 unknowns)
+            xi_templates[x] = _ansatz_polynomial(space, coeff_monos, unknowns)
     for u in space.dependents:
-        eta_templates[u] = _ansatz_polynomial(space, u.name, coeff_monos,
-                                              unknowns)
-    gauge_templates: List[Expr] = []
-    for x in space.independents:
-        if ansatz.include_gauge:
-            gauge_templates.append(_ansatz_polynomial(space, f"f_{x.name}",
-                                                      gauge_monos, unknowns))
-        else:
-            gauge_templates.append(Expr.zero())
+        eta_templates[u] = _ansatz_polynomial(space, coeff_monos, unknowns)
+    gauge_templates = tuple(
+        _ansatz_polynomial(space, gauge_monos, unknowns)
+        if ansatz.include_gauge else Expr.zero()
+        for _ in space.independents)
 
     g = Generator(xi=xi_templates, eta=eta_templates)
     residual = condition_residual(L, g, gauge_templates)
-    rows = _collect_rows(residual, unknowns)
+    rows = []
+    for row, rhs in _affine_system(residual, unknowns).values():
+        if rhs:
+            raise AssertionError(
+                "internal error: determining system is not homogeneous")
+        rows.append(row)
     return DeterminingSystem(unknowns=unknowns, rows=rows,
                              xi_templates=xi_templates,
                              eta_templates=eta_templates,
-                             gauge_templates=tuple(gauge_templates))
-
-
-def _collect_rows(residual: Expr, unknowns: List[VarId]) -> List[Row]:
-    """One sparse row per monomial in the non-parameter variables."""
-    index = {c: k for k, c in enumerate(unknowns)}
-    buckets: Dict[Monomial, Row] = {}
-    for mono, coeff in residual.term_map().items():
-        params = [(v, e) for v, e in mono if v.kind == PARAMETER]
-        rest = tuple((v, e) for v, e in mono if v.kind != PARAMETER)
-        if len(params) != 1 or params[0][1] != 1 or params[0][0] not in index:
-            raise AssertionError(
-                "internal error: residual is not linear-homogeneous in the "
-                "ansatz parameters")
-        buckets.setdefault(rest, {})[index[params[0][0]]] = coeff
-    return [buckets[key] for key in sorted(buckets, key=mono_key)]
+                             gauge_templates=gauge_templates)
 
 
 def solve(ds: DeterminingSystem) -> List[Dict[VarId, Fraction]]:
@@ -422,24 +442,36 @@ def solve(ds: DeterminingSystem) -> List[Dict[VarId, Fraction]]:
 
 
 def materialize(L: Lagrangian, ds: DeterminingSystem,
-                assignment: Dict[VarId, Fraction]) -> NoetherSolution:
-    """Substitute a parameter assignment into the ansatz and build the law.
+                assignments: Sequence[Dict[VarId, Fraction]]
+                ) -> List[NoetherSolution]:
+    """Read parameter assignments out of the templates and build their laws.
 
-    The residual is re-checked exactly; the solver's word is not taken.
+    The templates are split into columns once; each assignment then becomes
+    its generator and gauge by one multiply per nonzero entry.  Directions
+    with an identically zero generator are dropped before a law is built:
+    they are divergence-free gauge fields (possible for flux-vector gauges)
+    carrying no symmetry content.  The law builders re-check the invariance
+    condition exactly, so the solver's word is not taken.
     """
-    space = L.space
-    bindings = {c: Expr.constant(assignment.get(c, Fraction(0)))
-                for c in ds.unknowns}
-    xi = {x: t.substitute(bindings) for x, t in ds.xi_templates.items()}
-    eta = {u: t.substitute(bindings) for u, t in ds.eta_templates.items()}
-    gauge = tuple(t.substitute(bindings) for t in ds.gauge_templates)
-    g = Generator(xi={x: e for x, e in xi.items() if not e.is_zero},
-                  eta={u: e for u, e in eta.items() if not e.is_zero})
-    residual = condition_residual(L, g, gauge)
-    if not residual.is_zero:
-        raise AssertionError(
-            f"internal error: solver returned a non-symmetry; residual {residual}")
-    if space.is_ode:
+    xs, us = list(ds.xi_templates), list(ds.eta_templates)
+    slots = [*ds.xi_templates.values(), *ds.eta_templates.values(),
+             *ds.gauge_templates]
+    columns = _columns(slots, ds.unknowns)
+    out = []
+    for a in assignments:
+        values = _read_out(columns, len(slots), a.items())
+        g = Generator(
+            xi={x: e for x, e in zip(xs, values) if not e.is_zero},
+            eta={u: e for u, e in zip(us, values[len(xs):]) if not e.is_zero})
+        if not g.is_zero:
+            out.append(_solution(L, g, tuple(values[len(xs) + len(us):])))
+    return out
+
+
+def _solution(L: Lagrangian, g: Generator,
+              gauge: Tuple[Expr, ...]) -> NoetherSolution:
+    """The solution with its law; NonSymmetryError unless it is a symmetry."""
+    if L.space.is_ode:
         law = first_integral(L, g, gauge[0])
     else:
         law = conservation_vector(L, g, gauge)
@@ -447,19 +479,9 @@ def materialize(L: Lagrangian, ds: DeterminingSystem,
 
 
 def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
-    """End to end: determining system, nullspace, verified solutions.
-
-    Directions with an identically zero generator are dropped: they are
-    divergence-free gauge fields (possible for flux-vector gauges) carrying
-    no symmetry content.
-    """
+    """End to end: determining system, nullspace, verified solutions."""
     ds = determining_system(L, ansatz)
-    out = []
-    for a in solve(ds):
-        sol = materialize(L, ds, a)
-        if not sol.generator.is_zero:
-            out.append(sol)
-    return out
+    return materialize(L, ds, solve(ds))
 
 
 # -- verification mode --------------------------------------------------------
@@ -482,30 +504,15 @@ def find_gauge(L: Lagrangian, g: Generator, degree: int = 4,
     gauge_vars = list(space.independents) + space.jet_vars(max_order=jet_order)
     monos = _monomials_upto(gauge_vars, degree, include_constant=False)
     unknowns: List[VarId] = []
-    templates = [_ansatz_polynomial(space, f"f_{x.name}", monos, unknowns)
-                 for x in space.independents]
+    templates = [_ansatz_polynomial(space, monos, unknowns)
+                 for _ in space.independents]
     residual = condition_residual(L, g, templates)
-    index = {c: k for k, c in enumerate(unknowns)}
-    buckets: Dict[Monomial, Tuple[Row, Fraction]] = {}
-    rows: Dict[Monomial, Row] = {}
-    rhs: Dict[Monomial, Fraction] = {}
-    for mono, coeff in residual.term_map().items():
-        params = [(v, e) for v, e in mono if v.kind == PARAMETER and v in index]
-        rest = tuple((v, e) for v, e in mono if not (v.kind == PARAMETER and v in index))
-        if not params:
-            rhs[rest] = rhs.get(rest, Fraction(0)) - coeff
-            rows.setdefault(rest, {})
-        elif len(params) == 1 and params[0][1] == 1:
-            rows.setdefault(rest, {})[index[params[0][0]]] = coeff
-        else:
-            raise AssertionError("internal error: gauge enters nonlinearly")
-    system = [(rows[key], rhs.get(key, Fraction(0)))
-              for key in sorted(rows, key=mono_key)]
-    solution = solve_affine(system, len(unknowns))
+    solution = solve_affine(list(_affine_system(residual, unknowns).values()),
+                            len(unknowns))
     if solution is None:
         return None
-    bindings = {c: Expr.constant(v) for c, v in zip(unknowns, solution)}
-    return tuple(t.substitute(bindings) for t in templates)
+    return tuple(_read_out(_columns(templates, unknowns), len(templates),
+                           zip(unknowns, solution)))
 
 
 def verify_candidate(L: Lagrangian, g: Generator, degree: int = 4,
@@ -515,11 +522,7 @@ def verify_candidate(L: Lagrangian, g: Generator, degree: int = 4,
     gauge = find_gauge(L, g, degree=degree, jet_order=jet_order)
     if gauge is None:
         return None
-    if L.space.is_ode:
-        law = first_integral(L, g, gauge[0])
-    else:
-        law = conservation_vector(L, g, gauge)
-    return NoetherSolution(generator=g, gauge=gauge, law=law)
+    return _solution(L, g, gauge)
 
 
 # -- helpers for working with solution spaces ---------------------------------
@@ -541,11 +544,7 @@ def combine_solutions(L: Lagrangian, solutions: Sequence[NoetherSolution],
             gauge[j] = gauge[j] + sol.gauge[j] * w
     g = Generator(xi={x: e for x, e in xi.items() if not e.is_zero},
                   eta={u: e for u, e in eta.items() if not e.is_zero})
-    if space.is_ode:
-        law = first_integral(L, g, gauge[0])
-    else:
-        law = conservation_vector(L, g, gauge)
-    return NoetherSolution(generator=g, gauge=tuple(gauge), law=law)
+    return _solution(L, g, tuple(gauge))
 
 
 def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
@@ -558,34 +557,19 @@ def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
     unique.
     """
     space = L.space
-    columns: Dict[Tuple[str, VarId, Monomial], int] = {}
-    rows_by_key: Dict[Tuple[str, VarId, Monomial], Row] = {}
-    rhs_by_key: Dict[Tuple[str, VarId, Monomial], Fraction] = {}
 
-    def feed(kind: str, var: VarId, expr: Expr, col: Optional[int],
-             value: Fraction = Fraction(0)):
-        for mono, coeff in expr.term_map().items():
-            key = (kind, var, mono)
-            rows_by_key.setdefault(key, {})
-            if col is None:
-                rhs_by_key[key] = rhs_by_key.get(key, Fraction(0)) + coeff
-            else:
-                rows_by_key[key][col] = coeff
+    def slots(g: Generator) -> List[Expr]:
+        return ([g.eta_of(u) for u in space.dependents]
+                + [g.xi_of(x) for x in space.independents])
 
-    for k, sol in enumerate(solutions):
-        for x in space.independents:
-            feed("xi", x, sol.generator.xi_of(x), k)
-        for u in space.dependents:
-            feed("eta", u, sol.generator.eta_of(u), k)
-    for x in space.independents:
-        feed("xi", x, target.xi_of(x), None)
-    for u in space.dependents:
-        feed("eta", u, target.eta_of(u), None)
-
-    keys = sorted(rows_by_key, key=lambda key: (key[0], key[1].sort_index,
-                                                mono_key(key[2])))
-    system = [(rows_by_key[key], rhs_by_key.get(key, Fraction(0)))
-              for key in keys]
+    unknowns = [space.parameter(f"c{k}") for k in range(len(solutions))]
+    parts = [slots(sol.generator) for sol in solutions]
+    system: List[Tuple[Row, Fraction]] = []
+    for s, goal in enumerate(slots(target)):
+        e = -goal
+        for c, part in zip(unknowns, parts):
+            e = e + Expr.variable(c) * part[s]
+        system += _affine_system(e, unknowns).values()
     weights = solve_affine(system, len(solutions))
     if weights is None:
         return None

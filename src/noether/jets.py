@@ -275,15 +275,21 @@ def evolutionary_form(g: Generator, space: JetSpace) -> Generator:
     """
     if g.dependence_order + 1 > space.max_order:
         raise HeadroomError("no headroom to form the evolutionary generator")
-    eta_bar: Dict[VarId, Expr] = {}
+    return Generator(xi={}, eta=dict(zip(space.dependents,
+                                         _characteristics(g, space))))
+
+
+def _characteristics(g: Generator, space: JetSpace) -> List[Expr]:
+    """Q_i = eta_i - sum_j xi_j * u_i,j for each dependent variable."""
+    out = []
     for i, dep in enumerate(space.dependents):
-        value = g.eta_of(dep)
+        q = g.eta_of(dep)
         for j, x in enumerate(space.independents):
             xi_j = g.xi_of(x)
             if xi_j.is_zero:
                 continue
             raised = [0] * len(space.independents)
             raised[j] = 1
-            value = value - xi_j * Expr.variable(space.jet(i, tuple(raised)))
-        eta_bar[dep] = value
-    return Generator(xi={}, eta=eta_bar)
+            q = q - xi_j * Expr.variable(space.jet(i, tuple(raised)))
+        out.append(q)
+    return out

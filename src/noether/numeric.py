@@ -170,18 +170,22 @@ def drift_report(laws: Sequence, traj: Trajectory,
     """Relative drift of each integral along the trajectory.
 
     drift = max |I(t) - I(0)| / max(1, |I(0)|), evaluated at every sample.
+    An integral whose value overflows on the trajectory has infinite drift,
+    and so fails.
     """
     drifts = []
     passes = []
     for law in laws:
         integral = law.components[0] if hasattr(law, "components") else law
         fn = CompiledExpr(integral)
-        first = fn(traj.samples[0])
-        scale = max(1.0, abs(first))
-        worst = 0.0
-        for env in traj.samples:
-            worst = max(worst, abs(fn(env) - first))
-        drift = worst / scale
+        try:
+            first = fn(traj.samples[0])
+            worst = max(abs(fn(env) - first) for env in traj.samples)
+            drift = worst / max(1.0, abs(first))
+        except OverflowError:
+            drift = math.inf
+        if not math.isfinite(drift):
+            drift = math.inf
         drifts.append(drift)
         passes.append(drift <= cfg.tolerance)
     return NumericReport(drifts=drifts, passes=passes,

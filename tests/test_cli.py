@@ -133,3 +133,32 @@ def test_degree_flag_shrinks_search(capsys):
     code, out = run(capsys, "symmetries", FREE, "--degree", "1")
     assert code == 0
     assert "symmetries found: 4" in out
+
+
+def test_multiple_files_json_without_deterministic_is_array(capsys):
+    code, out = run(capsys, "symmetries", FREE, PLANAR, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert isinstance(payload, list) and len(payload) == 2
+    assert all("timestamp" in obj for obj in payload)
+    assert [obj["file"] for obj in payload] == [FREE, PLANAR]
+
+
+def test_gauge_jet_order_beyond_headroom_exits_2(tmp_path, capsys):
+    bad = tmp_path / "headroom.prob"
+    bad.write_text("[problem]\nindependents = x\ndependents = y\n"
+                   "lagrangian = 1/2*y'^2\norder = 1\n\n"
+                   "[ansatz]\ngauge_jet_order = 4\n")
+    code, out = run(capsys, "integrals", str(bad))
+    assert code == 2
+    assert "derivative order 5 exceeds working order 4" in out
+
+
+def test_numcheck_overflowing_integral_fails_cleanly(tmp_path, capsys):
+    cubic = tmp_path / "cubic.prob"
+    cubic.write_text("[problem]\nindependents = t\ndependents = y\n"
+                     "lagrangian = 1/2*y'^2 + y^3\norder = 1\n")
+    code, out = run(capsys, "numcheck", str(cubic))
+    assert code == 1
+    assert "max drifts inf -> FAIL" in out
+    assert "ok" not in out.split("numeric check:")[1]
