@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .expr import Expr, Monomial, VarId, mono_key, mono_mul
 from .jets import (Generator, JetSpace, _characteristics, _prolong,
@@ -357,7 +357,8 @@ def _columns(templates: Sequence[Expr], unknowns: Sequence[VarId]
 
 
 def _read_out(columns: Dict[VarId, Tuple[int, Monomial, Fraction]],
-              n_slots: int, values) -> List[Expr]:
+              n_slots: int, values: Iterable[Tuple[VarId, Fraction]]
+              ) -> List[Expr]:
     """The templates at (unknown, value) pairs: one multiply per nonzero."""
     terms: List[Dict[Monomial, Fraction]] = [{} for _ in range(n_slots)]
     for c, value in values:
