@@ -27,6 +27,8 @@ CASES = (
        for p in ("free_particle", "quartic_field")]
     + [(f"verify-{p}", ["verify", f"problems/{p}.prob"])
        for p in ("free_particle", "quartic_field")]
+    + [(f"numcheck-{p}", ["numcheck", f"problems/{p}.prob"])
+       for p in PROBLEMS if p != "quartic_field"]
 )
 
 
