@@ -15,8 +15,7 @@ from .engine import (Ansatz, ConservationLaw, DeterminingSystem,
                      first_integral, hessian_relation_check, match_generator,
                      solve, solve_noether, verify, verify_candidate)
 from .numeric import (CompiledExpr, NumericConfig, NumericReport, Trajectory,
-                      compile_expr, drift_report, integrate_el,
-                      seeded_initial_conditions)
+                      drift_report, integrate_el, seeded_initial_conditions)
 from .problem import Problem, ProblemError, load_problem
 
 __version__ = "0.1.0"
@@ -28,7 +27,7 @@ __all__ = [
     "NumericConfig", "NumericReport", "ParseError", "Problem", "ProblemError",
     "ReductionError", "Trajectory", "UnsupportedProblem",
     "VerificationReport", "boundary_terms", "characteristics",
-    "combine_solutions", "compile_expr", "condition_residual",
+    "combine_solutions", "condition_residual",
     "conservation_vector", "determining_system", "drift_report",
     "euler_lagrange", "evolutionary_form", "find_gauge", "first_integral",
     "hessian", "hessian_relation_check", "integrate_el", "load_problem",

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from noether import JetSpace, parse
 from noether.cli import main
 
@@ -162,3 +164,24 @@ def test_numcheck_overflowing_integral_fails_cleanly(tmp_path, capsys):
     assert code == 1
     assert "max drifts inf -> FAIL" in out
     assert "ok" not in out.split("numeric check:")[1]
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--horizon", "inf", "horizon"),
+    ("--tol", "nan", "tolerance"),
+    ("--step", "nan", "step"),
+])
+def test_numcheck_non_finite_setting_exits_2(capsys, flag, value, field):
+    code, out = run(capsys, "numcheck", OSC, flag, value)
+    assert code == 2
+    assert f"{field} must be finite" in out
+
+
+def test_numeric_section_infinite_horizon_exits_2(tmp_path, capsys):
+    bad = tmp_path / "inf_horizon.prob"
+    bad.write_text("[problem]\nindependents = t\ndependents = q\n"
+                   "lagrangian = 1/2*q'^2 - 1/2*q^2\norder = 1\n\n"
+                   "[numeric]\nhorizon = inf\n")
+    code, out = run(capsys, "numcheck", str(bad))
+    assert code == 2
+    assert "horizon must be finite" in out

@@ -1,23 +1,28 @@
 """Numeric cross-validation: compilation, integration, drift measurement."""
 
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from noether import (Ansatz, ConservationLaw, Expr, JetSpace, Lagrangian,
-                     NumericConfig, compile_expr, drift_report, euler_lagrange,
-                     integrate_el, parse, seeded_initial_conditions,
-                     solve_noether)
+from noether import (Ansatz, CompiledExpr, ConservationLaw, Expr, JetSpace,
+                     Lagrangian, NumericConfig, Trajectory, drift_report,
+                     euler_lagrange, integrate_el, load_problem, parse,
+                     seeded_initial_conditions, solve_noether)
 
-from util import rand_expr
+from util import (SEED, rand_expr, rand_nonzero_expr, reference_drift,
+                  reference_integrate)
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_compile_simple(ode):
-    f = compile_expr(parse("1/2*y'^2", ode), ode)
+    f = CompiledExpr(parse("1/2*y'^2", ode))
     assert f({ode.lookup("y'"): 2.0}) == pytest.approx(2.0)
-    assert compile_expr(Expr.zero(), ode)({}) == 0.0
-    g = compile_expr(parse("y - x*y'", ode), ode)
+    assert CompiledExpr(Expr.zero())({}) == 0.0
+    g = CompiledExpr(parse("y - x*y'", ode))
     env = {ode.lookup("x"): 1.0, ode.lookup("y"): 3.0, ode.lookup("y'"): 1.0}
     assert g(env) == pytest.approx(2.0)
 
@@ -29,7 +34,7 @@ def test_compile_matches_exact_evaluation(rng, ode):
         point = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                  for v in vars}
         exact = float(e.evaluate(point))
-        approx = compile_expr(e, ode)({v: float(q) for v, q in point.items()})
+        approx = CompiledExpr(e)({v: float(q) for v, q in point.items()})
         assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
@@ -40,6 +45,18 @@ def test_config_validation():
         NumericConfig(step=1.0, horizon=5.0)
     with pytest.raises(ValueError):
         NumericConfig(tolerance=0.0)
+
+
+@pytest.mark.parametrize("field", ["step", "horizon", "tolerance"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        NumericConfig(**{field: value})
+
+
+def test_config_rejects_overflowing_step_count():
+    with pytest.raises(ValueError, match="horizon / step"):
+        NumericConfig(step=1e-300, horizon=1e300)
 
 
 def test_linear_trajectory_is_exact(free_particle, ode):
@@ -139,3 +156,94 @@ def test_integration_requires_solved_forms():
     el = euler_lagrange(Lagrangian(s, 1, parse("1/3*q'^3", s)))
     with pytest.raises(ValueError):
         integrate_el(el, NumericConfig(), {})
+
+
+def _assert_matches_reference(el, cfg, ic, integrals):
+    """Generated RK4 rows and drifts equal the dict-based reference's."""
+    traj = integrate_el(el, cfg, ic)
+    samples, truncated = reference_integrate(el, cfg, ic)
+    assert traj.truncated == truncated
+    assert traj.rows == [tuple(env[v] for v in traj.variables)
+                         for env in samples]
+    report = drift_report(integrals, traj, cfg)
+    assert report.drifts == [reference_drift(e, samples) for e in integrals]
+    return traj
+
+
+@pytest.mark.parametrize("name", ["free_particle", "free_particle_2d",
+                                  "harmonic_oscillator", "second_order_chain"])
+def test_bundled_problems_match_reference(name):
+    problem = load_problem(PROBLEMS / f"{name}.prob")
+    el = euler_lagrange(problem.lagrangian)
+    cfg = NumericConfig(horizon=0.5)
+    laws = [s.law.components[0]
+            for s in solve_noether(problem.lagrangian, problem.ansatz)]
+    assert laws
+    for ic in seeded_initial_conditions(el, SEED, count=2):
+        _assert_matches_reference(el, cfg, ic, laws)
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_random_potentials_match_reference(dof):
+    """1/2*|q'|^2 - V(t, q) with seeded random polynomial V."""
+    rng = random.Random(SEED + dof)
+    names = ["q", "p"][:dof]
+    s = JetSpace(["t"], names, max_order=4)
+    t = s.independents[0]
+    qs = list(s.dependents)
+    velocities = [s.lookup(f"{n}'") for n in names]
+    kinetic = parse(" + ".join(f"1/2*{n}'^2" for n in names), s)
+    cfg = NumericConfig(horizon=0.5)
+    for _ in range(4):
+        V = rand_nonzero_expr(rng, [t] + qs, max_terms=5, max_degree=4)
+        el = euler_lagrange(Lagrangian(s, 1, kinetic - V))
+        ic = {v: rng.uniform(-1.0, 1.0) for v in qs + velocities}
+        probes = [kinetic + V] + [rand_nonzero_expr(rng, [t] + qs + velocities)
+                                  for _ in range(3)]
+        _assert_matches_reference(el, cfg, ic, probes)
+
+
+def test_blowup_truncates_like_reference():
+    s = JetSpace(["t"], ["q"], max_order=4)
+    body = parse("1/2*q'^2 + 1/4*q^4", s)
+    el = euler_lagrange(Lagrangian(s, 1, body))
+    ic = {s.dependents[0]: 5.0, s.lookup("q'"): 5.0}
+    traj = _assert_matches_reference(el, NumericConfig(), ic,
+                                     [parse("1/2*q'^2 - 1/4*q^4", s)])
+    assert traj.truncated
+
+
+def test_overflowing_integral_drift_matches_reference():
+    s = JetSpace(["t"], ["y"], max_order=4)
+    el = euler_lagrange(Lagrangian(s, 1, parse("1/2*y'^2 + y^3", s)))
+    energy = parse("1/2*y'^2 - y^3", s)
+    cfg = NumericConfig()
+    drifts = []
+    for ic in seeded_initial_conditions(el, cfg.seed):
+        traj = _assert_matches_reference(el, cfg, ic, [energy])
+        drifts += drift_report([energy], traj, cfg).drifts
+    assert math.inf in drifts
+
+
+def test_large_law_compiles_and_evaluates():
+    """An integral of more than 3000 terms: one ``acc +=`` per term keeps
+    it compilable, and its value matches exact evaluation."""
+    rng = random.Random(SEED)
+    s = JetSpace(["t"], ["q"], max_order=4)
+    variables = [s.independents[0], s.dependents[0], s.lookup("q'")]
+    terms = {}
+    for a in range(15):
+        for b in range(15):
+            for c in range(15):
+                mono = tuple((v, k) for v, k in zip(variables, (a, b, c)) if k)
+                if mono:
+                    terms[mono] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    law = Expr(terms)
+    assert len(law) >= 3000
+    point = {v: Fraction(rng.randint(1, 9), 10) for v in variables}
+    traj = Trajectory(variables=tuple(variables),
+                      rows=[(0.0, 0.0, 0.0),
+                            tuple(float(point[v]) for v in variables)])
+    report = drift_report([law], traj, NumericConfig())
+    exact = law.evaluate(point)
+    assert report.drifts[0] == pytest.approx(float(exact), rel=1e-12)

@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the code paths they cross-check: the
 closed-form prolongation uses the explicit binomial sum, the first-integral
-oracle expands the textbook double sum directly, and on-shell checks
-substitute solved derivatives by hand instead of calling the reducer.
+oracle expands the textbook double sum directly, on-shell checks
+substitute solved derivatives by hand instead of calling the reducer, and
+the reference integrator and drift run RK4 over dict environments with a
+direct monomial loop instead of the generated code.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 from fractions import Fraction
 
 from noether import Expr, Generator, JetSpace, total_derivative
+from noether.numeric import state_variables
 
 SEED = 42
 
@@ -114,3 +117,76 @@ def on_shell_zero(expr: Expr, space: JetSpace, solved: dict, depth=6) -> bool:
             return expr.is_zero
         expr = expr.substitute(bindings)
     return expr.is_zero
+
+
+def reference_value(e: Expr, env) -> float:
+    """Float value of ``e`` by the direct monomial loop: coefficient times
+    each ``x ** k`` in turn, terms summed from 0.0 in ``term_map()``
+    order."""
+    total = 0.0
+    for mono, coeff in e.term_map().items():
+        acc = float(coeff)
+        for v, k in mono:
+            acc *= env[v] ** k
+        total += acc
+    return total
+
+
+def reference_integrate(el, cfg, ic):
+    """RK4 over dict environments, one dict per stage.
+
+    Returns ``(samples, truncated)``: one environment per step, holding the
+    independent variable and every state variable.
+    """
+    space = el.space
+    states = state_variables(el)
+    t_var = space.independents[0]
+    tops = {}
+    for i in range(len(space.dependents)):
+        h = max((v for v in el.solved_forms if v.dep_index == i),
+                key=lambda v: v.order)
+        tops[space.jet(i, (h.order - 1,))] = el.solved_forms[h]
+
+    def derivative(env):
+        return {v: reference_value(tops[v], env) if v in tops
+                else env[space.jet(v.dep_index, (v.order + 1,))]
+                for v in states}
+
+    h = cfg.step
+    env = {v: float(ic[v]) for v in states}
+    env[t_var] = 0.0
+    samples = [env]
+    for _ in range(round(cfg.horizon / cfg.step)):
+        try:
+            k1 = derivative(env)
+            e2 = {v: env[v] + 0.5 * h * k1[v] for v in states}
+            e2[t_var] = env[t_var] + 0.5 * h
+            k2 = derivative(e2)
+            e3 = {v: env[v] + 0.5 * h * k2[v] for v in states}
+            e3[t_var] = env[t_var] + 0.5 * h
+            k3 = derivative(e3)
+            e4 = {v: env[v] + h * k3[v] for v in states}
+            e4[t_var] = env[t_var] + h
+            k4 = derivative(e4)
+        except (OverflowError, ValueError):
+            return samples, True
+        nxt = {v: env[v] + h / 6.0 * (k1[v] + 2 * k2[v] + 2 * k3[v] + k4[v])
+               for v in states}
+        nxt[t_var] = env[t_var] + h
+        if not all(math.isfinite(x) for x in nxt.values()):
+            return samples, True
+        env = nxt
+        samples.append(env)
+    return samples, False
+
+
+def reference_drift(integral: Expr, samples) -> float:
+    """max |I - I(0)| / max(1, |I(0)|) over the samples; inf on overflow."""
+    try:
+        first = reference_value(integral, samples[0])
+        worst = max(abs(reference_value(integral, env) - first)
+                    for env in samples)
+        drift = worst / max(1.0, abs(first))
+    except OverflowError:
+        return math.inf
+    return drift if math.isfinite(drift) else math.inf
