@@ -274,10 +274,6 @@ def _drift_function(e: Expr, variables: Sequence[VarId]):
     greater.
     """
     names = _positional(variables)
-    bad = [v.name for v in e.variables() if v not in names]
-    if bad:
-        raise ValueError(f"integral references variables outside the "
-                         f"trajectory: {', '.join(sorted(bad))}")
     row = ", ".join(names.values()) + ","
     return _define("drift", [
         "def drift(rows):",

@@ -230,7 +230,8 @@ def test_large_law_compiles_and_evaluates():
     it compilable, and its value matches exact evaluation."""
     rng = random.Random(SEED)
     s = JetSpace(["t"], ["q"], max_order=4)
-    variables = [s.independents[0], s.dependents[0], s.lookup("q'")]
+    variables = sorted([s.independents[0], s.dependents[0], s.lookup("q'")],
+                       key=lambda v: v.sort_index)
     terms = {}
     for a in range(15):
         for b in range(15):
