@@ -3,7 +3,7 @@ Lagrangians, derived and verified exactly over the rationals."""
 
 from .expr import Expr, VarId
 from .jets import (Generator, HeadroomError, JetSpace, evolutionary_form,
-                   prolong_ode, prolong_pde, total_derivative)
+                   prolong_pde, total_derivative)
 from .parsing import ParseError, parse
 from .variational import (ELSystem, HessianReport, Lagrangian, ReductionError,
                           euler_lagrange, hessian, reduce_mod_el)
@@ -31,7 +31,7 @@ __all__ = [
     "conservation_vector", "determining_system", "drift_report",
     "euler_lagrange", "evolutionary_form", "find_gauge", "first_integral",
     "hessian", "hessian_relation_check", "integrate_el", "load_problem",
-    "match_generator", "parse", "prolong_ode", "prolong_pde",
+    "match_generator", "parse", "prolong_pde",
     "reduce_mod_el", "seeded_initial_conditions", "solve", "solve_noether",
     "total_derivative", "verify", "verify_candidate",
 ]

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .expr import Expr, Monomial, VarId, mono_key, mono_mul
+from .expr import PARAMETER, Expr, Monomial, VarId, mono_key, mono_mul
 from .jets import (Generator, JetSpace, _characteristics, _prolong,
                    total_derivative)
 from .linalg import Row, nullspace, solve_affine
 from .variational import (ELSystem, Lagrangian, ReductionError,
-                          _apply_multi_derivative, euler_lagrange,
-                          reduce_mod_el)
+                          euler_lagrange, reduce_mod_el)
 
 
 class NonSymmetryError(ValueError):
@@ -103,6 +102,9 @@ class VerificationReport:
 class DeterminingSystem:
     """Homogeneous linear system over the ansatz parameters.
 
+    ``unknowns`` are this system's own parameters ``c0``, ``c1``, ...: they
+    order after every variable of the problem's ``JetSpace`` but are not
+    registered in it, so they never clash with the problem's names.
     ``rows`` are sparse over positions in ``unknowns``.  The templates are
     linear in the parameters, one parameter per term, and are the one
     description of the ansatz: ``materialize`` splits them into columns
@@ -176,16 +178,11 @@ def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
     Euler-Lagrange expression, which vanishes on shell.
     """
     space = L.space
-    qs = characteristics(L, g)
+    # D^mu(Q_i) is the prolongation of the evolutionary generator Q at u_i,mu.
+    q = Generator(eta=dict(zip(space.dependents, characteristics(L, g))))
+    memo: Dict[Tuple[int, Tuple[int, ...]], Expr] = {}
     b = [Expr.zero() for _ in space.independents]
     for i in range(len(space.dependents)):
-        q_derivs: Dict[Tuple[int, ...], Expr] = {}
-
-        def q_d(multi: Tuple[int, ...]) -> Expr:
-            if multi not in q_derivs:
-                q_derivs[multi] = _apply_multi_derivative(qs[i], multi, space)
-            return q_derivs[multi]
-
         for v in space.jet_vars(dep_index=i, max_order=L.order):
             if v.order == 0:
                 continue
@@ -197,7 +194,7 @@ def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
             while sum(multi) > 0:
                 j = max(idx for idx, c in enumerate(multi) if c > 0)
                 multi[j] -= 1
-                b[j] = b[j] + q_d(tuple(multi)) * cur
+                b[j] = b[j] + _prolong(q, i, tuple(multi), space, memo) * cur
                 cur = -total_derivative(cur, space.independents[j], space)
     return b
 
@@ -306,12 +303,22 @@ def _monomials_upto(vars: Sequence[VarId], degree: int,
     return monos
 
 
+def _unknown(space: JetSpace, k: int) -> VarId:
+    """Unknown k of one linear system.
+
+    It orders after every variable of the space and is never registered
+    there, so it cannot clash with a problem's own names; each system makes
+    its own and never mixes them with another's.
+    """
+    return VarId(PARAMETER, f"c{k}", space.variable_count + k)
+
+
 def _ansatz_polynomial(space: JetSpace, monos: Sequence[Monomial],
                        unknowns: List[VarId]) -> Expr:
     """A fresh linear combination of monomials with new parameters."""
     terms: Dict[Monomial, Fraction] = {}
     for mono in monos:
-        c = space.parameter(f"c{len(unknowns)}")
+        c = _unknown(space, len(unknowns))
         unknowns.append(c)
         terms[mono_mul(((c, 1),), mono)] = Fraction(1)
     return Expr(terms)
@@ -563,7 +570,7 @@ def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
         return ([g.eta_of(u) for u in space.dependents]
                 + [g.xi_of(x) for x in space.independents])
 
-    unknowns = [space.parameter(f"c{k}") for k in range(len(solutions))]
+    unknowns = [_unknown(space, k) for k in range(len(solutions))]
     parts = [slots(sol.generator) for sol in solutions]
     system: List[Tuple[Row, Fraction]] = []
     for s, goal in enumerate(slots(target)):

@@ -7,7 +7,7 @@ equality a dictionary comparison and keeps every operation exact -- there is
 no floating point anywhere in the symbolic layer.  Division is permitted
 only by nonzero rational constants, so the value set is a polynomial ring.
 
-Variables are ``VarId`` objects interned by the owning registry (see
+A problem's variables are ``VarId`` objects interned by its registry (see
 ``noether.jets.JetSpace``): equal content implies the same object, so
 identity comparison is safe and monomials can be ordered by each variable's
 registration index (graded-lexicographic order).
@@ -29,9 +29,11 @@ PARAMETER = "parameter"
 class VarId:
     """An interned variable of a jet space.
 
-    Instances are created only by a ``JetSpace`` (or its ``parameter``
-    factory), which guarantees one object per distinct variable, so the
+    A ``JetSpace`` creates one object per variable it registers, so the
     inherited identity ``__eq__``/``__hash__`` are both correct and fast.
+    Solver unknowns (kind ``PARAMETER``) are not registered: each linear
+    system creates its own, ordered after the space's variables, and never
+    mixes them with another system's.
 
     ``multi_index`` holds one derivative count per independent variable; it
     is all zeros for a plain dependent variable and empty for independents

@@ -1,10 +1,11 @@
 """Jet-space bookkeeping: variable registry, total derivatives, prolongation.
 
 A ``JetSpace`` owns every variable of a problem: the independent variables,
-the dependent variables, all derivative coordinates up to a fixed working
-order, and any parameters created later (solver unknowns).  Registration
-order fixes each variable's ``sort_index``, which in turn fixes monomial
-ordering and printed output, so runs are deterministic.
+the dependent variables and all derivative coordinates up to a fixed working
+order.  The registry is complete when the constructor returns and never
+changes afterwards.  Registration order fixes each variable's
+``sort_index``, which in turn fixes monomial ordering and printed output, so
+runs are deterministic.
 
 The working order is chosen at problem load with enough headroom for the
 prolongations and reductions the problem needs; raising a derivative past
@@ -14,11 +15,10 @@ it raises ``HeadroomError`` instead of growing the registry.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .expr import DEPENDENT, INDEPENDENT, JET, PARAMETER, Expr, VarId
+from .expr import DEPENDENT, INDEPENDENT, JET, Expr, VarId
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
@@ -59,7 +59,6 @@ class JetSpace:
         self._by_name: Dict[str, VarId] = {}
         self._jets: Dict[Tuple[int, Tuple[int, ...]], VarId] = {}
         self._counter = 0
-        self._lock = threading.Lock()
 
         self.independents: Tuple[VarId, ...] = tuple(
             self._register(INDEPENDENT, n) for n in independents)
@@ -142,16 +141,6 @@ class JetSpace:
                 out.append(v)
         out.sort(key=lambda v: v.sort_index)
         return out
-
-    def parameter(self, name: str) -> VarId:
-        """Intern a parameter (solver unknown); reuse an existing one by name."""
-        with self._lock:
-            v = self._by_name.get(name)
-            if v is not None:
-                if v.kind != PARAMETER:
-                    raise ValueError(f"{name!r} already names a {v.kind} variable")
-                return v
-            return self._register(PARAMETER, name)
 
     @property
     def variable_count(self) -> int:
@@ -242,29 +231,6 @@ def prolong_pde(g: Generator, target: VarId, space: JetSpace) -> Expr:
     if target.kind not in (DEPENDENT, JET):
         raise ValueError(f"{target.name!r} is not a jet coordinate")
     return _prolong(g, target.dep_index, target.multi_index, space, {})
-
-
-def prolong_ode(g: Generator, j: int, space: JetSpace) -> Dict[VarId, Expr]:
-    """Order-j prolongation coefficients, one per dependent variable.
-
-    Defined by zeta^0 = eta and zeta^j = D zeta^(j-1) - q^(j) * D tau,
-    where tau is the coefficient of the single independent variable.
-    """
-    if not space.is_ode:
-        raise ValueError("prolong_ode requires a single independent variable")
-    if j < 1:
-        raise ValueError("prolongation order must be >= 1")
-    t = space.independents[0]
-    tau = g.xi_of(t)
-    d_tau = total_derivative(tau, t, space)
-    zeta = {dep: g.eta_of(dep) for dep in space.dependents}
-    for step in range(1, j + 1):
-        nxt = {}
-        for i, dep in enumerate(space.dependents):
-            q_step = Expr.variable(space.jet(i, (step,)))
-            nxt[dep] = total_derivative(zeta[dep], t, space) - q_step * d_tau
-        zeta = nxt
-    return zeta
 
 
 def evolutionary_form(g: Generator, space: JetSpace) -> Generator:

@@ -8,10 +8,11 @@ Grammar (whitespace insignificant)::
     base   := integer | name | '(' expr ')'
 
 Division is only legal by a (sub)expression that evaluates to a nonzero
-rational constant.  Names resolve against a ``JetSpace``:
+rational constant.  Parentheses nest at most ``MAX_NESTING`` deep.  Names
+resolve against a ``JetSpace``:
 
 * registered names directly (independents, dependents, canonical jet names
-  such as ``u_tx``, parameters);
+  such as ``u_tx``);
 * prime repetition for single-independent problems: ``y'``, ``y''``;
 * dot suffixes for the same: ``qdot``, ``qddot``, ``qdddot`` ...;
 * underscore multi-suffixes naming independents in any order: ``u_xt``.
@@ -31,6 +32,9 @@ from .jets import JetSpace
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*'*)|([-+*/^()]))")
 
 _DOT_RE = re.compile(r"^(d*)dot$")
+
+# Each parenthesis level costs four Python frames of the descent.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -138,6 +142,7 @@ class _Parser:
         self.space = space
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -215,7 +220,11 @@ class _Parser:
         if kind == "name":
             return Expr.variable(resolve_name(self.space, value, pos))
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("expression nested too deeply", pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input",

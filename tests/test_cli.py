@@ -1,6 +1,7 @@
 """Command-line interface: output modes, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -185,3 +186,45 @@ def test_numeric_section_infinite_horizon_exits_2(tmp_path, capsys):
     code, out = run(capsys, "numcheck", str(bad))
     assert code == 2
     assert "horizon must be finite" in out
+
+
+def _renamed_free_particle(tmp_path, independent, dependent):
+    """problems/free_particle.prob with x and y renamed."""
+    text = re.sub(r"\bx\b", independent, Path(FREE).read_text())
+    renamed = tmp_path / "renamed.prob"
+    renamed.write_text(re.sub(r"\by\b", dependent, text))
+    return str(renamed)
+
+
+def _json_text(capsys, *argv):
+    """Exit code and the deterministic JSON result without its file name."""
+    code, out = run(capsys, *argv, "--json", "--deterministic")
+    payload = json.loads(out)
+    del payload["file"]
+    return code, json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["integrals", "numcheck"])
+def test_dependent_named_c0(tmp_path, capsys, command):
+    code, got = _json_text(capsys, command,
+                           _renamed_free_particle(tmp_path, "x", "c0"))
+    assert code == 0, got
+    _, ref = _json_text(capsys, command, FREE)
+    assert got.replace("c0", "y") == ref
+
+
+def test_independent_named_c1_verifies(tmp_path, capsys):
+    code, got = _json_text(capsys, "verify",
+                           _renamed_free_particle(tmp_path, "c1", "y"))
+    assert code == 0, got
+    _, ref = _json_text(capsys, "verify", FREE)
+    assert got.replace("c1", "x") == ref
+
+
+def test_deeply_nested_lagrangian_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.prob"
+    deep.write_text("[problem]\nindependents = x\ndependents = y\n"
+                    f"lagrangian = {'(' * 3000}y'{')' * 3000}\norder = 1\n")
+    code, out = run(capsys, "integrals", str(deep))
+    assert code == 2
+    assert "'lagrangian'" in out and "nested too deeply" in out

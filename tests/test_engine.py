@@ -331,6 +331,26 @@ def test_verify_candidate_pipeline(quartic_field, pde):
                             gen(pde, xi={"t": "t"}, eta={"u": "-u"})) is None
 
 
+def test_solver_unknowns_stay_out_of_the_space(free_particle, ode):
+    count = ode.variable_count
+    sols = solve_noether(free_particle, Ansatz())
+    find_gauge(free_particle, gen(ode, eta={"y": "x"}))
+    match_generator(free_particle, sols, gen(ode, xi={"x": "1"}))
+    assert ode.variable_count == count
+    assert ode.lookup("c0") is None
+    with pytest.raises(ValueError, match="unknown variable"):
+        parse("c0", ode)
+
+
+def test_problem_may_name_a_variable_c0():
+    space = JetSpace(["x"], ["c0"], max_order=4)
+    L = Lagrangian(space, 1, parse("1/2*c0'^2", space))
+    sols = solve_noether(L, Ansatz())
+    assert len(sols) == 5
+    shift = match_generator(L, sols, gen(space, eta={"c0": "x"}))
+    assert shift.gauge == (parse("c0", space),)
+
+
 # -- structural properties --------------------------------------------------------
 
 

@@ -119,15 +119,14 @@ def test_substitute_cyclic_rejected(ode):
                                       y: parse("x", ode)})
 
 
-def test_collect_determining_shape(ode):
+def test_collect_determining_shape():
     # coefficients of the velocity powers stay exact and reassemble
-    a = ode.parameter("a")
-    b = ode.parameter("b")
-    c = ode.parameter("c")
-    yp = ode.lookup("y'")
-    e = (Expr.variable(a) * parse("y'^3", ode) * Fraction(-1, 2)
+    space = JetSpace(["x"], ["y", "a", "b", "c"], max_order=2)
+    a, b, c = (space.lookup(n) for n in "abc")
+    yp = space.lookup("y'")
+    e = (Expr.variable(a) * parse("y'^3", space) * Fraction(-1, 2)
          + (Expr.variable(b) - Expr.variable(c) * Fraction(1, 2))
-         * parse("y'^2", ode))
+         * parse("y'^2", space))
     parts = e.collect({yp})
     assert parts[((yp, 3),)] == Expr.variable(a) * Fraction(-1, 2)
     assert parts[((yp, 2),)] == Expr.variable(b) - Expr.variable(c) * Fraction(1, 2)
@@ -198,3 +197,11 @@ def test_canonical_equality_is_semantic(ode):
     right = parse("2*y'", ode)
     assert left == right
     assert hash(left) == hash(right)
+
+
+def test_parse_nesting_limit(ode):
+    from noether.parsing import MAX_NESTING
+    deep = "(" * MAX_NESTING + "y" + ")" * MAX_NESTING
+    assert parse(deep, ode) == parse("y", ode)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("(" + deep + ")", ode)
