@@ -29,6 +29,7 @@ CASES = (
        for p in ("free_particle", "quartic_field")]
     + [(f"numcheck-{p}", ["numcheck", f"problems/{p}.prob"])
        for p in PROBLEMS if p != "quartic_field"]
+    + [("verify-batch", ["verify", "tests/data/verify_batch.prob"])]
 )
 
 
