@@ -12,8 +12,9 @@ from .engine import (Ansatz, ConservationLaw, DeterminingSystem,
                      VerificationReport, boundary_terms, characteristics,
                      combine_solutions, condition_residual,
                      conservation_vector, determining_system, find_gauge,
-                     first_integral, hessian_relation_check, match_generator,
-                     solve, solve_noether, verify, verify_candidate)
+                     find_gauges, first_integral, hessian_relation_check,
+                     match_generator, solve, solve_noether, verify,
+                     verify_candidate)
 from .numeric import (CompiledExpr, NumericConfig, NumericReport, Trajectory,
                       drift_report, integrate_el, seeded_initial_conditions)
 from .problem import Problem, ProblemError, load_problem
@@ -29,9 +30,9 @@ __all__ = [
     "VerificationReport", "boundary_terms", "characteristics",
     "combine_solutions", "condition_residual",
     "conservation_vector", "determining_system", "drift_report",
-    "euler_lagrange", "evolutionary_form", "find_gauge", "first_integral",
-    "hessian", "hessian_relation_check", "integrate_el", "load_problem",
-    "match_generator", "parse", "prolong_pde",
+    "euler_lagrange", "evolutionary_form", "find_gauge", "find_gauges",
+    "first_integral", "hessian", "hessian_relation_check", "integrate_el",
+    "load_problem", "match_generator", "parse", "prolong_pde",
     "reduce_mod_el", "seeded_initial_conditions", "solve", "solve_noether",
     "total_derivative", "verify", "verify_candidate",
 ]

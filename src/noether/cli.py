@@ -23,12 +23,13 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import os
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from .engine import (Ansatz, NoetherSolution, UnsupportedProblem, solve_noether,
-                     verify, verify_candidate)
+from .engine import (Ansatz, NoetherSolution, UnsupportedProblem, _solution,
+                     find_gauges, solve_noether, verify)
 from .jets import Generator, HeadroomError
 from .numeric import (NumericConfig, drift_report, integrate_el,
                       seeded_initial_conditions)
@@ -204,17 +205,19 @@ def _run_verify(problem: Problem, el: ELSystem, args,
     status = EXIT_OK
     ansatz = _effective_ansatz(problem, args)
     checked = []
-    for name, g in problem.candidates:
+    gauges = find_gauges(problem.lagrangian,
+                         [g for _, g in problem.candidates],
+                         degree=ansatz.gauge_degree,
+                         jet_order=ansatz.gauge_jet_order)
+    for (name, g), gauge in zip(problem.candidates, gauges):
         entry: Dict = {"name": name}
         entry.update(_generator_json(problem, g))
-        sol = verify_candidate(problem.lagrangian, g,
-                               degree=ansatz.gauge_degree,
-                               jet_order=ansatz.gauge_jet_order)
-        if sol is None:
+        if gauge is None:
             entry["admits_gauge"] = False
             lines.append(f"  {name}: REJECTED (no local polynomial gauge)")
             status = EXIT_CHECK_FAILED
         else:
+            sol = _solution(problem.lagrangian, g, gauge)
             entry["admits_gauge"] = True
             entry["gauge"] = [str(c) for c in sol.gauge]
             entry["law"] = [str(c) for c in sol.law.components]
@@ -290,26 +293,38 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     tasks = [(args.command, path, args) for path in args.files]
     if args.jobs > 1 and len(args.files) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        # The pool may start every worker at once, so never ask for more
+        # workers than there are files.
+        workers = min(args.jobs, len(args.files))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             outcomes = list(ex.map(_run_star, tasks))
     else:
         outcomes = [_run_star(t) for t in tasks]
 
-    worst = EXIT_OK
-    payload = []
-    for code, text, obj in outcomes:
-        worst = max(worst, code)
-        payload.append(obj)
-        if not args.as_json:
+    try:
+        _emit(args, outcomes)
+    except BrokenPipeError:
+        # The reader went away (as with ``| head``): stop writing, and point
+        # stdout at the null device so the interpreter's final flush cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return max(code for code, _, _ in outcomes)
+
+
+def _emit(args, outcomes: List[Tuple[int, str, Dict]]) -> None:
+    """Print each file's text, or all files' JSON, and flush stdout."""
+    if not args.as_json:
+        for _, text, _ in outcomes:
             print(text)
-    if args.as_json:
+    else:
+        payload = [obj for _, _, obj in outcomes]
         if not args.deterministic:
             stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
             for obj in payload:
                 obj["timestamp"] = stamp
         out = payload[0] if len(payload) == 1 else payload
         print(json.dumps(out, sort_keys=True, indent=2))
-    return worst
+    sys.stdout.flush()
 
 
 def _run_star(task):

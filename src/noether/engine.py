@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .expr import PARAMETER, Expr, Monomial, VarId, mono_key, mono_mul
 from .jets import (Generator, JetSpace, _characteristics, _prolong,
                    total_derivative)
-from .linalg import Row, nullspace, solve_affine
+from .linalg import Row, nullspace, solve_affine, solve_affine_many
 from .variational import (ELSystem, Lagrangian, ReductionError,
                           euler_lagrange, reduce_mod_el)
 
@@ -505,22 +505,54 @@ def find_gauge(L: Lagrangian, g: Generator, degree: int = 4,
     returned, so for instance the time-translation candidate of a free field
     gets the zero gauge rather than an arbitrary divergence-free one.
     """
+    return find_gauges(L, [g], degree=degree, jet_order=jet_order)[0]
+
+
+def find_gauges(L: Lagrangian, generators: Sequence[Generator],
+                degree: int = 4, jet_order: Optional[int] = None
+                ) -> List[Optional[Tuple[Expr, ...]]]:
+    """``find_gauge`` for each generator, sharing the work between them.
+
+    The invariance residual is the candidate's residual with zero gauge
+    minus the divergence of the gauge, and only the first part depends on
+    the candidate.  So the candidates are grouped by gauge jet order (by
+    default the Lagrangian order less one, raised to a time-like
+    candidate's own derivative dependence), and each group builds its
+    gauge templates and their divergence once and eliminates them once,
+    with one right-hand side per candidate.
+    """
     space = L.space
-    if jet_order is None:
-        jet_order = (L.order - 1 if space.is_ode else 0)
-        jet_order = max(jet_order, g.dependence_order if space.is_ode else 0)
-    gauge_vars = list(space.independents) + space.jet_vars(max_order=jet_order)
-    monos = _monomials_upto(gauge_vars, degree, include_constant=False)
-    unknowns: List[VarId] = []
-    templates = [_ansatz_polynomial(space, monos, unknowns)
-                 for _ in space.independents]
-    residual = condition_residual(L, g, templates)
-    solution = solve_affine(list(_affine_system(residual, unknowns).values()),
-                            len(unknowns))
-    if solution is None:
-        return None
-    return tuple(_read_out(_columns(templates, unknowns), len(templates),
-                           zip(unknowns, solution)))
+    groups: Dict[int, List[int]] = {}
+    for k, g in enumerate(generators):
+        order = jet_order
+        if order is None:
+            order = (max(L.order - 1, g.dependence_order)
+                     if space.is_ode else 0)
+        groups.setdefault(order, []).append(k)
+    gauges: List[Optional[Tuple[Expr, ...]]] = [None] * len(generators)
+    for order, members in groups.items():
+        gauge_vars = list(space.independents) + space.jet_vars(max_order=order)
+        monos = _monomials_upto(gauge_vars, degree, include_constant=False)
+        unknowns: List[VarId] = []
+        templates = [_ansatz_polynomial(space, monos, unknowns)
+                     for _ in space.independents]
+        divergence = condition_residual(L, Generator(), templates)
+        system = {mono: (row, {})
+                  for mono, (row, _) in _affine_system(divergence,
+                                                       unknowns).items()}
+        del divergence   # only its rows are used; keeping it raises the peak
+        for k, member in enumerate(members):
+            residual = condition_residual(L, generators[member])
+            for mono, (_, b) in _affine_system(residual, ()).items():
+                system.setdefault(mono, ({}, {}))[1][k] = b
+        solutions = solve_affine_many(list(system.values()), len(unknowns),
+                                      len(members))
+        columns = _columns(templates, unknowns)
+        for member, solution in zip(members, solutions):
+            if solution is not None:
+                gauges[member] = tuple(_read_out(
+                    columns, len(templates), zip(unknowns, solution)))
+    return gauges
 
 
 def verify_candidate(L: Lagrangian, g: Generator, degree: int = 4,

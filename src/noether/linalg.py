@@ -23,11 +23,14 @@ def _axpy(target: Row, factor: Fraction, source: Row) -> None:
             target.pop(col, None)
 
 
-def rref(rows: List[Row]) -> Dict[int, Row]:
+def rref(rows: List[Row], limit: Optional[int] = None,
+         stuck: Optional[List[Row]] = None) -> Dict[int, Row]:
     """Reduced row echelon form; returns pivot column -> normalized row.
 
     Every returned row has coefficient 1 in its pivot column and contains no
     other pivot column, so back-substitution can read answers directly.
+    Columns at or past ``limit`` are carried along but never pivoted on: a
+    row that reduces to entries there alone is appended to ``stuck``.
     """
     pivots: Dict[int, Row] = {}
     for row in rows:
@@ -40,6 +43,9 @@ def rref(rows: List[Row]) -> Dict[int, Row]:
         if not r:
             continue
         lead = min(r)
+        if limit is not None and lead >= limit:
+            stuck.append(r)
+            continue
         lv = r[lead]
         if lv != 1:
             r = {c: v / lv for c, v in r.items()}
@@ -81,17 +87,38 @@ def solve_affine(rows: List[Tuple[Row, Fraction]],
     Free variables are set to zero, so the answer is the canonical
     particular solution of the reduced system.
     """
-    rhs_col = n_cols
+    return solve_affine_many([(row, {0: rhs}) for row, rhs in rows],
+                             n_cols, 1)[0]
+
+
+def solve_affine_many(rows: List[Tuple[Row, Dict[int, Fraction]]],
+                      n_cols: int, n_rhs: int
+                      ) -> List[Optional[List[Fraction]]]:
+    """``solve_affine`` for right-hand sides 0 .. n_rhs-1 in one elimination.
+
+    Each row carries its right-hand sides sparsely, as {k: b_k}.  They ride
+    along as columns past the unknowns, so pivots depend on A alone and
+    every consistent right-hand side gets exactly the solution
+    ``solve_affine`` would give it alone.  Right-hand side k is None when a
+    row whose unknown part reduced to zero still has a nonzero entry k.
+    """
     combined = []
     for row, rhs in rows:
         r = dict(row)
-        if rhs:
-            r[rhs_col] = -rhs
+        for k, b in rhs.items():
+            if b:
+                r[n_cols + k] = -b
         combined.append(r)
-    pivots = rref(combined)
-    if rhs_col in pivots:
-        return None
-    solution = [Fraction(0)] * n_cols
-    for pcol, prow in pivots.items():
-        solution[pcol] = -prow.get(rhs_col, Fraction(0))
-    return solution
+    stuck: List[Row] = []
+    pivots = rref(combined, limit=n_cols, stuck=stuck)
+    inconsistent = {c for r in stuck for c in r}
+    solutions: List[Optional[List[Fraction]]] = []
+    for rhs_col in range(n_cols, n_cols + n_rhs):
+        if rhs_col in inconsistent:
+            solutions.append(None)
+            continue
+        solution = [Fraction(0)] * n_cols
+        for pcol, prow in pivots.items():
+            solution[pcol] = -prow.get(rhs_col, Fraction(0))
+        solutions.append(solution)
+    return solutions

@@ -1,7 +1,11 @@
 """Command-line interface: output modes, determinism, exit codes."""
 
+import concurrent.futures
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +13,8 @@ import pytest
 from noether import JetSpace, parse
 from noether.cli import main
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 
 FREE = str(PROBLEMS / "free_particle.prob")
 CHAIN = str(PROBLEMS / "second_order_chain.prob")
@@ -228,3 +233,47 @@ def test_deeply_nested_lagrangian_exits_2(tmp_path, capsys):
     code, out = run(capsys, "integrals", str(deep))
     assert code == 2
     assert "'lagrangian'" in out and "nested too deeply" in out
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", FREE, "--json", "--deterministic"], 0),
+    (["verify", FIELD], 1),
+])
+def test_closed_stdout_pipe_ends_quietly(argv, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "noether.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()   # the reader is gone before the first write
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert "Traceback" not in err and "Error" not in err, err
+
+
+def test_jobs_capped_at_file_count(monkeypatch, capsys):
+    requested = []
+
+    class RecordingPool:
+        """Records the worker count and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    code, out = run(capsys, "symmetries", FREE, PLANAR, "--jobs", "100000")
+    assert code == 0
+    assert "symmetries found: 5" in out and "symmetries found: 8" in out
+    assert requested == [2]

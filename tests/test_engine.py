@@ -1,6 +1,7 @@
 """The Noether engine: residuals, determining systems, laws, verification."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +9,14 @@ from noether import (Ansatz, Expr, Generator, JetSpace, Lagrangian,
                      NonSymmetryError, UnsupportedProblem, combine_solutions,
                      condition_residual, conservation_vector,
                      determining_system, euler_lagrange, evolutionary_form,
-                     find_gauge, first_integral, hessian_relation_check,
-                     match_generator, parse, reduce_mod_el, solve, solve_noether,
-                     verify, verify_candidate)
+                     find_gauge, find_gauges, first_integral,
+                     hessian_relation_check, load_problem, match_generator,
+                     parse, reduce_mod_el, solve, solve_noether, verify,
+                     verify_candidate)
 
 from util import first_integral_closed_form, on_shell_zero
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def gen(space, xi=None, eta=None):
@@ -331,10 +335,38 @@ def test_verify_candidate_pipeline(quartic_field, pde):
                             gen(pde, xi={"t": "t"}, eta={"u": "-u"})) is None
 
 
+@pytest.mark.parametrize("path,admitted", [
+    ("problems/free_particle.prob", {4: "AAAAA", 0: "ARAAR"}),
+    ("problems/quartic_field.prob", {4: "AAAARR", 0: "AAARRR"}),
+    # gauge jet orders 0, 1, 1, 0
+    ("tests/data/verify_batch.prob", {4: "AARA", 0: "ARRA"}),
+])
+@pytest.mark.parametrize("degree", [4, 0])
+def test_find_gauges_matches_find_gauge(path, admitted, degree):
+    problem = load_problem(str(ROOT / path))
+    L = problem.lagrangian
+    gens = [g for _, g in problem.candidates]
+    gauges = find_gauges(L, gens, degree=degree)
+    assert gauges == [find_gauge(L, g, degree=degree) for g in gens]
+    assert "".join("R" if f is None else "A" for f in gauges) \
+        == admitted[degree]
+    for g, f in zip(gens, gauges):
+        if f is not None:
+            assert condition_residual(L, g, f).is_zero
+            if degree == 0:   # no gauge monomials at all
+                assert all(c.is_zero for c in f)
+
+
+def test_find_gauges_empty(free_particle):
+    assert find_gauges(free_particle, []) == []
+
+
 def test_solver_unknowns_stay_out_of_the_space(free_particle, ode):
     count = ode.variable_count
     sols = solve_noether(free_particle, Ansatz())
     find_gauge(free_particle, gen(ode, eta={"y": "x"}))
+    find_gauges(free_particle, [gen(ode, eta={"y": "1"}),
+                                gen(ode, eta={"y": "y'"})])
     match_generator(free_particle, sols, gen(ode, xi={"x": "1"}))
     assert ode.variable_count == count
     assert ode.lookup("c0") is None

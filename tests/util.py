@@ -190,3 +190,55 @@ def reference_drift(integral: Expr, samples) -> float:
     except OverflowError:
         return math.inf
     return drift if math.isfinite(drift) else math.inf
+
+
+def _reference_axpy(target, factor, source):
+    """target -= factor * source, dropping zeros."""
+    for col, val in source.items():
+        s = target.get(col, Fraction(0)) - factor * val
+        if s:
+            target[col] = s
+        else:
+            target.pop(col, None)
+
+
+def _reference_rref(rows):
+    """Reduced row echelon form; pivot column -> normalized row."""
+    pivots = {}
+    for row in rows:
+        r = dict(row)
+        for col in sorted(r):
+            if col in r and col in pivots:
+                _reference_axpy(r, r[col], pivots[col])
+        if not r:
+            continue
+        lead = min(r)
+        lv = r[lead]
+        if lv != 1:
+            r = {c: v / lv for c, v in r.items()}
+        for prow in pivots.values():
+            if lead in prow:
+                _reference_axpy(prow, prow[lead], r)
+        pivots[lead] = r
+    return pivots
+
+
+def reference_solve_affine(rows, n_cols):
+    """One exact solution of A x = b, or None when inconsistent: the
+    single right-hand-side solve as it stood before the multi-right-hand-side
+    elimination, with b as an extra column that may itself become a pivot
+    (which is what makes the system inconsistent)."""
+    rhs_col = n_cols
+    combined = []
+    for row, rhs in rows:
+        r = dict(row)
+        if rhs:
+            r[rhs_col] = -rhs
+        combined.append(r)
+    pivots = _reference_rref(combined)
+    if rhs_col in pivots:
+        return None
+    solution = [Fraction(0)] * n_cols
+    for pcol, prow in pivots.items():
+        solution[pcol] = -prow.get(rhs_col, Fraction(0))
+    return solution
