@@ -12,9 +12,9 @@ Flags override the problem file's [ansatz] and [numeric] sections.  With
 ``--json`` the full structured result is emitted: one object for one file,
 an array of objects for several.  Each object carries a ``timestamp``
 unless ``--deterministic`` is given, so identical inputs give byte-identical
-output.
-Exit status: 0 all checks passed, 1 a verification or drift check failed,
-2 invalid input.
+output.  The text report is rendered from the JSON result, and the exit
+status is read from it: 0 all checks passed, 1 a verification or drift
+check failed, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -28,16 +28,13 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from .engine import (Ansatz, NoetherSolution, UnsupportedProblem, _solution,
-                     find_gauges, solve_noether, verify)
+from .engine import (Ansatz, UnsupportedProblem, _solution, find_gauges,
+                     solve_noether, verify)
 from .jets import Generator, HeadroomError
 from .numeric import (NumericConfig, drift_report, integrate_el,
                       seeded_initial_conditions)
-from .parsing import ParseError
 from .problem import Problem, ProblemError, load_problem
 from .variational import ELSystem, euler_lagrange
-
-COMMANDS = ("symmetries", "integrals", "verify", "numcheck")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -95,17 +92,15 @@ def _effective_ansatz(problem: Problem, args) -> Ansatz:
 
 
 def _effective_numeric(problem: Problem, args) -> NumericConfig:
+    updates = {field: value for field, value in (
+        ("step", args.step), ("horizon", args.horizon),
+        ("tolerance", args.tol), ("seed", args.seed)) if value is not None}
     cfg = problem.numeric
-    updates = {}
-    if args.step is not None:
-        updates["step"] = args.step
-    if args.horizon is not None:
-        updates["horizon"] = args.horizon
-    if args.tol is not None:
-        updates["tolerance"] = args.tol
-    if args.seed is not None:
-        updates["seed"] = args.seed
     return dataclasses.replace(cfg, **updates) if updates else cfg
+
+
+def _strs(exprs) -> List[str]:
+    return [str(e) for e in exprs]
 
 
 def _generator_json(problem: Problem, g: Generator) -> Dict:
@@ -115,26 +110,6 @@ def _generator_json(problem: Problem, g: Generator) -> Dict:
     }
 
 
-def _solution_json(problem: Problem, sol: NoetherSolution) -> Dict:
-    out = _generator_json(problem, sol.generator)
-    out["gauge"] = [str(c) for c in sol.gauge]
-    out["law"] = [str(c) for c in sol.law.components]
-    return out
-
-
-def _generator_text(problem: Problem, g: Generator) -> str:
-    bits = []
-    for x in problem.space.independents:
-        e = g.xi_of(x)
-        if not e.is_zero:
-            bits.append(f"xi_{x.name} = {e}")
-    for u in problem.space.dependents:
-        e = g.eta_of(u)
-        if not e.is_zero:
-            bits.append(f"eta_{u.name} = {e}")
-    return " ; ".join(bits) if bits else "0"
-
-
 def _el_strings(el: ELSystem) -> List[str]:
     if el.reducible:
         return [f"{h.name} = {e}" for h, e in el.solved_forms.items()]
@@ -142,67 +117,39 @@ def _el_strings(el: ELSystem) -> List[str]:
 
 
 def run_file(command: str, path: str, args) -> Tuple[int, str, Dict]:
-    """Process one problem file; returns (exit_code, text, json_object)."""
-    lines: List[str] = []
+    """Process one problem file; returns (exit_code, text, json_object).
+
+    The command fills in the JSON result, the one record of the run; the
+    exit code and the text report are both read from it.
+    """
     result: Dict = {"file": path, "command": command}
     try:
         problem = load_problem(path)
-    except (ProblemError, ParseError) as err:
-        result["error"] = str(err)
-        return EXIT_BAD_INPUT, f"{path}: error: {err}", result
-
-    result["problem"] = problem.echo()
-    L = problem.lagrangian
-    el = euler_lagrange(L)
-    result["euler_lagrange"] = _el_strings(el)
-    lines.append(f"problem: {path}")
-    lines.append(f"lagrangian: {L.body}   (order {L.order}; "
-                 f"independents {', '.join(v.name for v in problem.space.independents)}; "
-                 f"dependents {', '.join(v.name for v in problem.space.dependents)})")
-    lines.append("euler-lagrange: " + " ; ".join(_el_strings(el)))
-
-    status = EXIT_OK
-    try:
-        if command in ("symmetries", "integrals"):
-            status = _run_solve(problem, el, command, args, lines, result)
-        elif command == "verify":
-            status = _run_verify(problem, el, args, lines, result)
-        else:
-            status = _run_numcheck(problem, el, args, lines, result)
+        result["problem"] = problem.echo()
+        el = euler_lagrange(problem.lagrangian)
+        result["euler_lagrange"] = _el_strings(el)
+        COMMANDS[command](problem, el, args, result)
     except (ValueError, HeadroomError) as err:
         result["error"] = str(err)
-        return EXIT_BAD_INPUT, f"{path}: error: {err}", result
-    result["status"] = "ok" if status == EXIT_OK else "failed"
-    return status, "\n".join(lines), result
+        return EXIT_BAD_INPUT, render(result), result
+    code = exit_code(result)
+    result["status"] = "ok" if code == EXIT_OK else "failed"
+    return code, render(result), result
 
 
-def _run_solve(problem: Problem, el: ELSystem, command: str, args,
-               lines: List[str], result: Dict) -> int:
+def _run_solve(problem: Problem, el: ELSystem, args, result: Dict) -> None:
     ansatz = _effective_ansatz(problem, args)
     solutions = solve_noether(problem.lagrangian, ansatz)
     result["ansatz"] = dataclasses.asdict(ansatz)
-    result["solutions"] = [_solution_json(problem, s) for s in solutions]
-    gauge_note = "on" if ansatz.include_gauge else "off"
-    lines.append(f"symmetries found: {len(solutions)} "
-                 f"(gauge {gauge_note}, degree {ansatz.coeff_degree}, "
-                 f"jet order {ansatz.coeff_jet_order})")
-    for k, sol in enumerate(solutions, 1):
-        lines.append(f"  [{k}] {_generator_text(problem, sol.generator)}")
-        if ansatz.include_gauge:
-            gauge = ", ".join(str(c) for c in sol.gauge)
-            lines.append(f"      gauge: {gauge}")
-        if command == "integrals":
-            law = ", ".join(str(c) for c in sol.law.components)
-            label = "I" if problem.space.is_ode else "flux"
-            lines.append(f"      {label} = {law}")
-    return EXIT_OK
+    result["solutions"] = [
+        dict(_generator_json(problem, s.generator), gauge=_strs(s.gauge),
+             law=_strs(s.law.components))
+        for s in solutions]
 
 
-def _run_verify(problem: Problem, el: ELSystem, args,
-                lines: List[str], result: Dict) -> int:
+def _run_verify(problem: Problem, el: ELSystem, args, result: Dict) -> None:
     if not problem.candidates and not problem.candidate_laws:
         raise ProblemError("verify mode needs a [generators] or [laws] section")
-    status = EXIT_OK
     ansatz = _effective_ansatz(problem, args)
     checked = []
     gauges = find_gauges(problem.lagrangian,
@@ -210,49 +157,29 @@ def _run_verify(problem: Problem, el: ELSystem, args,
                          degree=ansatz.gauge_degree,
                          jet_order=ansatz.gauge_jet_order)
     for (name, g), gauge in zip(problem.candidates, gauges):
-        entry: Dict = {"name": name}
+        entry: Dict = {"name": name, "admits_gauge": gauge is not None}
         entry.update(_generator_json(problem, g))
-        if gauge is None:
-            entry["admits_gauge"] = False
-            lines.append(f"  {name}: REJECTED (no local polynomial gauge)")
-            status = EXIT_CHECK_FAILED
-        else:
+        if gauge is not None:
             sol = _solution(problem.lagrangian, g, gauge)
-            entry["admits_gauge"] = True
-            entry["gauge"] = [str(c) for c in sol.gauge]
-            entry["law"] = [str(c) for c in sol.law.components]
             report = verify(sol.law, el, problem.space)
-            entry["divergence_residual"] = str(report.residual)
-            entry["verified"] = bool(report.ok)
-            gauge = ", ".join(str(c) for c in sol.gauge)
-            law = ", ".join(str(c) for c in sol.law.components)
-            lines.append(f"  {name}: gauge ({gauge}); law ({law}); "
-                         f"on-shell residual {report.residual}")
-            if not report.ok:
-                status = EXIT_CHECK_FAILED
+            entry.update(gauge=_strs(sol.gauge),
+                         law=_strs(sol.law.components),
+                         divergence_residual=str(report.residual),
+                         verified=bool(report.ok))
         checked.append(entry)
     result["generators_checked"] = checked
 
     law_entries = []
     for name, law in problem.candidate_laws:
         report = verify(law, el, problem.space)
-        ok = report.ok
-        entry = {"name": name,
-                 "law": [str(c) for c in law.components],
-                 "residual": str(report.residual),
-                 "verified": None if ok is None else bool(ok)}
-        law_entries.append(entry)
-        verdict = "indeterminate" if ok is None else ("ok" if ok else "FAILS")
-        lines.append(f"  law {name}: {verdict} (residual {report.residual})")
-        if ok is not True:
-            status = EXIT_CHECK_FAILED
+        law_entries.append({"name": name, "law": _strs(law.components),
+                            "residual": str(report.residual),
+                            "verified": report.ok})
     if law_entries:
         result["laws_checked"] = law_entries
-    return status
 
 
-def _run_numcheck(problem: Problem, el: ELSystem, args,
-                  lines: List[str], result: Dict) -> int:
+def _run_numcheck(problem: Problem, el: ELSystem, args, result: Dict) -> None:
     if not problem.space.is_ode:
         raise UnsupportedProblem(
             "numcheck integrates time-like problems only; field-theory laws "
@@ -264,25 +191,80 @@ def _run_numcheck(problem: Problem, el: ELSystem, args,
     result["numeric"] = {"step": cfg.step, "horizon": cfg.horizon,
                          "tolerance": cfg.tolerance, "seed": cfg.seed,
                          "laws": [str(l.components[0]) for l in laws]}
-    lines.append(f"numeric check: {len(laws)} integral(s), "
-                 f"step {cfg.step}, horizon {cfg.horizon}, tol {cfg.tolerance}")
-    status = EXIT_OK
     runs = []
-    for k, ic in enumerate(seeded_initial_conditions(el, cfg.seed)):
+    for ic in seeded_initial_conditions(el, cfg.seed):
         traj = integrate_el(el, cfg, ic)
         report = drift_report(laws, traj, cfg)
-        drifts = [f"{d:.3e}" for d in report.drifts]
-        ok = report.all_pass and not traj.truncated
         runs.append({"initial": {v.name: ic[v] for v in sorted(ic, key=lambda v: v.sort_index)},
                      "drifts": report.drifts,
                      "passes": report.passes,
                      "truncated": traj.truncated})
-        lines.append(f"  ic #{k}: max drifts {', '.join(drifts)} -> "
-                     f"{'ok' if ok else 'FAIL'}")
-        if not ok:
-            status = EXIT_CHECK_FAILED
     result["numeric"]["runs"] = runs
-    return status
+
+
+COMMANDS = {"symmetries": _run_solve, "integrals": _run_solve,
+            "verify": _run_verify, "numcheck": _run_numcheck}
+
+
+def _passed(run: Dict) -> bool:
+    return all(run["passes"]) and not run["truncated"]
+
+
+def exit_code(result: Dict) -> int:
+    """The exit status of a finished run, read from its JSON result."""
+    checked = (result.get("generators_checked", [])
+               + result.get("laws_checked", []))
+    runs = result.get("numeric", {}).get("runs", [])
+    ok = (all(e.get("verified") is True for e in checked)
+          and all(map(_passed, runs)))
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def render(result: Dict) -> str:
+    """The text report of one run, read from its JSON result."""
+    if "error" in result:
+        return f"{result['file']}: error: {result['error']}"
+    p = result["problem"]
+    lines = [f"problem: {result['file']}",
+             f"lagrangian: {p['lagrangian']}   (order {p['order']}; "
+             f"independents {', '.join(p['independents'])}; "
+             f"dependents {', '.join(p['dependents'])})",
+             "euler-lagrange: " + " ; ".join(result["euler_lagrange"])]
+    if "solutions" in result:
+        a = result["ansatz"]
+        lines.append(f"symmetries found: {len(result['solutions'])} "
+                     f"(gauge {'on' if a['include_gauge'] else 'off'}, "
+                     f"degree {a['coeff_degree']}, "
+                     f"jet order {a['coeff_jet_order']})")
+        label = "I" if len(p["independents"]) == 1 else "flux"
+        for k, sol in enumerate(result["solutions"], 1):
+            bits = [f"{kind}_{name} = {e}" for kind in ("xi", "eta")
+                    for name, e in sol[kind].items() if e != "0"]
+            lines.append(f"  [{k}] {' ; '.join(bits) or '0'}")
+            if a["include_gauge"]:
+                lines.append(f"      gauge: {', '.join(sol['gauge'])}")
+            if result["command"] == "integrals":
+                lines.append(f"      {label} = {', '.join(sol['law'])}")
+    for e in result.get("generators_checked", []):
+        if e["admits_gauge"]:
+            lines.append(f"  {e['name']}: gauge ({', '.join(e['gauge'])}); "
+                         f"law ({', '.join(e['law'])}); "
+                         f"on-shell residual {e['divergence_residual']}")
+        else:
+            lines.append(f"  {e['name']}: REJECTED (no local polynomial gauge)")
+    for e in result.get("laws_checked", []):
+        verdict = {None: "indeterminate", True: "ok", False: "FAILS"}[e["verified"]]
+        lines.append(f"  law {e['name']}: {verdict} (residual {e['residual']})")
+    if "numeric" in result:
+        n = result["numeric"]
+        lines.append(f"numeric check: {len(n['laws'])} integral(s), "
+                     f"step {n['step']}, horizon {n['horizon']}, "
+                     f"tol {n['tolerance']}")
+        for k, r in enumerate(n["runs"]):
+            drifts = ", ".join(f"{d:.3e}" for d in r["drifts"])
+            lines.append(f"  ic #{k}: max drifts {drifts} -> "
+                         f"{'ok' if _passed(r) else 'FAIL'}")
+    return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

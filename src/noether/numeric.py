@@ -40,10 +40,16 @@ from .expr import INDEPENDENT, Expr, VarId
 from .variational import ELSystem
 
 
+# Every RK4 row is kept, so the step count bounds time and memory: 10**6
+# rows of a small problem take seconds and a few hundred MB.
+MAX_STEPS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class NumericConfig:
     """RK4 step, horizon, drift tolerance and initial-condition seed; the
-    three floats must be finite."""
+    three floats must be finite, and ``horizon / step`` at most
+    ``MAX_STEPS``."""
 
     step: float = 1e-3
     horizon: float = 10.0
@@ -63,6 +69,9 @@ class NumericConfig:
             raise ValueError("tolerance must be positive")
         if not math.isfinite(self.horizon / self.step):
             raise ValueError("horizon / step must be finite")
+        if round(self.horizon / self.step) > MAX_STEPS:
+            raise ValueError(f"horizon / step must be at most {MAX_STEPS}, "
+                             f"got {self.horizon / self.step:.3g}")
 
 
 def _term(coeff, mono, names: Dict[VarId, str]) -> str:
@@ -151,7 +160,6 @@ class Trajectory:
 class NumericReport:
     drifts: List[float]
     passes: List[bool]
-    sample_count: int
     tolerance: float
 
     @property
@@ -314,7 +322,6 @@ def drift_report(laws: Sequence, traj: Trajectory,
         drifts.append(drift)
         passes.append(drift <= cfg.tolerance)
     return NumericReport(drifts=drifts, passes=passes,
-                         sample_count=len(traj.rows),
                          tolerance=cfg.tolerance)
 
 

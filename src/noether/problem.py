@@ -53,10 +53,7 @@ class ProblemError(ValueError):
     """Invalid problem file; the message names the offending field."""
 
 
-_PROBLEM_KEYS = {"independents", "dependents", "lagrangian", "order"}
-_ANSATZ_KEYS = {"degree", "jet_order", "gauge", "gauge_degree",
-                "gauge_jet_order", "suppress_xi"}
-_NUMERIC_KEYS = {"step", "horizon", "tolerance", "seed"}
+_PROBLEM_KEYS = ("independents", "dependents", "lagrangian", "order")
 _SECTIONS = {"problem", "ansatz", "generators", "laws", "numeric"}
 
 
@@ -70,7 +67,6 @@ class Problem:
     candidates: List[Tuple[str, Generator]] = field(default_factory=list)
     candidate_laws: List[Tuple[str, ConservationLaw]] = field(default_factory=list)
     numeric: NumericConfig = field(default_factory=NumericConfig)
-    source: str = ""
 
     def echo(self) -> Dict:
         return {
@@ -111,6 +107,36 @@ def _float(raw: str, what: str) -> float:
         return float(raw)
     except ValueError:
         raise ProblemError(f"field {what!r} must be a number, got {raw!r}")
+
+
+# [ansatz] and [numeric]: file key -> (field, parser), in checking order.
+_ANSATZ = {"degree": ("coeff_degree", _int),
+           "jet_order": ("coeff_jet_order", _int),
+           "gauge": ("include_gauge", _bool),
+           "gauge_degree": ("gauge_degree", _int),
+           "gauge_jet_order": ("gauge_jet_order", _int),
+           "suppress_xi": ("suppress_xi", _bool)}
+_NUMERIC = {"step": ("step", _float), "horizon": ("horizon", _float),
+            "tolerance": ("tolerance", _float), "seed": ("seed", _int)}
+
+
+def _settings(cp: configparser.ConfigParser, section: str, table: Dict,
+              cls, what: str):
+    """Build ``cls`` from the keys of an optional section, per ``table``."""
+    kwargs = {}
+    if section in cp:
+        sec = cp[section]
+        extra = set(sec) - set(table)
+        if extra:
+            raise ProblemError(
+                f"unknown [{section}] key(s): {', '.join(sorted(extra))}")
+        for key, (name, parse_value) in table.items():
+            if key in sec:
+                kwargs[name] = parse_value(sec[key], f"{section}.{key}")
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ProblemError(f"bad {what}: {err}")
 
 
 def _parse_expr(text: str, space: JetSpace, what: str) -> Expr:
@@ -190,10 +216,10 @@ def load_problem(path: str) -> Problem:
         raise ProblemError("missing [problem] section")
 
     prob = cp["problem"]
-    extra = set(prob) - _PROBLEM_KEYS
+    extra = set(prob) - set(_PROBLEM_KEYS)
     if extra:
         raise ProblemError(f"unknown [problem] key(s): {', '.join(sorted(extra))}")
-    for required in ("independents", "dependents", "lagrangian", "order"):
+    for required in _PROBLEM_KEYS:
         if required not in prob:
             raise ProblemError(f"missing [problem] field {required!r}")
 
@@ -215,33 +241,7 @@ def load_problem(path: str) -> Problem:
             f"derivative has order {actual}")
     lagrangian = Lagrangian(space, order, body)
 
-    ansatz_kwargs = {}
-    if "ansatz" in cp:
-        sec = cp["ansatz"]
-        extra = set(sec) - _ANSATZ_KEYS
-        if extra:
-            raise ProblemError(
-                f"unknown [ansatz] key(s): {', '.join(sorted(extra))}")
-        if "degree" in sec:
-            ansatz_kwargs["coeff_degree"] = _int(sec["degree"], "ansatz.degree")
-        if "jet_order" in sec:
-            ansatz_kwargs["coeff_jet_order"] = _int(sec["jet_order"],
-                                                    "ansatz.jet_order")
-        if "gauge" in sec:
-            ansatz_kwargs["include_gauge"] = _bool(sec["gauge"], "ansatz.gauge")
-        if "gauge_degree" in sec:
-            ansatz_kwargs["gauge_degree"] = _int(sec["gauge_degree"],
-                                                 "ansatz.gauge_degree")
-        if "gauge_jet_order" in sec:
-            ansatz_kwargs["gauge_jet_order"] = _int(sec["gauge_jet_order"],
-                                                    "ansatz.gauge_jet_order")
-        if "suppress_xi" in sec:
-            ansatz_kwargs["suppress_xi"] = _bool(sec["suppress_xi"],
-                                                 "ansatz.suppress_xi")
-    try:
-        ansatz = Ansatz(**ansatz_kwargs)
-    except ValueError as err:
-        raise ProblemError(f"bad ansatz: {err}")
+    ansatz = _settings(cp, "ansatz", _ANSATZ, Ansatz, "ansatz")
 
     candidates = []
     if "generators" in cp:
@@ -253,27 +253,8 @@ def load_problem(path: str) -> Problem:
         for name, raw in cp["laws"].items():
             laws.append((name, _parse_law(space, name, raw)))
 
-    numeric_kwargs = {}
-    if "numeric" in cp:
-        sec = cp["numeric"]
-        extra = set(sec) - _NUMERIC_KEYS
-        if extra:
-            raise ProblemError(
-                f"unknown [numeric] key(s): {', '.join(sorted(extra))}")
-        if "step" in sec:
-            numeric_kwargs["step"] = _float(sec["step"], "numeric.step")
-        if "horizon" in sec:
-            numeric_kwargs["horizon"] = _float(sec["horizon"], "numeric.horizon")
-        if "tolerance" in sec:
-            numeric_kwargs["tolerance"] = _float(sec["tolerance"],
-                                                 "numeric.tolerance")
-        if "seed" in sec:
-            numeric_kwargs["seed"] = _int(sec["seed"], "numeric.seed")
-    try:
-        numeric = NumericConfig(**numeric_kwargs)
-    except ValueError as err:
-        raise ProblemError(f"bad numeric config: {err}")
-
+    numeric = _settings(cp, "numeric", _NUMERIC, NumericConfig,
+                        "numeric config")
     return Problem(space=space, lagrangian=lagrangian, ansatz=ansatz,
                    candidates=candidates, candidate_laws=laws,
-                   numeric=numeric, source=path)
+                   numeric=numeric)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from noether import JetSpace, parse
-from noether.cli import main
+from noether.cli import build_parser, exit_code, main, render, run_file
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -191,6 +191,52 @@ def test_numeric_section_infinite_horizon_exits_2(tmp_path, capsys):
     code, out = run(capsys, "numcheck", str(bad))
     assert code == 2
     assert "horizon must be finite" in out
+
+
+def test_numeric_section_tiny_step_exits_2(tmp_path, capsys):
+    # 10^10 RK4 steps would exhaust memory; the file is refused on load,
+    # whatever the command.
+    bad = tmp_path / "tiny_step.prob"
+    bad.write_text("[problem]\nindependents = t\ndependents = q\n"
+                   "lagrangian = 1/2*q'^2 - 1/2*q^2\norder = 1\n\n"
+                   "[numeric]\nstep = 1e-9\n")
+    code, out = run(capsys, "symmetries", str(bad))
+    assert code == 2
+    assert "bad numeric config: horizon / step must be at most" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrals", FIELD], ["verify", FIELD], ["verify", FREE],
+    ["numcheck", OSC], ["numcheck", str(ROOT / "tests/data/degenerate.prob")],
+    ["symmetries", "no_such_file.prob"],
+])
+def test_text_and_exit_code_read_from_json(argv):
+    args = build_parser().parse_args(argv)
+    code, text, result = run_file(args.command, args.files[0], args)
+    record = json.loads(json.dumps(result))
+    assert render(record) == text
+    if "error" in record:
+        assert code == 2
+    else:
+        assert exit_code(record) == code
+        assert record["status"] == ("ok" if code == 0 else "failed")
+
+
+def test_exit_code_of_a_record():
+    assert exit_code({}) == 0
+    rejected = {"name": "G", "admits_gauge": False}
+    assert exit_code({"generators_checked": [rejected]}) == 1
+    assert exit_code({"generators_checked": [{"verified": False}]}) == 1
+    assert exit_code({"generators_checked": [{"verified": True}]}) == 0
+    assert exit_code({"laws_checked": [{"verified": None}]}) == 1
+    assert exit_code({"laws_checked": [{"verified": True}]}) == 0
+
+    def numeric(passes, truncated):
+        return {"numeric": {"runs": [{"passes": passes,
+                                      "truncated": truncated}]}}
+    assert exit_code(numeric([True, True], False)) == 0
+    assert exit_code(numeric([True, False], False)) == 1
+    assert exit_code(numeric([True], True)) == 1
 
 
 def _renamed_free_particle(tmp_path, independent, dependent):

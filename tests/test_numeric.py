@@ -11,6 +11,7 @@ from noether import (Ansatz, CompiledExpr, ConservationLaw, Expr, JetSpace,
                      Lagrangian, NumericConfig, Trajectory, drift_report,
                      euler_lagrange, integrate_el, load_problem, parse,
                      seeded_initial_conditions, solve_noether)
+from noether.numeric import MAX_STEPS
 
 from util import (SEED, rand_expr, rand_nonzero_expr, reference_drift,
                   reference_integrate)
@@ -57,6 +58,13 @@ def test_config_rejects_non_finite(field, value):
 def test_config_rejects_overflowing_step_count():
     with pytest.raises(ValueError, match="horizon / step"):
         NumericConfig(step=1e-300, horizon=1e300)
+
+
+def test_config_rejects_too_many_steps():
+    # Every row is kept, so the step count bounds time and memory.
+    with pytest.raises(ValueError, match="horizon / step"):
+        NumericConfig(step=1e-9)
+    assert NumericConfig(step=10.0 / MAX_STEPS).step == 1e-5
 
 
 def test_linear_trajectory_is_exact(free_particle, ode):
