@@ -199,6 +199,21 @@ def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
     return b
 
 
+def _law(L: Lagrangian, g: Generator, F: Sequence[Expr],
+         kind: str) -> ConservationLaw:
+    """Components F_j - [xi_j L + boundary terms_j] of a checked symmetry."""
+    residual = condition_residual(L, g, F)
+    if not residual.is_zero:
+        raise NonSymmetryError(
+            f"candidate is not a Noether symmetry; residual {residual}")
+    b = boundary_terms(L, g)
+    # Grouped as F_j - (xi_j L + b_j): the term order of each component
+    # fixes the summation order of the numeric checks.
+    return ConservationLaw(kind, tuple(
+        f - (g.xi_of(x) * L.body + b_j)
+        for f, x, b_j in zip(F, L.space.independents, b)))
+
+
 def first_integral(L: Lagrangian, g: Generator, f: Expr) -> ConservationLaw:
     """The first integral of a verified symmetry of a time-like problem.
 
@@ -206,17 +221,9 @@ def first_integral(L: Lagrangian, g: Generator, f: Expr) -> ConservationLaw:
     the translation symmetry in the dependent variable yields minus the
     velocity.
     """
-    space = L.space
-    if not space.is_ode:
+    if not L.space.is_ode:
         raise ValueError("first_integral applies to single-independent problems")
-    residual = condition_residual(L, g, [f])
-    if not residual.is_zero:
-        raise NonSymmetryError(
-            f"candidate is not a Noether symmetry; residual {residual}")
-    t = space.independents[0]
-    tau = g.xi_of(t)
-    bracket = tau * L.body + boundary_terms(L, g)[0]
-    return ConservationLaw("first-integral", (f - bracket,))
+    return _law(L, g, [f], "first-integral")
 
 
 def conservation_vector(L: Lagrangian, g: Generator,
@@ -226,19 +233,10 @@ def conservation_vector(L: Lagrangian, g: Generator,
     Component j is F_j - [xi_j L + boundary terms_j]; the divergence of the
     result is checked to reduce to zero before returning.
     """
-    space = L.space
-    if space.is_ode:
+    if L.space.is_ode:
         raise ValueError("conservation_vector applies to PDE problems")
-    residual = condition_residual(L, g, F)
-    if not residual.is_zero:
-        raise NonSymmetryError(
-            f"candidate is not a Noether symmetry; residual {residual}")
-    b = boundary_terms(L, g)
-    components = []
-    for j, x in enumerate(space.independents):
-        components.append(F[j] - g.xi_of(x) * L.body - b[j])
-    law = ConservationLaw("flux-vector", tuple(components))
-    report = verify(law, euler_lagrange(L), space)
+    law = _law(L, g, F, "flux-vector")
+    report = verify(law, euler_lagrange(L), L.space)
     if report.ok is False:
         raise AssertionError(
             f"internal error: synthesized law fails verification: {report.residual}")
@@ -290,15 +288,12 @@ def _monomials_upto(vars: Sequence[VarId], degree: int,
     """All monomials over ``vars`` of total degree <= degree, ascending."""
     monos: List[Monomial] = []
     for d in range(0 if include_constant else 1, degree + 1):
-        seen = set()
         for combo in itertools.combinations_with_replacement(vars, d):
             counts: Dict[VarId, int] = {}
             for v in combo:
                 counts[v] = counts.get(v, 0) + 1
-            mono = tuple(sorted(counts.items(), key=lambda p: p[0].sort_index))
-            if mono not in seen:
-                seen.add(mono)
-                monos.append(mono)
+            monos.append(tuple(sorted(counts.items(),
+                                      key=lambda p: p[0].sort_index)))
     monos.sort(key=mono_key)
     return monos
 

@@ -185,18 +185,12 @@ class Expr:
             raise ValueError(f"not a constant expression: {self}")
         return self._terms[MONO_ONE]
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
-
     def variables(self) -> set:
         out = set()
         for mono in self._terms:
             for v, _ in mono:
                 out.add(v)
         return out
-
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self._terms), default=0)
 
     def max_jet_order(self) -> int:
         """Highest derivative order among jet coordinates present."""

@@ -27,7 +27,7 @@ import re
 from typing import List, Tuple
 
 from .expr import DEPENDENT, Expr, VarId
-from .jets import JetSpace
+from .jets import HeadroomError, JetSpace
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*'*)|([-+*/^()]))")
 
@@ -72,33 +72,36 @@ def resolve_name(space: JetSpace, name: str, position: int = 0) -> VarId:
     v = space.lookup(name)
     if v is not None:
         return v
+    jet = _derivative_index(space, name, position)
+    if jet is None:
+        raise ParseError(f"unknown variable {name!r}", position)
+    try:
+        return space.jet(*jet)
+    except HeadroomError as err:
+        raise ParseError(str(err), position)
+
+
+def _derivative_index(space: JetSpace, name: str, position: int
+                      ) -> Tuple[int, Tuple[int, ...]] | None:
+    """(dependent index, multi-index) of an unregistered derivative name;
+    prime names up to the working order are all registered."""
     # Prime repetition: y'' -> second derivative.
     stripped = name.rstrip("'")
-    order = len(name) - len(stripped)
-    if order:
+    if stripped != name:
         base = space.lookup(stripped)
-        if base is not None and base.kind == DEPENDENT:
-            if not space.is_ode:
-                raise ParseError(
-                    "prime derivatives need a single independent variable",
-                    position)
-            if order > space.max_order:
-                raise ParseError(
-                    f"derivative order {order} exceeds working order "
-                    f"{space.max_order}", position)
-            return space.jet(base.dep_index, (order,))
-        raise ParseError(f"unknown variable {name!r}", position)
+        if base is None or base.kind != DEPENDENT:
+            return None
+        if not space.is_ode:
+            raise ParseError(
+                "prime derivatives need a single independent variable",
+                position)
+        return base.dep_index, (len(name) - len(stripped),)
     # Dot suffix: qdot, qddot, ...
     for dep in space.dependents:
         if name.startswith(dep.name):
             m = _DOT_RE.match(name[len(dep.name):])
             if m and space.is_ode:
-                order = len(m.group(1)) + 1
-                if order > space.max_order:
-                    raise ParseError(
-                        f"derivative order {order} exceeds working order "
-                        f"{space.max_order}", position)
-                return space.jet(dep.dep_index, (order,))
+                return dep.dep_index, (len(m.group(1)) + 1,)
     # Underscore suffix: u_tx, u_xt, u_ttx ...
     if "_" in name:
         head, suffix = name.split("_", 1)
@@ -106,12 +109,8 @@ def resolve_name(space: JetSpace, name: str, position: int = 0) -> VarId:
         if dep is not None and dep.kind == DEPENDENT and suffix:
             multi = _decompose_suffix(space, suffix)
             if multi is not None:
-                if sum(multi) > space.max_order:
-                    raise ParseError(
-                        f"derivative order {sum(multi)} exceeds working "
-                        f"order {space.max_order}", position)
-                return space.jet(dep.dep_index, multi)
-    raise ParseError(f"unknown variable {name!r}", position)
+                return dep.dep_index, multi
+    return None
 
 
 def _decompose_suffix(space: JetSpace, suffix: str) -> Tuple[int, ...] | None:

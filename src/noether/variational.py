@@ -39,9 +39,6 @@ class Lagrangian:
                 f"Lagrangian of order {self.order} contains a derivative of "
                 f"order {actual}")
 
-    def partial(self, v: VarId) -> Expr:
-        return self.body.partial(v)
-
 
 @dataclass
 class ELSystem:

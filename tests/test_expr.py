@@ -72,6 +72,18 @@ def test_parse_error_reports_position(ode):
     assert err.value.position == 5
 
 
+@pytest.mark.parametrize("text, order", [
+    ("1 + y" + "'" * 7, 7), ("1 + y" + "d" * 6 + "dot", 7),
+    ("1 + y_" + "x" * 7, 7)])
+def test_parse_beyond_working_order(ode, text, order):
+    # Prime, dot and underscore names share one check, with one message.
+    with pytest.raises(ParseError) as err:
+        parse(text, ode)
+    assert str(err.value) == (f"derivative order {order} exceeds working "
+                              f"order 6 (at position 4)")
+    assert err.value.position == 4
+
+
 def test_add_cancellation(ode):
     yp = parse("y'", ode)
     assert (yp + (-yp)).is_zero
