@@ -46,6 +46,9 @@ CASES = (
        # Several files: one report each, the worst exit code.
        ("verify-two-files", ["verify", "problems/free_particle.prob",
                              "tests/data/verify_batch.prob"], 1)]
+    # Coefficients that are not integers, in every layer.
+    + [(f"{cmd}-rational_coeffs", [cmd, "tests/data/rational_coeffs.prob"], 0)
+       for cmd in ("integrals", "symmetries", "numcheck")]
 )
 
 IDS = [name for name, _, _ in CASES]
