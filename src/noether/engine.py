@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .expr import PARAMETER, Expr, Monomial, VarId, mono_key, mono_mul
+from .expr import (PARAMETER, Expr, Monomial, Rational, VarId, mono_key,
+                   mono_mul)
 from .jets import (Generator, JetSpace, _characteristics, _prolong,
                    total_derivative)
 from .linalg import Row, nullspace, solve_affine, solve_affine_many
@@ -311,16 +311,16 @@ def _unknown(space: JetSpace, k: int) -> VarId:
 def _ansatz_polynomial(space: JetSpace, monos: Sequence[Monomial],
                        unknowns: List[VarId]) -> Expr:
     """A fresh linear combination of monomials with new parameters."""
-    terms: Dict[Monomial, Fraction] = {}
+    terms: Dict[Monomial, Rational] = {}
     for mono in monos:
         c = _unknown(space, len(unknowns))
         unknowns.append(c)
-        terms[mono_mul(((c, 1),), mono)] = Fraction(1)
+        terms[mono_mul(((c, 1),), mono)] = 1
     return Expr(terms)
 
 
 def _affine_system(e: Expr, unknowns: Sequence[VarId]
-                   ) -> Dict[Monomial, Tuple[Row, Fraction]]:
+                   ) -> Dict[Monomial, Tuple[Row, Rational]]:
     """The equation e = 0, for e affine in ``unknowns``, as sparse rows.
 
     Maps each monomial in the other variables, ascending by ``mono_key``,
@@ -329,7 +329,7 @@ def _affine_system(e: Expr, unknowns: Sequence[VarId]
     """
     index = {c: k for k, c in enumerate(unknowns)}
     rows: Dict[Monomial, Row] = {}
-    rhs: Dict[Monomial, Fraction] = {}
+    rhs: Dict[Monomial, Rational] = {}
     for mono, coeff in e.term_map().items():
         at = [p for p, (v, _) in enumerate(mono) if v in index]
         if not at:
@@ -342,12 +342,12 @@ def _affine_system(e: Expr, unknowns: Sequence[VarId]
         else:
             raise AssertionError(
                 "internal error: expression is not affine in the unknowns")
-    return {m: (rows[m], rhs.get(m, Fraction(0)))
+    return {m: (rows[m], rhs.get(m, 0))
             for m in sorted(rows, key=mono_key)}
 
 
 def _columns(templates: Sequence[Expr], unknowns: Sequence[VarId]
-             ) -> Dict[VarId, Tuple[int, Monomial, Fraction]]:
+             ) -> Dict[VarId, Tuple[int, Monomial, Rational]]:
     """Unknown -> (template position, monomial, coefficient); every unknown
     occurs in one term of one template, as ``_ansatz_polynomial`` builds."""
     columns = {}
@@ -358,11 +358,11 @@ def _columns(templates: Sequence[Expr], unknowns: Sequence[VarId]
     return columns
 
 
-def _read_out(columns: Dict[VarId, Tuple[int, Monomial, Fraction]],
-              n_slots: int, values: Iterable[Tuple[VarId, Fraction]]
+def _read_out(columns: Dict[VarId, Tuple[int, Monomial, Rational]],
+              n_slots: int, values: Iterable[Tuple[VarId, Rational]]
               ) -> List[Expr]:
     """The templates at (unknown, value) pairs: one multiply per nonzero."""
-    terms: List[Dict[Monomial, Fraction]] = [{} for _ in range(n_slots)]
+    terms: List[Dict[Monomial, Rational]] = [{} for _ in range(n_slots)]
     for c, value in values:
         if value:
             slot, mono, coeff = columns[c]
@@ -433,7 +433,7 @@ def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
                              gauge_templates=gauge_templates)
 
 
-def solve(ds: DeterminingSystem) -> List[Dict[VarId, Fraction]]:
+def solve(ds: DeterminingSystem) -> List[Dict[VarId, Rational]]:
     """Nullspace basis of the determining system as parameter assignments.
 
     Deterministic given the unknown ordering; each basis vector is
@@ -445,7 +445,7 @@ def solve(ds: DeterminingSystem) -> List[Dict[VarId, Fraction]]:
 
 
 def materialize(L: Lagrangian, ds: DeterminingSystem,
-                assignments: Sequence[Dict[VarId, Fraction]]
+                assignments: Sequence[Dict[VarId, Rational]]
                 ) -> List[NoetherSolution]:
     """Read parameter assignments out of the templates and build their laws.
 
@@ -564,7 +564,7 @@ def verify_candidate(L: Lagrangian, g: Generator, degree: int = 4,
 
 
 def combine_solutions(L: Lagrangian, solutions: Sequence[NoetherSolution],
-                      weights: Sequence[Fraction]) -> NoetherSolution:
+                      weights: Sequence[Rational]) -> NoetherSolution:
     """Rational linear combination of solutions (the set is a vector space)."""
     space = L.space
     xi: Dict[VarId, Expr] = {}
@@ -599,7 +599,7 @@ def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
 
     unknowns = [_unknown(space, k) for k in range(len(solutions))]
     parts = [slots(sol.generator) for sol in solutions]
-    system: List[Tuple[Row, Fraction]] = []
+    system: List[Tuple[Row, Rational]] = []
     for s, goal in enumerate(slots(target)):
         e = -goal
         for c, part in zip(unknowns, parts):

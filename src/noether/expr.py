@@ -1,11 +1,16 @@
 """Exact multivariate polynomial arithmetic over jet-space variables.
 
 An expression is a sparse polynomial with rational coefficients: a map from
-monomials (exponent vectors over interned variables) to nonzero
-``fractions.Fraction`` values.  This canonical distributed form makes
-equality a dictionary comparison and keeps every operation exact -- there is
-no floating point anywhere in the symbolic layer.  Division is permitted
-only by nonzero rational constants, so the value set is a polynomial ring.
+monomials (exponent vectors over interned variables) to nonzero exact
+numbers, each an ``int``, or a ``fractions.Fraction`` when not integral.
+Integer arithmetic is much cheaper than ``Fraction`` arithmetic, and the two
+types agree on ``==``, ``hash`` and ``str`` for the same value, so the
+choice never shows.  This canonical distributed form makes equality a
+dictionary comparison and keeps every operation exact -- there is no
+floating point anywhere in the symbolic layer.  Since ``int / int`` is a
+float in Python, every division goes through ``rational_div``.  Division is
+permitted only by nonzero rational constants, so the value set is a
+polynomial ring.
 
 A problem's variables are ``VarId`` objects interned by its registry (see
 ``noether.jets.JetSpace``): equal content implies the same object, so
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
@@ -54,6 +59,9 @@ class VarId:
     def __repr__(self) -> str:
         return f"VarId({self.name!r})"
 
+
+# An exact coefficient: an int, or a Fraction whose denominator is not 1.
+Rational = Union[int, Fraction]
 
 # A monomial is a tuple of (variable, exponent) pairs with positive
 # exponents, sorted by ascending sort_index.  The empty tuple is 1.
@@ -111,12 +119,29 @@ def mono_str(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _as_fraction(c) -> Fraction:
+def _as_rational(c) -> Rational:
+    """``c`` in canonical form: an integral Fraction or a bool becomes an
+    int; anything that is not an exact rational raises TypeError."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"expected a rational coefficient, got {type(c).__name__}")
+
+
+def _exact(c: Rational) -> Rational:
+    """The result of +, - or * on canonical values, made canonical again."""
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def rational_div(a: Rational, b: Rational) -> Rational:
+    """a / b exactly, in canonical form; b must be nonzero."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(a / b)
 
 
 class Expr:
@@ -128,11 +153,11 @@ class Expr:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Dict[Monomial, Fraction] | None = None):
-        clean: Dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Dict[Monomial, Rational] | None = None):
+        clean: Dict[Monomial, Rational] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _as_rational(coeff)
                 if coeff != 0:
                     clean[mono] = coeff
         self._terms = clean
@@ -146,28 +171,28 @@ class Expr:
 
     @staticmethod
     def one() -> "Expr":
-        return Expr({MONO_ONE: Fraction(1)})
+        return Expr({MONO_ONE: 1})
 
     @staticmethod
     def constant(c) -> "Expr":
-        return Expr({MONO_ONE: _as_fraction(c)})
+        return Expr({MONO_ONE: _as_rational(c)})
 
     @staticmethod
     def variable(v: VarId) -> "Expr":
-        return Expr({((v, 1),): Fraction(1)})
+        return Expr({((v, 1),): 1})
 
     @staticmethod
     def term(coeff, mono: Monomial) -> "Expr":
-        return Expr({mono: _as_fraction(coeff)})
+        return Expr({mono: _as_rational(coeff)})
 
     # -- inspection ----------------------------------------------------
 
-    def terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[Tuple[Monomial, Rational]]:
         """Iterate (monomial, coefficient) in descending canonical order."""
         for mono in sorted(self._terms, key=mono_key, reverse=True):
             yield mono, self._terms[mono]
 
-    def term_map(self) -> Dict[Monomial, Fraction]:
+    def term_map(self) -> Dict[Monomial, Rational]:
         return dict(self._terms)
 
     @property
@@ -178,9 +203,9 @@ class Expr:
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and MONO_ONE in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rational:
         if not self._terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant:
             raise ValueError(f"not a constant expression: {self}")
         return self._terms[MONO_ONE]
@@ -217,9 +242,9 @@ class Expr:
             return self
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
+            s = out.get(mono, 0) + coeff
             if s:
-                out[mono] = s
+                out[mono] = _exact(s)
             else:
                 out.pop(mono, None)
         return _raw(out)
@@ -229,9 +254,9 @@ class Expr:
             return NotImplemented
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            s = out.get(mono, Fraction(0)) - coeff
+            s = out.get(mono, 0) - coeff
             if s:
-                out[mono] = s
+                out[mono] = _exact(s)
             else:
                 out.pop(mono, None)
         return _raw(out)
@@ -241,21 +266,21 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _as_rational(other)
             if c == 0:
                 return Expr.zero()
-            return _raw({m: co * c for m, co in self._terms.items()})
+            return _raw({m: _exact(co * c) for m, co in self._terms.items()})
         if not isinstance(other, Expr):
             return NotImplemented
         if not self._terms or not other._terms:
             return Expr.zero()
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Rational] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = mono_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
+                s = out.get(mono, 0) + c1 * c2
                 if s:
-                    out[mono] = s
+                    out[mono] = _exact(s)
                 else:
                     out.pop(mono, None)
         return _raw(out)
@@ -267,10 +292,10 @@ class Expr:
             if not other.is_constant:
                 raise ValueError("division is only defined by rational constants")
             other = other.constant_value()
-        c = _as_fraction(other)
+        c = _as_rational(other)
         if c == 0:
             raise ZeroDivisionError("division of an expression by zero")
-        return _raw({m: co / c for m, co in self._terms.items()})
+        return _raw({m: rational_div(co, c) for m, co in self._terms.items()})
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int) or n < 0:
@@ -298,7 +323,7 @@ class Expr:
 
     def partial(self, v: VarId) -> "Expr":
         """Formal partial derivative; every other variable is a constant."""
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Rational] = {}
         for mono, coeff in self._terms.items():
             for i, (w, e) in enumerate(mono):
                 if w is v:
@@ -306,9 +331,9 @@ class Expr:
                         reduced = mono[:i] + mono[i + 1:]
                     else:
                         reduced = mono[:i] + ((w, e - 1),) + mono[i + 1:]
-                    s = out.get(reduced, Fraction(0)) + coeff * e
+                    s = out.get(reduced, 0) + coeff * e
                     if s:
-                        out[reduced] = s
+                        out[reduced] = _exact(s)
                     else:
                         out.pop(reduced, None)
                     break
@@ -354,7 +379,7 @@ class Expr:
         selected = set(vars)
         if not selected:
             raise ValueError("collect requires a non-empty variable set")
-        buckets: Dict[Monomial, Dict[Monomial, Fraction]] = {}
+        buckets: Dict[Monomial, Dict[Monomial, Rational]] = {}
         for mono, coeff in self._terms.items():
             inside = tuple((v, e) for v, e in mono if v in selected)
             outside = tuple((v, e) for v, e in mono if v not in selected)
@@ -396,7 +421,7 @@ class Expr:
         return f"Expr({self})"
 
 
-def _raw(terms: Dict[Monomial, Fraction]) -> Expr:
+def _raw(terms: Dict[Monomial, Rational]) -> Expr:
     """Wrap an already-canonical term map without re-checking it."""
     e = Expr.__new__(Expr)
     e._terms = terms

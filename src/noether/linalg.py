@@ -1,24 +1,28 @@
 """Exact rational linear algebra on sparse rows.
 
-Rows are dictionaries mapping column index to a nonzero Fraction.  The
-elimination order is fixed by the input row order and by always pivoting on
-the leftmost column, so results are deterministic.
+Rows are dictionaries mapping column index to a nonzero exact number: an
+``int``, or a ``Fraction`` when not integral (see ``noether.expr``).  Every
+result keeps that form, and every division goes through ``rational_div``,
+since ``int / int`` is a float.  The elimination order is fixed by the input
+row order and by always pivoting on the leftmost column, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-Row = Dict[int, Fraction]
+from .expr import Rational, _as_rational, _exact, rational_div
+
+Row = Dict[int, Rational]
 
 
-def _axpy(target: Row, factor: Fraction, source: Row) -> None:
+def _axpy(target: Row, factor: Rational, source: Row) -> None:
     """target -= factor * source, dropping zeros."""
     for col, val in source.items():
-        s = target.get(col, Fraction(0)) - factor * val
+        s = target.get(col, 0) - factor * val
         if s:
-            target[col] = s
+            target[col] = _exact(s)
         else:
             target.pop(col, None)
 
@@ -34,7 +38,7 @@ def rref(rows: List[Row], limit: Optional[int] = None,
     """
     pivots: Dict[int, Row] = {}
     for row in rows:
-        r = dict(row)
+        r = {c: _as_rational(v) for c, v in row.items()}
         # Existing pivot rows hold no pivot columns besides their own, so a
         # single sweep clears every pivot-column entry from r.
         for col in sorted(r):
@@ -48,7 +52,7 @@ def rref(rows: List[Row], limit: Optional[int] = None,
             continue
         lv = r[lead]
         if lv != 1:
-            r = {c: v / lv for c, v in r.items()}
+            r = {c: rational_div(v, lv) for c, v in r.items()}
         for prow in pivots.values():
             if lead in prow:
                 _axpy(prow, prow[lead], r)
@@ -56,7 +60,7 @@ def rref(rows: List[Row], limit: Optional[int] = None,
     return pivots
 
 
-def nullspace(rows: List[Row], n_cols: int) -> List[List[Fraction]]:
+def nullspace(rows: List[Row], n_cols: int) -> List[List[Rational]]:
     """Basis of the solution space of the homogeneous system.
 
     One vector per free column, in ascending column order; each vector is
@@ -67,21 +71,21 @@ def nullspace(rows: List[Row], n_cols: int) -> List[List[Fraction]]:
     for free in range(n_cols):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
+        vec = [0] * n_cols
+        vec[free] = 1
         for pcol, prow in pivots.items():
             val = prow.get(free)
             if val:
                 vec[pcol] = -val
         first = next(v for v in vec if v)
         if first != 1:
-            vec = [v / first for v in vec]
+            vec = [rational_div(v, first) for v in vec]
         basis.append(vec)
     return basis
 
 
-def solve_affine(rows: List[Tuple[Row, Fraction]],
-                 n_cols: int) -> Optional[List[Fraction]]:
+def solve_affine(rows: List[Tuple[Row, Rational]],
+                 n_cols: int) -> Optional[List[Rational]]:
     """One exact solution of A x = b, or None when inconsistent.
 
     Free variables are set to zero, so the answer is the canonical
@@ -91,9 +95,9 @@ def solve_affine(rows: List[Tuple[Row, Fraction]],
                              n_cols, 1)[0]
 
 
-def solve_affine_many(rows: List[Tuple[Row, Dict[int, Fraction]]],
+def solve_affine_many(rows: List[Tuple[Row, Dict[int, Rational]]],
                       n_cols: int, n_rhs: int
-                      ) -> List[Optional[List[Fraction]]]:
+                      ) -> List[Optional[List[Rational]]]:
     """``solve_affine`` for right-hand sides 0 .. n_rhs-1 in one elimination.
 
     Each row carries its right-hand sides sparsely, as {k: b_k}.  They ride
@@ -112,13 +116,13 @@ def solve_affine_many(rows: List[Tuple[Row, Dict[int, Fraction]]],
     stuck: List[Row] = []
     pivots = rref(combined, limit=n_cols, stuck=stuck)
     inconsistent = {c for r in stuck for c in r}
-    solutions: List[Optional[List[Fraction]]] = []
+    solutions: List[Optional[List[Rational]]] = []
     for rhs_col in range(n_cols, n_cols + n_rhs):
         if rhs_col in inconsistent:
             solutions.append(None)
             continue
-        solution = [Fraction(0)] * n_cols
+        solution = [0] * n_cols
         for pcol, prow in pivots.items():
-            solution[pcol] = -prow.get(rhs_col, Fraction(0))
+            solution[pcol] = -prow.get(rhs_col, 0)
         solutions.append(solution)
     return solutions

@@ -13,8 +13,9 @@ from noether import (Ansatz, Expr, Generator, JetSpace, Lagrangian,
                      hessian_relation_check, load_problem, match_generator,
                      parse, reduce_mod_el, solve, solve_noether, verify,
                      verify_candidate)
+from noether.engine import materialize
 
-from util import first_integral_closed_form, on_shell_zero
+from util import first_integral_closed_form, is_canonical, on_shell_zero
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -481,3 +482,36 @@ def test_evolutionary_search_spans_point_laws(free_particle, ode):
 
     for sol in point_sols:
         assert in_span(sol.law.components[0])
+
+
+# -- stored coefficient types ---------------------------------------------------
+
+# Every loadable problem file; tests/data/unknown_variable.prob is invalid
+# input by design.
+LOADABLE = sorted(str(p.relative_to(ROOT))
+                  for p in [*(ROOT / "problems").glob("*.prob"),
+                            *(ROOT / "tests/data").glob("*.prob")]
+                  if p.name != "unknown_variable.prob")
+
+
+@pytest.mark.parametrize("path", LOADABLE)
+def test_coefficients_are_int_or_true_fraction(path):
+    """Every coefficient the pipeline stores is an int, or a Fraction only
+    when it is not integral; a float would mean an inexact division."""
+    problem = load_problem(str(ROOT / path))
+    L = problem.lagrangian
+    el = euler_lagrange(L)
+    exprs = [L.body, *el.equations, *(el.solved_forms or {}).values()]
+    ds = determining_system(L, problem.ansatz)
+    assignments = solve(ds)
+    numbers = [v for row in ds.rows for v in row.values()]
+    numbers += [v for a in assignments for v in a.values()]
+    for sol in materialize(L, ds, assignments):
+        exprs += [*sol.generator.xi.values(), *sol.generator.eta.values(),
+                  *sol.gauge, *sol.law.components]
+    gens = [g for _, g in problem.candidates]
+    for gauge in find_gauges(L, gens, degree=problem.ansatz.gauge_degree):
+        exprs += gauge or ()
+    numbers += [c for e in exprs for c in e.term_map().values()]
+    assert numbers and all(is_canonical(c) for c in numbers), \
+        sorted({type(c).__name__ for c in numbers if not is_canonical(c)})

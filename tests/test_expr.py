@@ -217,3 +217,38 @@ def test_parse_nesting_limit(ode):
     assert parse(deep, ode) == parse("y", ode)
     with pytest.raises(ParseError, match="nested too deeply"):
         parse("(" + deep + ")", ode)
+
+
+# -- stored coefficient types ---------------------------------------------------
+
+
+def _only_coeff(e):
+    (coeff,) = e.term_map().values()
+    return coeff
+
+
+@pytest.mark.parametrize("given, stored", [(True, 1), (Fraction(4, 2), 2)])
+def test_integral_constant_stored_as_int(given, stored):
+    coeff = _only_coeff(Expr.constant(given))
+    assert type(coeff) is int and coeff == stored
+
+
+def test_integral_sum_of_fractions_stored_as_int(ode):
+    half = Expr.variable(ode.lookup("y")) / 2
+    coeff = _only_coeff(half + half)
+    assert type(coeff) is int and coeff == 1
+
+
+def test_division_by_int_is_exact(ode):
+    coeff = _only_coeff(Expr.variable(ode.lookup("y")) / 2)
+    assert type(coeff) is Fraction and coeff == Fraction(1, 2)
+
+
+def test_float_coefficient_refused():
+    with pytest.raises(TypeError):
+        Expr.constant(1.5)
+
+
+def test_constant_value_of_zero_is_int():
+    value = Expr.zero().constant_value()
+    assert type(value) is int and value == 0

@@ -1,21 +1,34 @@
 """Exact sparse elimination: the multi-right-hand-side solve against the
-single-right-hand-side reference, on seeded random rational systems."""
+single-right-hand-side reference, and int-or-Fraction entries against the
+Fraction-only reference, on seeded random rational systems."""
 
 import random
 from fractions import Fraction
 
-from noether.linalg import nullspace, solve_affine, solve_affine_many
+from noether.linalg import nullspace, rref, solve_affine, solve_affine_many
 
-from util import SEED, reference_solve_affine
+from util import (SEED, is_canonical, reference_nullspace,
+                  reference_solve_affine)
 
 
-def _random_row(rng, n_cols):
+def _fraction_entry(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+
+
+def _mixed_entry(rng):
+    """Mostly ints, as in a determining system; otherwise a Fraction, which
+    may be integral (4/2) and must then come out as an int."""
+    if rng.random() < 0.3:
+        return _fraction_entry(rng)
+    return rng.choice([-3, -2, -1, 1, 2, 5])
+
+
+def _random_row(rng, n_cols, entry=_fraction_entry):
     cols = rng.sample(range(n_cols), rng.randint(0, n_cols))
-    return {c: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
-            for c in cols}
+    return {c: entry(rng) for c in cols}
 
 
-def _random_system(rng):
+def _random_system(rng, entry=_fraction_entry):
     """Rows of a seeded random system with sparse right-hand sides.
 
     Some rows repeat rational combinations of earlier ones, so many
@@ -34,7 +47,7 @@ def _random_system(rng):
                     row[c] = row.get(c, Fraction(0)) + w * v
             row = {c: v for c, v in row.items() if v}
         else:
-            row = _random_row(rng, n_cols)
+            row = _random_row(rng, n_cols, entry)
         rows.append(row)
     n_rhs = rng.randint(0, 4)
     rhs = [{} for _ in rows]
@@ -86,3 +99,28 @@ def test_multi_rhs_without_unknowns():
     rows = [({}, {0: Fraction(0), 1: Fraction(1)})]
     assert solve_affine_many(rows, 0, 3) == [[], None, []]
     assert solve_affine_many([], 2, 0) == []
+
+
+def _as_fractions(row):
+    return {c: Fraction(v) for c, v in row.items()}
+
+
+def test_mixed_entries_match_fraction_reference():
+    rng = random.Random(SEED)
+    types = set()
+    for _ in range(200):
+        rows, rhs, n_cols, n_rhs = _random_system(rng, _mixed_entry)
+        exact = [_as_fractions(row) for row in rows]
+        basis = nullspace(rows, n_cols)
+        assert basis == reference_nullspace(exact, n_cols)
+        got = solve_affine_many(list(zip(rows, rhs)), n_cols, n_rhs)
+        for k in range(n_rhs):
+            single = [(row, Fraction(b.get(k, 0)))
+                      for row, b in zip(exact, rhs)]
+            assert got[k] == reference_solve_affine(single, n_cols)
+        entries = [v for vec in basis for v in vec]
+        entries += [v for sol in got if sol is not None for v in sol]
+        entries += [v for prow in rref(rows).values() for v in prow.values()]
+        assert all(is_canonical(v) for v in entries), entries
+        types.update(type(v) for v in entries)
+    assert types == {int, Fraction}

@@ -192,6 +192,15 @@ def reference_drift(integral: Expr, samples) -> float:
     return drift if math.isfinite(drift) else math.inf
 
 
+def is_canonical(c) -> bool:
+    """Whether ``c`` has the stored form of an exact coefficient: an int
+    that is not a bool, or a Fraction that is not integral (never a
+    float)."""
+    if isinstance(c, Fraction):
+        return c.denominator > 1
+    return isinstance(c, int) and not isinstance(c, bool)
+
+
 def _reference_axpy(target, factor, source):
     """target -= factor * source, dropping zeros."""
     for col, val in source.items():
@@ -242,3 +251,25 @@ def reference_solve_affine(rows, n_cols):
     for pcol, prow in pivots.items():
         solution[pcol] = -prow.get(rhs_col, Fraction(0))
     return solution
+
+
+def reference_nullspace(rows, n_cols):
+    """Basis of the homogeneous solution space, as computed when every
+    entry was a Fraction: the rows must hold Fractions, since ``v / lv``
+    and ``v / first`` are float divisions on two ints."""
+    pivots = _reference_rref(rows)
+    basis = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for pcol, prow in pivots.items():
+            val = prow.get(free)
+            if val:
+                vec[pcol] = -val
+        first = next(v for v in vec if v)
+        if first != 1:
+            vec = [v / first for v in vec]
+        basis.append(vec)
+    return basis
