@@ -20,7 +20,6 @@ check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -276,7 +275,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     tasks = [(args.command, path, args) for path in args.files]
     if args.jobs > 1 and len(args.files) > 1:
         # The pool may start every worker at once, so never ask for more
-        # workers than there are files.
+        # workers than there are files.  Imported here: a one-process run
+        # should not pay for it at start-up.
+        import concurrent.futures
         workers = min(args.jobs, len(args.files))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             outcomes = list(ex.map(_run_star, tasks))

@@ -281,17 +281,22 @@ def test_deeply_nested_lagrangian_exits_2(tmp_path, capsys):
     assert "'lagrangian'" in out and "nested too deeply" in out
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("argv,code", [
     (["verify", FREE, "--json", "--deterministic"], 0),
     (["verify", FIELD], 1),
 ])
 def test_closed_stdout_pipe_ends_quietly(argv, code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen([sys.executable, "-m", "noether.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
+                            env=_child_env())
     proc.stdout.close()   # the reader is gone before the first write
     err = proc.stderr.read().decode()
     proc.stderr.close()
@@ -323,3 +328,13 @@ def test_jobs_capped_at_file_count(monkeypatch, capsys):
     assert code == 0
     assert "symmetries found: 5" in out and "symmetries found: 8" in out
     assert requested == [2]
+
+
+def test_process_pool_imported_only_when_started():
+    # A one-process run should not pay for concurrent.futures at start-up.
+    probe = ("import sys, noether.cli; "
+             "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=_child_env(), timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
