@@ -49,6 +49,11 @@ CASES = (
     # Coefficients that are not integers, in every layer.
     + [(f"{cmd}-rational_coeffs", [cmd, "tests/data/rational_coeffs.prob"], 0)
        for cmd in ("integrals", "symmetries", "numcheck")]
+    # Two dependents at order 2: the law's terms follow the order in which
+    # the Lagrangian's jet partials are visited.
+    + [(f"{cmd}-coupled_second_order",
+        [cmd, "tests/data/coupled_second_order.prob"], 0)
+       for cmd in ("integrals", "numcheck")]
 )
 
 IDS = [name for name, _, _ in CASES]
