@@ -14,16 +14,20 @@ the Euler-Lagrange equations, which the verifier checks independently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import (PARAMETER, Expr, Monomial, Rational, VarId, mono_key,
-                   mono_mul)
-from .jets import (Generator, JetSpace, _characteristics, _prolong,
-                   total_derivative)
+from .expr import PARAMETER, Expr, Monomial, Rational, VarId, mono_key
+from .jets import (Generator, JetSpace, _characteristics, _peel, _prolong,
+                   multi_derivative, total_derivative)
 from .linalg import Row, nullspace, solve_affine, solve_affine_many
 from .variational import (ELSystem, Lagrangian, ReductionError,
-                          euler_lagrange, reduce_mod_el)
+                          euler_lagrange, hessian, reduce_mod_el)
+
+# Most monomials one ansatz slot may hold: there are C(variables + degree,
+# degree), and a large degree would exhaust time or memory.
+MAX_SLOT_MONOMIALS = 10_000
 
 
 class NonSymmetryError(ValueError):
@@ -107,9 +111,8 @@ class DeterminingSystem:
     registered in it, so they never clash with the problem's names.
     ``rows`` are sparse over positions in ``unknowns``.  The templates are
     linear in the parameters, one parameter per term, and are the one
-    description of the ansatz: ``materialize`` splits them into columns
-    (parameter k -> template, monomial, coefficient) and reads a parameter
-    assignment out as a generator and gauge term by term.
+    description of the ansatz: ``materialize`` reads a parameter assignment
+    out of them as a generator and gauge, term by term.
     """
 
     unknowns: List[VarId]
@@ -147,13 +150,8 @@ def condition_residual(L: Lagrangian, g: Generator,
     if not div_xi.is_zero:
         residual = residual + L.body * div_xi
     memo: Dict[Tuple[int, Tuple[int, ...]], Expr] = {}
-    for i in range(len(space.dependents)):
-        for v in space.jet_vars(dep_index=i, max_order=L.order):
-            p = L.body.partial(v)
-            if p.is_zero:
-                continue
-            coeff = _prolong(g, i, v.multi_index, space, memo)
-            residual = residual + coeff * p
+    for i, v, p in L.partials:
+        residual = residual + _prolong(g, i, v.multi_index, space, memo) * p
     for j, x in enumerate(space.independents):
         f_j = gauge[j]
         if not f_j.is_zero:
@@ -178,24 +176,15 @@ def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
     Euler-Lagrange expression, which vanishes on shell.
     """
     space = L.space
-    # D^mu(Q_i) is the prolongation of the evolutionary generator Q at u_i,mu.
-    q = Generator(eta=dict(zip(space.dependents, characteristics(L, g))))
-    memo: Dict[Tuple[int, Tuple[int, ...]], Expr] = {}
+    qs = characteristics(L, g)
+    memos: List[Dict[Tuple[int, ...], Expr]] = [{} for _ in qs]
     b = [Expr.zero() for _ in space.independents]
-    for i in range(len(space.dependents)):
-        for v in space.jet_vars(dep_index=i, max_order=L.order):
-            if v.order == 0:
-                continue
-            p = L.body.partial(v)
-            if p.is_zero:
-                continue
-            multi = list(v.multi_index)
-            cur = p
-            while sum(multi) > 0:
-                j = max(idx for idx, c in enumerate(multi) if c > 0)
-                multi[j] -= 1
-                b[j] = b[j] + _prolong(q, i, tuple(multi), space, memo) * cur
-                cur = -total_derivative(cur, space.independents[j], space)
+    for i, v, p in L.partials:
+        multi, cur = v.multi_index, p
+        while any(multi):
+            j, multi = _peel(multi)
+            b[j] = b[j] + multi_derivative(qs[i], multi, space, memos[i]) * cur
+            cur = -total_derivative(cur, space.independents[j], space)
     return b
 
 
@@ -269,13 +258,12 @@ def hessian_relation_check(L: Lagrangian, g: Generator, integral: Expr) -> bool:
     if g.dependence_order > 1:
         raise ValueError("hessian relation requires derivative dependence <= 1")
     qs = characteristics(L, g)
-    vels = [space.jet(i, (1,)) for i in range(len(space.dependents))]
-    for j, vj in enumerate(vels):
-        lhs = integral.partial(vj)
+    matrix = hessian(L).matrix
+    for j in range(len(space.dependents)):
         rhs = Expr.zero()
-        for q_i, vi in zip(qs, vels):
-            rhs = rhs - q_i * L.body.partial(vi).partial(vj)
-        if lhs != rhs:
+        for q_i, row in zip(qs, matrix):
+            rhs = rhs - q_i * row[j]
+        if integral.partial(space.jet(j, (1,))) != rhs:
             return False
     return True
 
@@ -283,17 +271,24 @@ def hessian_relation_check(L: Lagrangian, g: Generator, integral: Expr) -> bool:
 # -- determining equations ----------------------------------------------------
 
 
-def _monomials_upto(vars: Sequence[VarId], degree: int,
+def _monomials_upto(space: JetSpace, jet_order: int, degree: int,
                     include_constant: bool = True) -> List[Monomial]:
-    """All monomials over ``vars`` of total degree <= degree, ascending."""
-    monos: List[Monomial] = []
-    for d in range(0 if include_constant else 1, degree + 1):
-        for combo in itertools.combinations_with_replacement(vars, d):
-            counts: Dict[VarId, int] = {}
-            for v in combo:
-                counts[v] = counts.get(v, 0) + 1
-            monos.append(tuple(sorted(counts.items(),
-                                      key=lambda p: p[0].sort_index)))
+    """All monomials of total degree <= degree, ascending, over the
+    independents and the jets up to ``jet_order``.
+
+    Raises ValueError, before building any, when there would be more than
+    ``MAX_SLOT_MONOMIALS``.
+    """
+    vars = list(space.independents) + space.jet_vars(max_order=jet_order)
+    count = math.comb(len(vars) + degree, degree) - (not include_constant)
+    if count > MAX_SLOT_MONOMIALS:
+        raise ValueError(
+            f"ansatz degree {degree} over {len(vars)} variables needs "
+            f"{count} monomials per slot; the bound is {MAX_SLOT_MONOMIALS}")
+    # ``vars`` ascend by sort index, and so does each combination.
+    monos = [tuple((v, combo.count(v)) for v in dict.fromkeys(combo))
+             for d in range(0 if include_constant else 1, degree + 1)
+             for combo in itertools.combinations_with_replacement(vars, d)]
     monos.sort(key=mono_key)
     return monos
 
@@ -310,13 +305,11 @@ def _unknown(space: JetSpace, k: int) -> VarId:
 
 def _ansatz_polynomial(space: JetSpace, monos: Sequence[Monomial],
                        unknowns: List[VarId]) -> Expr:
-    """A fresh linear combination of monomials with new parameters."""
-    terms: Dict[Monomial, Rational] = {}
-    for mono in monos:
-        c = _unknown(space, len(unknowns))
-        unknowns.append(c)
-        terms[mono_mul(((c, 1),), mono)] = 1
-    return Expr(terms)
+    """A fresh linear combination of monomials with new parameters, each
+    the last factor of its term."""
+    new = [_unknown(space, len(unknowns) + k) for k in range(len(monos))]
+    unknowns += new
+    return Expr({mono + ((c, 1),): 1 for mono, c in zip(monos, new)})
 
 
 def _affine_system(e: Expr, unknowns: Sequence[VarId]
@@ -331,14 +324,14 @@ def _affine_system(e: Expr, unknowns: Sequence[VarId]
     rows: Dict[Monomial, Row] = {}
     rhs: Dict[Monomial, Rational] = {}
     for mono, coeff in e.term_map().items():
-        at = [p for p, (v, _) in enumerate(mono) if v in index]
-        if not at:
+        # Unknowns order after every variable of the space, so a term's
+        # unknown, if any, is its last factor.
+        if not mono or mono[-1][0] not in index:
             rows.setdefault(mono, {})
             rhs[mono] = -coeff
-        elif len(at) == 1 and mono[at[0]][1] == 1:
-            p = at[0]
-            rest = mono[:p] + mono[p + 1:]
-            rows.setdefault(rest, {})[index[mono[p][0]]] = coeff
+        elif mono[-1][1] == 1 and (len(mono) == 1
+                                   or mono[-2][0] not in index):
+            rows.setdefault(mono[:-1], {})[index[mono[-1][0]]] = coeff
         else:
             raise AssertionError(
                 "internal error: expression is not affine in the unknowns")
@@ -346,28 +339,15 @@ def _affine_system(e: Expr, unknowns: Sequence[VarId]
             for m in sorted(rows, key=mono_key)}
 
 
-def _columns(templates: Sequence[Expr], unknowns: Sequence[VarId]
-             ) -> Dict[VarId, Tuple[int, Monomial, Rational]]:
-    """Unknown -> (template position, monomial, coefficient); every unknown
-    occurs in one term of one template, as ``_ansatz_polynomial`` builds."""
-    columns = {}
-    for slot, t in enumerate(templates):
-        for mono, (row, _) in _affine_system(t, unknowns).items():
-            for k, coeff in row.items():
-                columns[unknowns[k]] = (slot, mono, coeff)
-    return columns
+def _at(template: Expr, values: Dict[VarId, Rational]) -> Expr:
+    """A template at the unknowns' values; a missing unknown is zero.
 
-
-def _read_out(columns: Dict[VarId, Tuple[int, Monomial, Rational]],
-              n_slots: int, values: Iterable[Tuple[VarId, Rational]]
-              ) -> List[Expr]:
-    """The templates at (unknown, value) pairs: one multiply per nonzero."""
-    terms: List[Dict[Monomial, Rational]] = [{} for _ in range(n_slots)]
-    for c, value in values:
-        if value:
-            slot, mono, coeff = columns[c]
-            terms[slot][mono] = coeff * value
-    return [Expr(t) for t in terms]
+    Every template term is one monomial times one unknown, which orders
+    after every variable of the space and so is the term's last factor.
+    """
+    return Expr({mono[:-1]: coeff * values[mono[-1][0]]
+                 for mono, coeff in template.term_map().items()
+                 if values.get(mono[-1][0])})
 
 
 def _check_solving_supported(L: Lagrangian):
@@ -398,13 +378,10 @@ def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
         raise ValueError(
             "coefficient jet order above the Lagrangian order is not "
             "meaningful once the equations of motion constrain the system")
-    coeff_vars = list(space.independents) + space.jet_vars(
-        max_order=ansatz.coeff_jet_order)
-    gauge_order = ansatz.resolved_gauge_jet_order(L)
-    gauge_vars = list(space.independents) + space.jet_vars(max_order=gauge_order)
-    coeff_monos = _monomials_upto(coeff_vars, ansatz.coeff_degree)
-    gauge_monos = _monomials_upto(gauge_vars, ansatz.gauge_degree,
-                                  include_constant=False)
+    coeff_monos = _monomials_upto(space, ansatz.coeff_jet_order,
+                                  ansatz.coeff_degree)
+    gauge_monos = _monomials_upto(space, ansatz.resolved_gauge_jet_order(L),
+                                  ansatz.gauge_degree, include_constant=False)
 
     unknowns: List[VarId] = []
     xi_templates: Dict[VarId, Expr] = {}
@@ -449,8 +426,8 @@ def materialize(L: Lagrangian, ds: DeterminingSystem,
                 ) -> List[NoetherSolution]:
     """Read parameter assignments out of the templates and build their laws.
 
-    The templates are split into columns once; each assignment then becomes
-    its generator and gauge by one multiply per nonzero entry.  Directions
+    Each assignment becomes its generator and gauge by one multiply per
+    template term whose parameter it sets.  Directions
     with an identically zero generator are dropped before a law is built:
     they are divergence-free gauge fields (possible for flux-vector gauges)
     carrying no symmetry content.  The law builders re-check the invariance
@@ -459,10 +436,9 @@ def materialize(L: Lagrangian, ds: DeterminingSystem,
     xs, us = list(ds.xi_templates), list(ds.eta_templates)
     slots = [*ds.xi_templates.values(), *ds.eta_templates.values(),
              *ds.gauge_templates]
-    columns = _columns(slots, ds.unknowns)
     out = []
     for a in assignments:
-        values = _read_out(columns, len(slots), a.items())
+        values = [_at(t, a) for t in slots]
         g = Generator(
             xi={x: e for x, e in zip(xs, values) if not e.is_zero},
             eta={u: e for u, e in zip(us, values[len(xs):]) if not e.is_zero})
@@ -526,8 +502,7 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
         groups.setdefault(order, []).append(k)
     gauges: List[Optional[Tuple[Expr, ...]]] = [None] * len(generators)
     for order, members in groups.items():
-        gauge_vars = list(space.independents) + space.jet_vars(max_order=order)
-        monos = _monomials_upto(gauge_vars, degree, include_constant=False)
+        monos = _monomials_upto(space, order, degree, include_constant=False)
         unknowns: List[VarId] = []
         templates = [_ansatz_polynomial(space, monos, unknowns)
                      for _ in space.independents]
@@ -542,11 +517,10 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
                 system.setdefault(mono, ({}, {}))[1][k] = b
         solutions = solve_affine_many(list(system.values()), len(unknowns),
                                       len(members))
-        columns = _columns(templates, unknowns)
         for member, solution in zip(members, solutions):
             if solution is not None:
-                gauges[member] = tuple(_read_out(
-                    columns, len(templates), zip(unknowns, solution)))
+                values = dict(zip(unknowns, solution))
+                gauges[member] = tuple(_at(t, values) for t in templates)
     return gauges
 
 

@@ -191,6 +191,31 @@ def total_derivative(e: Expr, x: VarId, space: JetSpace) -> Expr:
     return result
 
 
+def _peel(multi: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+    """(j, multi less one count at j), j the last independent counted.
+
+    Every derivative recursion peels in this order, so the derivatives of
+    the first independent are applied first.
+    """
+    j = max(i for i, c in enumerate(multi) if c > 0)
+    return j, multi[:j] + (multi[j] - 1,) + multi[j + 1:]
+
+
+def multi_derivative(e: Expr, multi: Tuple[int, ...], space: JetSpace,
+                     memo: Dict[Tuple[int, ...], Expr] | None = None) -> Expr:
+    """D^multi of ``e``; ``memo``, one per ``e``, shares the lower orders."""
+    memo = {} if memo is None else memo
+    if multi not in memo:
+        if any(multi):
+            j, lower = _peel(multi)
+            memo[multi] = total_derivative(
+                multi_derivative(e, lower, space, memo),
+                space.independents[j], space)
+        else:
+            memo[multi] = e
+    return memo[multi]
+
+
 def _prolong(g: Generator, dep_index: int, multi: Tuple[int, ...],
              space: JetSpace,
              memo: Dict[Tuple[int, Tuple[int, ...]], Expr]) -> Expr:
@@ -207,10 +232,7 @@ def _prolong(g: Generator, dep_index: int, multi: Tuple[int, ...],
     if sum(multi) == 0:
         result = g.eta_of(space.dependents[dep_index])
     else:
-        j = max(i for i, c in enumerate(multi) if c > 0)
-        lower = list(multi)
-        lower[j] -= 1
-        lower_t = tuple(lower)
+        j, lower_t = _peel(multi)
         x_j = space.independents[j]
         result = total_derivative(
             _prolong(g, dep_index, lower_t, space, memo), x_j, space)

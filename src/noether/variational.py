@@ -9,11 +9,11 @@ reduction of any expression to a normal form modulo the equations of motion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from .expr import JET, Expr, VarId
-from .jets import JetSpace, total_derivative
+from .jets import JetSpace, multi_derivative
 
 
 class ReductionError(Exception):
@@ -22,11 +22,17 @@ class ReductionError(Exception):
 
 @dataclass
 class Lagrangian:
-    """A polynomial Lagrangian of a fixed derivative order."""
+    """A polynomial Lagrangian of a fixed derivative order.
+
+    ``partials`` holds each nonzero jet partial once, as (dependent index,
+    jet v, dL/dv), dependent by dependent and then in registration order.
+    """
 
     space: JetSpace
     order: int
     body: Expr
+    partials: List[Tuple[int, VarId, Expr]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -38,6 +44,11 @@ class Lagrangian:
             raise ValueError(
                 f"Lagrangian of order {self.order} contains a derivative of "
                 f"order {actual}")
+        present = self.body.variables()
+        self.partials = [(i, v, self.body.partial(v))
+                         for i in range(len(self.space.dependents))
+                         for v in self.space.jet_vars(i, self.order)
+                         if v in present]
 
 
 @dataclass
@@ -65,14 +76,6 @@ def _jet_rank(v: VarId) -> tuple:
     return (v.order, v.multi_index, -v.dep_index)
 
 
-def _apply_multi_derivative(e: Expr, multi: Sequence[int], space: JetSpace) -> Expr:
-    for j, count in enumerate(multi):
-        x = space.independents[j]
-        for _ in range(count):
-            e = total_derivative(e, x, space)
-    return e
-
-
 def euler_lagrange(L: Lagrangian) -> ELSystem:
     """The Euler-Lagrange equations of a Lagrangian.
 
@@ -80,16 +83,11 @@ def euler_lagrange(L: Lagrangian) -> ELSystem:
     (-1)^order * D^multi (dL/du_multi), in canonical form.
     """
     space = L.space
-    equations = []
-    for i, dep in enumerate(space.dependents):
-        total = Expr.zero()
-        for v in space.jet_vars(dep_index=i, max_order=L.order):
-            p = L.body.partial(v)
-            if p.is_zero:
-                continue
-            sign = -1 if v.order % 2 else 1
-            total = total + _apply_multi_derivative(p, v.multi_index, space) * sign
-        equations.append(total)
+    equations = [Expr.zero() for _ in space.dependents]
+    for i, v, p in L.partials:
+        sign = -1 if v.order % 2 else 1
+        equations[i] = equations[i] + multi_derivative(
+            p, v.multi_index, space) * sign
     return _normalize(space, equations)
 
 
@@ -132,6 +130,7 @@ def reduce_mod_el(e: Expr, el: ELSystem, space: JetSpace) -> Expr:
     if not el.reducible:
         raise ReductionError("solved forms unavailable; cannot reduce")
     solved = el.solved_forms
+    memos: Dict[VarId, Dict] = {h: {} for h in solved}
     guard = space.variable_count + 8
     for _ in range(guard):
         reducible = []
@@ -147,7 +146,7 @@ def reduce_mod_el(e: Expr, el: ELSystem, space: JetSpace) -> Expr:
             return e
         v, h = max(reducible, key=lambda pair: _jet_rank(pair[0]))
         delta = tuple(a - b for a, b in zip(v.multi_index, h.multi_index))
-        replacement = _apply_multi_derivative(solved[h], delta, space)
+        replacement = multi_derivative(solved[h], delta, space, memos[h])
         e = e.substitute({v: replacement})
     raise ReductionError("reduction did not terminate; malformed solved forms")
 
@@ -171,7 +170,9 @@ def hessian(L: Lagrangian) -> HessianReport:
         raise ValueError("hessian requires a first-order Lagrangian in one "
                          "independent variable")
     vels = [space.jet(i, (1,)) for i in range(len(space.dependents))]
-    matrix = [[L.body.partial(vi).partial(vj) for vj in vels] for vi in vels]
+    first = {v: p for _, v, p in L.partials}
+    matrix = [[first.get(vi, Expr.zero()).partial(vj) for vj in vels]
+              for vi in vels]
     return HessianReport(matrix=matrix, determinant=_det(matrix))
 
 

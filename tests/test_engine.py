@@ -92,6 +92,32 @@ def test_unsupported_configuration_raises():
         determining_system(second, Ansatz())
 
 
+def test_ansatz_slot_count_matches_binomial(planar):
+    # The bound counts C(variables + degree, degree) monomials per slot;
+    # that must be what is built.  planar has t, x, y and x', y' at order 1.
+    from math import comb
+
+    from noether.engine import _monomials_upto
+    for order, n_vars in ((0, 3), (1, 5)):
+        for degree in range(4):
+            for constant in (True, False):
+                monos = _monomials_upto(planar.space, order, degree, constant)
+                assert len(monos) == len(set(monos)) == \
+                    comb(n_vars + degree, degree) - (not constant)
+
+
+def test_ansatz_beyond_the_slot_bound_is_refused(free_particle, ode):
+    # Over x and y, degree 139 gives C(141, 139) = 9870 monomials and
+    # degree 140 gives 10011, just past the bound of 10000.
+    from noether.engine import MAX_SLOT_MONOMIALS, _monomials_upto
+    assert MAX_SLOT_MONOMIALS == 10_000
+    assert len(_monomials_upto(ode, 0, 139)) == 9870
+    with pytest.raises(ValueError, match="ansatz degree 140 over 2"):
+        determining_system(free_particle, Ansatz(coeff_degree=140))
+    with pytest.raises(ValueError, match="ansatz degree 200 over 2"):
+        find_gauge(free_particle, gen(ode, eta={"y": "1"}), degree=200)
+
+
 def test_solver_output_is_deterministic(free_particle):
     ds1 = determining_system(free_particle, Ansatz())
     ds2 = determining_system(free_particle, Ansatz())

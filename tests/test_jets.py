@@ -1,9 +1,12 @@
 """Jet calculus: total derivatives, prolongation, evolutionary form."""
 
+import itertools
+
 import pytest
 
 from noether import (Expr, Generator, HeadroomError, JetSpace, evolutionary_form,
                      parse, prolong_pde, total_derivative)
+from noether.jets import multi_derivative
 
 from util import closed_form_zeta, rand_expr
 
@@ -51,6 +54,27 @@ def test_total_derivative_product_rule(rng, ode):
         b = rand_expr(rng, vars)
         assert total_derivative(a * b, x, ode) == \
             total_derivative(a, x, ode) * b + a * total_derivative(b, x, ode)
+
+
+def test_multi_derivative_matches_nested_total_derivatives(rng):
+    """D^mu equals nested D_x calls in every order, with and without a memo
+    shared between the multi-indices of one expression."""
+    space = JetSpace(["t", "x"], ["u", "v"], max_order=5)
+    vars = [space.lookup(n) for n in ("t", "x", "u", "v", "u_t", "v_x")]
+    multis = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1),
+              (1, 2), (0, 3)]
+    for _ in range(10):
+        e = rand_expr(rng, vars)
+        shared = {}
+        for multi in multis:
+            steps = [space.independents[j]
+                     for j, count in enumerate(multi) for _ in range(count)]
+            for order in set(itertools.permutations(steps)):
+                nested = e
+                for x in order:
+                    nested = total_derivative(nested, x, space)
+                assert multi_derivative(e, multi, space) == nested
+                assert multi_derivative(e, multi, space, shared) == nested
 
 
 def zeta(g, j, ode):
