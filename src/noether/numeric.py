@@ -6,13 +6,13 @@ first integral is evaluated along the trajectory; a conserved quantity must
 show only roundoff-level relative drift.  Flux vectors of field problems
 are not validated numerically -- their divergence check is exact already.
 
-Both loops run Python source generated per call and compiled with
-``compile()``, working on tuples of floats instead of environments:
+Both loops run generated Python source, compiled once per distinct source
+with ``compile()``, working on tuples of floats instead of environments:
 ``integrate_el`` builds one straight-line ``step(t, s0, ..., sn)`` that
 does all four RK4 stages, and ``drift_report`` builds one function per
 integral that walks the trajectory rows.  The source names only internal
-locals (``t``, ``s0``, ``a0``, ``k1_0``, ``acc``, ...) and float literals
-``repr(float(coeff))``; no user-supplied identifier reaches it.
+locals (``t``, ``h``, ``s0``, ``a0``, ``k1_0``, ``acc``, ...) and float
+literals (``repr`` of floats); no user-supplied identifier reaches it.
 
 Operation-order rule: the generated code performs the floating-point
 operations of a direct evaluation in the same order, so its results are
@@ -31,6 +31,7 @@ identical bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -106,11 +107,11 @@ def _positional(variables: Sequence[VarId]) -> Dict[VarId, str]:
     return {v: f"s{j}" for j, v in enumerate(variables)}
 
 
-def _define(name: str, lines: List[str], scope: Dict | None = None):
-    """Compile generated source and return the function it defines."""
-    namespace = dict(scope or {})
-    exec(compile("\n".join(lines) + "\n", f"<noether.numeric.{name}>",
-                 "exec"), namespace)
+@functools.lru_cache(maxsize=128)
+def _define(name: str, source: str):
+    """The function that generated source defines, compiled once."""
+    namespace: Dict = {}
+    exec(compile(source, f"<noether.numeric.{name}>", "exec"), namespace)
     return namespace[name]
 
 
@@ -126,10 +127,10 @@ class CompiledExpr:
         self.variables = tuple(sorted(e.variables(),
                                       key=lambda v: v.sort_index))
         names = _positional(self.variables)
-        self._fn = _define("value", [
+        self._fn = _define("value", "\n".join([
             f"def value({', '.join(names.values())}):",
             *_sum(e, names, "    "),
-            "    return acc"])
+            "    return acc"]))
 
     def __call__(self, env: Dict[VarId, float]) -> float:
         return self._fn(*[env[v] for v in self.variables])
@@ -196,7 +197,8 @@ def _step_function(t_var: VarId, states: List[VarId],
     step) and ``tn`` (full step).
     """
     n = len(states)
-    lines = [f"def step(t, {', '.join(f's{j}' for j in range(n))}):"]
+    lines = [f"h = {h!r}",
+             f"def step(t, {', '.join(f's{j}' for j in range(n))}):"]
     stages = (("t", "s", None), ("tm", "a", "0.5 * h"),
               ("tm", "a", "0.5 * h"), ("tn", "a", "h"))
     for k, (time, prefix, inc) in enumerate(stages, start=1):
@@ -218,7 +220,7 @@ def _step_function(t_var: VarId, states: List[VarId],
     new = [f"s{j} + h / 6.0 * (k1_{j} + 2 * k2_{j} + 2 * k3_{j} + k4_{j})"
            for j in range(n)]
     lines.append(f"    return (tn, {', '.join(new)})")
-    return _define("step", lines, {"h": h})
+    return _define("step", "\n".join(lines))
 
 
 def integrate_el(el: ELSystem, cfg: NumericConfig,
@@ -283,7 +285,7 @@ def _drift_function(e: Expr, variables: Sequence[VarId]):
     """
     names = _positional(variables)
     row = ", ".join(names.values()) + ","
-    return _define("drift", [
+    return _define("drift", "\n".join([
         "def drift(rows):",
         "    it = iter(rows)",
         f"    {row} = next(it)",
@@ -295,7 +297,7 @@ def _drift_function(e: Expr, variables: Sequence[VarId]):
         "        d = abs(acc - first)",
         "        if d > worst:",
         "            worst = d",
-        "    return first, worst"])
+        "    return first, worst"]))
 
 
 def drift_report(laws: Sequence, traj: Trajectory,

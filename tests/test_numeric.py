@@ -256,3 +256,35 @@ def test_large_law_compiles_and_evaluates():
     report = drift_report([law], traj, NumericConfig())
     exact = law.evaluate(point)
     assert report.drifts[0] == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_numcheck_compiles_each_source_once(monkeypatch, capsys):
+    """free_particle has one step function and five integrals: 6 distinct
+    sources, which the five initial conditions share."""
+    import builtins
+
+    from noether import numeric
+    from noether.cli import main
+
+    sources = []
+
+    def counting_compile(source, *args, **kwargs):
+        sources.append(source)
+        return builtins.compile(source, *args, **kwargs)
+
+    getattr(numeric._define, "cache_clear", lambda: None)()
+    monkeypatch.setattr(numeric, "compile", counting_compile, raising=False)
+    assert main(["numcheck", str(PROBLEMS / "free_particle.prob")]) == 0
+    capsys.readouterr()
+    assert len(sources) == len(set(sources)) == 6
+
+
+def test_step_size_is_part_of_the_compiled_source():
+    # A shared compiled step must not carry the step of an earlier run.
+    L = load_problem(str(PROBLEMS / "harmonic_oscillator.prob")).lagrangian
+    el = euler_lagrange(L)
+    ic = seeded_initial_conditions(el, SEED)[0]
+    for h in (1e-3, 2e-3, 1e-3):
+        cfg = NumericConfig(step=h, horizon=20 * h)
+        traj = _assert_matches_reference(el, cfg, ic, [])
+        assert traj.rows[1][0] == h
