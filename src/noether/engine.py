@@ -339,7 +339,7 @@ def _affine_system(e: Expr, unknowns: Sequence[VarId]
             for m in sorted(rows, key=mono_key)}
 
 
-def _at(template: Expr, values: Dict[VarId, Rational]) -> Expr:
+def _fill(template: Expr, values: Dict[VarId, Rational]) -> Expr:
     """A template at the unknowns' values; a missing unknown is zero.
 
     Every template term is one monomial times one unknown, which orders
@@ -438,7 +438,7 @@ def materialize(L: Lagrangian, ds: DeterminingSystem,
              *ds.gauge_templates]
     out = []
     for a in assignments:
-        values = [_at(t, a) for t in slots]
+        values = [_fill(t, a) for t in slots]
         g = Generator(
             xi={x: e for x, e in zip(xs, values) if not e.is_zero},
             eta={u: e for u, e in zip(us, values[len(xs):]) if not e.is_zero})
@@ -520,7 +520,7 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
         for member, solution in zip(members, solutions):
             if solution is not None:
                 values = dict(zip(unknowns, solution))
-                gauges[member] = tuple(_at(t, values) for t in templates)
+                gauges[member] = tuple(_fill(t, values) for t in templates)
     return gauges
 
 
