@@ -23,7 +23,7 @@ from .jets import (Generator, JetSpace, _characteristics, _peel, _prolong,
                    multi_derivative, total_derivative)
 from .linalg import Row, nullspace, solve_affine, solve_affine_many
 from .variational import (ELSystem, Lagrangian, ReductionError,
-                          euler_lagrange, hessian, reduce_mod_el)
+                          _hessian_matrix, euler_lagrange, reduce_mod_el)
 
 # Most monomials one ansatz slot may hold: there are C(variables + degree,
 # degree), and a large degree would exhaust time or memory.
@@ -252,13 +252,10 @@ def hessian_relation_check(L: Lagrangian, g: Generator, integral: Expr) -> bool:
     -(eta_i - v_i tau) d2L/dv_i dv_j for every j.
     """
     space = L.space
-    if L.order != 1 or not space.is_ode:
-        raise ValueError("hessian relation requires a first-order time-like "
-                         "Lagrangian")
     if g.dependence_order > 1:
         raise ValueError("hessian relation requires derivative dependence <= 1")
     qs = characteristics(L, g)
-    matrix = hessian(L).matrix
+    matrix = _hessian_matrix(L)   # raises unless L is first-order time-like
     for j in range(len(space.dependents)):
         rhs = Expr.zero()
         for q_i, row in zip(qs, matrix):

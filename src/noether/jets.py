@@ -240,9 +240,7 @@ def _prolong(g: Generator, dep_index: int, multi: Tuple[int, ...],
             xi_l = g.xi_of(x_l)
             if xi_l.is_zero:
                 continue
-            raised = list(lower_t)
-            raised[l] += 1
-            u_jl = space.jet(dep_index, tuple(raised))
+            u_jl = space.derivative(space.jet(dep_index, lower_t), l)
             result = result - Expr.variable(u_jl) * total_derivative(xi_l, x_j, space)
     memo[key] = result
     return result
@@ -276,8 +274,6 @@ def _characteristics(g: Generator, space: JetSpace) -> List[Expr]:
             xi_j = g.xi_of(x)
             if xi_j.is_zero:
                 continue
-            raised = [0] * len(space.independents)
-            raised[j] = 1
-            q = q - xi_j * Expr.variable(space.jet(i, tuple(raised)))
+            q = q - xi_j * Expr.variable(space.derivative(dep, j))
         out.append(q)
     return out

@@ -165,15 +165,20 @@ class HessianReport:
 
 def hessian(L: Lagrangian) -> HessianReport:
     """The velocity Hessian; only defined for first-order time-like problems."""
+    matrix = _hessian_matrix(L)
+    return HessianReport(matrix=matrix, determinant=_det(matrix))
+
+
+def _hessian_matrix(L: Lagrangian) -> List[List[Expr]]:
+    """``hessian(L).matrix`` without the determinant, which costs n!."""
     space = L.space
     if L.order != 1 or not space.is_ode:
         raise ValueError("hessian requires a first-order Lagrangian in one "
                          "independent variable")
     vels = [space.jet(i, (1,)) for i in range(len(space.dependents))]
     first = {v: p for _, v, p in L.partials}
-    matrix = [[first.get(vi, Expr.zero()).partial(vj) for vj in vels]
-              for vi in vels]
-    return HessianReport(matrix=matrix, determinant=_det(matrix))
+    return [[first.get(vi, Expr.zero()).partial(vj) for vj in vels]
+            for vi in vels]
 
 
 def _det(matrix: List[List[Expr]]) -> Expr:

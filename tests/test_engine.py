@@ -454,6 +454,14 @@ def test_hessian_relation_blind_to_velocity_free_shift(free_particle, ode):
     assert hessian_relation_check(free_particle, g, integral)
 
 
+def test_hessian_relation_domain(chain, free_particle, ode):
+    with pytest.raises(ValueError, match="first-order"):
+        hessian_relation_check(chain, gen(ode, xi={"x": "1"}), Expr.zero())
+    with pytest.raises(ValueError, match="derivative dependence"):
+        hessian_relation_check(free_particle, gen(ode, eta={"y": "y''"}),
+                               Expr.zero())
+
+
 def test_hessian_relation_planar(planar):
     sols = solve_noether(planar, Ansatz())
     for sol in sols:
