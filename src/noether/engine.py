@@ -273,9 +273,11 @@ def _monomials_upto(space: JetSpace, jet_order: int, degree: int,
     """All monomials of total degree <= degree, ascending, over the
     independents and the jets up to ``jet_order``.
 
-    Raises ValueError, before building any, when there would be more than
-    ``MAX_SLOT_MONOMIALS``.
+    Raises ValueError, before building any, for a negative degree or when
+    there would be more than ``MAX_SLOT_MONOMIALS``.
     """
+    if degree < 0:
+        raise ValueError(f"ansatz degree {degree} must be non-negative")
     vars = list(space.independents) + space.jet_vars(max_order=jet_order)
     count = math.comb(len(vars) + degree, degree) - (not include_constant)
     if count > MAX_SLOT_MONOMIALS:

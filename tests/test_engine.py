@@ -116,6 +116,8 @@ def test_ansatz_beyond_the_slot_bound_is_refused(free_particle, ode):
         determining_system(free_particle, Ansatz(coeff_degree=140))
     with pytest.raises(ValueError, match="ansatz degree 200 over 2"):
         find_gauge(free_particle, gen(ode, eta={"y": "1"}), degree=200)
+    with pytest.raises(ValueError, match="degree -1 must be non-negative"):
+        find_gauge(free_particle, gen(ode, eta={"y": "1"}), degree=-1)
 
 
 def test_solver_output_is_deterministic(free_particle):
