@@ -1,11 +1,9 @@
 """Command-line interface: output modes, determinism, exit codes."""
 
 import concurrent.futures
-import contextlib
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +12,8 @@ import pytest
 
 from noether import JetSpace, parse
 from noether.cli import build_parser, exit_code, main, render, run_file
+
+from util import deadline
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -164,23 +164,9 @@ def test_gauge_jet_order_beyond_headroom_exits_2(tmp_path, capsys):
     assert "derivative order 5 exceeds working order 4" in out
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the block after ``seconds`` instead of hanging."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_huge_degree_flag_exits_2_before_building(capsys):
     # C(100002, 2) monomials per slot: refused before any is built.
-    with _deadline(2):
+    with deadline(2):
         code, out = run(capsys, "symmetries", FREE, "--degree", "100000")
     assert code == 2
     assert "ansatz degree 100000" in out and "bound is 10000" in out
@@ -193,7 +179,7 @@ def test_huge_gauge_degree_in_verify_exits_2_before_building(tmp_path,
                    "lagrangian = 1/2*y'^2\norder = 1\n\n"
                    "[ansatz]\ngauge_degree = 100000\n\n"
                    "[generators]\nG1 = eta: 1\n")
-    with _deadline(2):
+    with deadline(2):
         code, out = run(capsys, "verify", str(bad))
     assert code == 2
     assert "ansatz degree 100000" in out

@@ -1,11 +1,14 @@
 """Euler-Lagrange synthesis, Hessian analysis, on-shell reduction."""
 
+import random
+
 import pytest
 
 from noether import (Expr, JetSpace, Lagrangian, ReductionError, euler_lagrange,
                      hessian, parse, reduce_mod_el, total_derivative)
 
-from util import rand_nonzero_expr
+from util import (SEED, deadline, rand_expr, rand_nonzero_expr,
+                  reference_det)
 
 
 def test_el_free_particle(free_particle, ode):
@@ -123,3 +126,38 @@ def test_lagrangian_validation(ode):
         Lagrangian(ode, 1, Expr.zero())
     with pytest.raises(ValueError):
         Lagrangian(ode, 1, parse("y''", ode))
+
+
+def _chain(n):
+    """sum 1/2*q_k'^2 + sum q_k'*q_(k+1)': a tridiagonal velocity Hessian."""
+    names = [f"q{k}" for k in range(n)]
+    s = JetSpace(["t"], names, max_order=2)
+    body = " + ".join([f"1/2*{q}'^2" for q in names]
+                      + [f"{a}'*{b}'" for a, b in zip(names, names[1:])])
+    return Lagrangian(s, 1, parse(body, s))
+
+
+def test_hessian_determinant_is_not_factorial():
+    # Cofactor expansion without shared minors takes 10! products here.
+    # The tridiagonal determinant obeys D_n = D_(n-1) - D_(n-2): D_10 = -1.
+    with deadline(5):
+        rep = hessian(_chain(10))
+    assert rep.determinant == Expr.constant(-1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hessian_determinant_matches_cofactor_oracle(n):
+    rng = random.Random(SEED + n)
+    names = [f"q{k}" for k in range(n)]
+    s = JetSpace(["t"], names, max_order=2)
+    qs = list(s.dependents)
+    vels = [s.lookup(f"{q}'") for q in names]
+    body = Expr.zero()
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.8:
+                coeff = rand_expr(rng, qs, max_terms=2, max_degree=1)
+                body = body + coeff * Expr.variable(vels[i]) \
+                    * Expr.variable(vels[j])
+    rep = hessian(Lagrangian(s, 1, body + Expr.variable(vels[0]) ** 2))
+    assert rep.determinant == reference_det(rep.matrix)

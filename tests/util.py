@@ -3,21 +3,38 @@
 The oracles here deliberately avoid the code paths they cross-check: the
 closed-form prolongation uses the explicit binomial sum, the first-integral
 oracle expands the textbook double sum directly, on-shell checks
-substitute solved derivatives by hand instead of calling the reducer, and
+substitute solved derivatives by hand instead of calling the reducer, the
+determinant expands every cofactor afresh instead of sharing minors, and
 the reference integrator and drift run RK4 over dict environments with a
 direct monomial loop instead of the generated code.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+import signal
 from fractions import Fraction
 
 from noether import Expr, Generator, JetSpace, total_derivative
 from noether.numeric import state_variables
 
 SEED = 42
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds`` instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rand_expr(rng: random.Random, vars, max_terms=4, max_degree=3,
@@ -117,6 +134,19 @@ def on_shell_zero(expr: Expr, space: JetSpace, solved: dict, depth=6) -> bool:
             return expr.is_zero
         expr = expr.substitute(bindings)
     return expr.is_zero
+
+
+def reference_det(matrix) -> Expr:
+    """Determinant by plain cofactor expansion along the first row, every
+    minor expanded afresh (n! products)."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = Expr.zero()
+    for j in range(len(matrix)):
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        term = matrix[0][j] * reference_det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
 
 
 def reference_value(e: Expr, env) -> float:
