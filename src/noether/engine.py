@@ -412,12 +412,11 @@ def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
 def solve(ds: DeterminingSystem) -> List[Dict[VarId, Rational]]:
     """Nullspace basis of the determining system as parameter assignments.
 
-    Deterministic given the unknown ordering; each basis vector is
-    normalized so its first nonzero entry is 1.
+    Deterministic given the unknown ordering; each assignment lists its
+    unknowns in column order and is normalized so its first value is 1.
     """
     basis = nullspace(ds.rows, len(ds.unknowns))
-    return [{c: v for c, v in zip(ds.unknowns, vec) if v}
-            for vec in basis]
+    return [{ds.unknowns[c]: v for c, v in vec.items()} for vec in basis]
 
 
 def materialize(L: Lagrangian, ds: DeterminingSystem,

@@ -60,26 +60,27 @@ def rref(rows: List[Row], limit: Optional[int] = None,
     return pivots
 
 
-def nullspace(rows: List[Row], n_cols: int) -> List[List[Rational]]:
+def nullspace(rows: List[Row], n_cols: int) -> List[Row]:
     """Basis of the solution space of the homogeneous system.
 
-    One vector per free column, in ascending column order; each vector is
-    normalized so its first nonzero entry is 1.
+    One sparse vector per free column, in ascending column order, each
+    with its entries in ascending column order and normalized so that its
+    first entry is 1.
     """
     pivots = rref(rows)
     basis = []
     for free in range(n_cols):
         if free in pivots:
             continue
-        vec = [0] * n_cols
-        vec[free] = 1
+        vec = {free: 1}
         for pcol, prow in pivots.items():
             val = prow.get(free)
             if val:
                 vec[pcol] = -val
-        first = next(v for v in vec if v)
+        vec = dict(sorted(vec.items()))
+        first = next(iter(vec.values()))
         if first != 1:
-            vec = [rational_div(v, first) for v in vec]
+            vec = {c: rational_div(v, first) for c, v in vec.items()}
         basis.append(vec)
     return basis
 

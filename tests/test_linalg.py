@@ -112,13 +112,16 @@ def test_mixed_entries_match_fraction_reference():
         rows, rhs, n_cols, n_rhs = _random_system(rng, _mixed_entry)
         exact = [_as_fractions(row) for row in rows]
         basis = nullspace(rows, n_cols)
-        assert basis == reference_nullspace(exact, n_cols)
+        assert all(list(vec) == sorted(vec) and all(vec.values())
+                   for vec in basis)
+        assert ([[vec.get(c, 0) for c in range(n_cols)] for vec in basis]
+                == reference_nullspace(exact, n_cols))
         got = solve_affine_many(list(zip(rows, rhs)), n_cols, n_rhs)
         for k in range(n_rhs):
             single = [(row, Fraction(b.get(k, 0)))
                       for row, b in zip(exact, rhs)]
             assert got[k] == reference_solve_affine(single, n_cols)
-        entries = [v for vec in basis for v in vec]
+        entries = [v for vec in basis for v in vec.values()]
         entries += [v for sol in got if sol is not None for v in sol]
         entries += [v for prow in rref(rows).values() for v in prow.values()]
         assert all(is_canonical(v) for v in entries), entries
