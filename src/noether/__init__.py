@@ -16,7 +16,8 @@ from .engine import (Ansatz, ConservationLaw, DeterminingSystem,
                      match_generator, solve, solve_noether, verify,
                      verify_candidate)
 from .numeric import (CompiledExpr, NumericConfig, NumericReport, Trajectory,
-                      drift_report, integrate_el, seeded_initial_conditions)
+                      check_integrals, drift_report, integrate_el,
+                      seeded_initial_conditions)
 from .problem import Problem, ProblemError, load_problem
 
 __version__ = "0.1.0"
@@ -28,7 +29,7 @@ __all__ = [
     "NumericConfig", "NumericReport", "ParseError", "Problem", "ProblemError",
     "ReductionError", "Trajectory", "UnsupportedProblem",
     "VerificationReport", "boundary_terms", "characteristics",
-    "combine_solutions", "condition_residual",
+    "check_integrals", "combine_solutions", "condition_residual",
     "conservation_vector", "determining_system", "drift_report",
     "euler_lagrange", "evolutionary_form", "find_gauge", "find_gauges",
     "first_integral", "hessian", "hessian_relation_check", "integrate_el",

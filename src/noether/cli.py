@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from .engine import (Ansatz, UnsupportedProblem, _solution, find_gauges,
                      solve_noether, verify)
 from .jets import Generator, HeadroomError
-from .numeric import (NumericConfig, drift_report, integrate_el,
+from .numeric import (NumericConfig, check_integrals,
                       seeded_initial_conditions)
 from .problem import Problem, ProblemError, load_problem
 from .variational import ELSystem, euler_lagrange
@@ -192,12 +192,11 @@ def _run_numcheck(problem: Problem, el: ELSystem, args, result: Dict) -> None:
                          "laws": [str(l.components[0]) for l in laws]}
     runs = []
     for ic in seeded_initial_conditions(el, cfg.seed):
-        traj = integrate_el(el, cfg, ic)
-        report = drift_report(laws, traj, cfg)
+        report = check_integrals(laws, el, cfg, ic)
         runs.append({"initial": {v.name: ic[v] for v in sorted(ic, key=lambda v: v.sort_index)},
                      "drifts": report.drifts,
                      "passes": report.passes,
-                     "truncated": traj.truncated})
+                     "truncated": report.truncated})
     result["numeric"]["runs"] = runs
 
 

@@ -6,12 +6,16 @@ first integral is evaluated along the trajectory; a conserved quantity must
 show only roundoff-level relative drift.  Flux vectors of field problems
 are not validated numerically -- their divergence check is exact already.
 
-Both loops run generated Python source, compiled once per distinct source
-with ``compile()``, working on tuples of floats instead of environments:
-``integrate_el`` builds one straight-line ``step(t, s0, ..., sn)`` that
-does all four RK4 stages, and ``drift_report`` builds one function per
-integral that walks the trajectory rows.  The source names only internal
-locals (``t``, ``h``, ``s0``, ``a0``, ``k1_0``, ``acc``, ...) and float
+The work runs in generated Python source, compiled once per distinct
+source with ``compile()``, on local floats instead of environments.  One
+generator writes the whole RK4 loop as a function ``run(steps, t, s0, ...,
+sn)``: each step does all four RK4 stages straight-line, tests the new row
+for finiteness, and folds it into each integral's running drift.
+``check_integrals`` runs it with the integrals and keeps no rows;
+``integrate_el`` runs it with no integrals and keeps every row in a
+``Trajectory``, and ``drift_report`` folds a kept trajectory's rows with the
+same per-row drift statements.  The source names only internal locals
+(``t``, ``s0``, ``a0``, ``k1_0``, ``acc``, ``first0``, ...) and float
 literals (``repr`` of floats); no user-supplied identifier reaches it.
 
 Operation-order rule: the generated code performs the floating-point
@@ -26,7 +30,9 @@ identical bit for bit.
   exact; ``x ** k`` is never rewritten as ``x * x``, which can round
   differently.
 - The stages are written ``s + 0.5 * h * k1``, ``t + 0.5 * h``,
-  ``s + h * k3`` and ``s + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)``.
+  ``s + h * k3`` and ``s + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)``, with
+  the step ``h`` as a float literal; the compiler folds ``0.5 * h`` and
+  ``h / 6.0`` into constants by the same float operation.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ from .expr import INDEPENDENT, Expr, VarId
 from .variational import ELSystem
 
 
-# Every RK4 row is kept, so the step count bounds time and memory: 10**6
-# rows of a small problem take seconds and a few hundred MB.
+# The step count bounds the time of a run, and the memory of
+# ``integrate_el``, which keeps every row: 10**6 rows of a small problem
+# take seconds and a few hundred MB.  ``check_integrals`` keeps none.
 MAX_STEPS = 10 ** 6
 
 
@@ -159,9 +166,13 @@ class Trajectory:
 
 @dataclass
 class NumericReport:
+    """Drift of each integral and whether it is within ``tolerance``;
+    ``truncated`` when the trajectory ended early."""
+
     drifts: List[float]
     passes: List[bool]
     tolerance: float
+    truncated: bool = False
 
     @property
     def all_pass(self) -> bool:
@@ -186,60 +197,17 @@ def state_variables(el: ELSystem) -> List[VarId]:
     return out
 
 
-def _step_function(t_var: VarId, states: List[VarId],
-                   slopes: List, h: float):
-    """Generated ``step(t, s0, ..., sn)``: all four RK4 stages, straight line.
+def _slopes(el: ELSystem, ic: Dict[VarId, float]):
+    """The independent variable, the state and its slopes, validated.
 
     ``slopes[j]`` gives the derivative of state j: the index of the state
-    it equals, or the solved form that computes it.  The function returns
-    the next row ``(t + h, s0', ..., sn')``.  Stage k's slopes are
-    ``k<k>_<j>``; the stage states are ``a<j>`` at the times ``tm`` (half
-    step) and ``tn`` (full step).
-    """
-    n = len(states)
-    lines = [f"h = {h!r}",
-             f"def step(t, {', '.join(f's{j}' for j in range(n))}):"]
-    stages = (("t", "s", None), ("tm", "a", "0.5 * h"),
-              ("tm", "a", "0.5 * h"), ("tn", "a", "h"))
-    for k, (time, prefix, inc) in enumerate(stages, start=1):
-        if k == 2:
-            lines.append("    tm = t + 0.5 * h")
-        if k == 4:
-            lines.append("    tn = t + h")
-        if inc is not None:
-            lines += [f"    a{j} = s{j} + {inc} * k{k - 1}_{j}"
-                      for j in range(n)]
-        names = {v: f"{prefix}{j}" for j, v in enumerate(states)}
-        names[t_var] = time
-        for j, slope in enumerate(slopes):
-            if isinstance(slope, int):
-                lines.append(f"    k{k}_{j} = {prefix}{slope}")
-            else:
-                lines += _sum(slope, names, "    ")
-                lines.append(f"    k{k}_{j} = acc")
-    new = [f"s{j} + h / 6.0 * (k1_{j} + 2 * k2_{j} + 2 * k3_{j} + k4_{j})"
-           for j in range(n)]
-    lines.append(f"    return (tn, {', '.join(new)})")
-    return _define("step", "\n".join(lines))
-
-
-def integrate_el(el: ELSystem, cfg: NumericConfig,
-                 ic: Dict[VarId, float]) -> Trajectory:
-    """Fixed-step RK4 trajectory of the first-order reduction.
-
-    The initial condition maps every state variable to a float; the
-    independent variable starts at zero.  One generated ``step`` function
-    does each step on positional floats, with the operation order of the
-    module docstring.  An ``OverflowError`` or ``ValueError`` inside a step,
-    or a non-finite value anywhere in the new row, truncates the
-    trajectory.
+    it equals, or the solved form that computes it.
     """
     space = el.space
     states = state_variables(el)
     missing = [v.name for v in states if v not in ic]
     if missing:
         raise ValueError(f"initial condition missing {', '.join(missing)}")
-    t_var = space.independents[0]
     index = {v: j for j, v in enumerate(states)}
     slopes: List = [None] * len(states)
     for i, dep in enumerate(space.dependents):
@@ -256,75 +224,210 @@ def integrate_el(el: ELSystem, cfg: NumericConfig,
     for j, v in enumerate(states):
         if slopes[j] is None:
             slopes[j] = index[space.jet(v.dep_index, (v.order + 1,))]
-    step = _step_function(t_var, states, slopes, cfg.step)
+    return space.independents[0], states, slopes
 
-    row = (0.0, *(float(ic[v]) for v in states))
-    rows = [row]
+
+def _integral(law) -> Expr:
+    """The first integral of a law, or a bare expression itself."""
+    return law.components[0] if hasattr(law, "components") else law
+
+
+def _drift_lines(integrals: Sequence[Expr], names: Dict[VarId, str],
+                 indent: str, first_row: bool) -> List[str]:
+    """Statements that fold one row into each integral's ``first<i>`` and
+    ``worst<i>``.
+
+    On the first row they set ``first<i>`` to the value and ``worst<i>``
+    to ``|value - first<i>|``; on every later row ``worst<i>`` is replaced
+    where the row's deviation is greater, like ``max()``, so a NaN
+    deviation is skipped.  An ``OverflowError`` sets ``worst<i>`` to
+    ``inf`` for that integral alone, and it stays there: no deviation
+    compares greater than ``inf``.
+    """
+    inner = indent + "    "
+    lines = []
+    for i, e in enumerate(integrals):
+        lines.append(f"{indent}try:")
+        lines += _sum(e, names, inner)
+        if first_row:
+            lines += [f"{inner}first{i} = acc",
+                      f"{inner}worst{i} = abs(acc - first{i})",
+                      f"{indent}except OverflowError:",
+                      f"{inner}first{i} = 0.0"]
+        else:
+            lines += [f"{inner}d = abs(acc - first{i})",
+                      f"{inner}if d > worst{i}:",
+                      f"{inner}    worst{i} = d",
+                      f"{indent}except OverflowError:"]
+        lines.append(f"{inner}worst{i} = inf")
+    return lines
+
+
+def _drift_pairs(integrals: Sequence[Expr]) -> str:
+    return "(" + "".join(f"(first{i}, worst{i}), "
+                         for i in range(len(integrals))) + ")"
+
+
+_RUN = """\
+inf = float('inf')
+def run(steps, {row}):
+    rows = {rows}
+{first}
     truncated = False
-    for _ in range(round(cfg.horizon / cfg.step)):
+    for _ in range(steps):
         try:
-            row = step(*row)
+{stages}
         except (OverflowError, ValueError):
             truncated = True
             break
-        if not all(map(math.isfinite, row)):
+        t = tn
+{combine}
+        if {not_finite}:
             truncated = True
             break
-        rows.append(row)
-    return Trajectory(variables=(t_var, *states), rows=rows,
-                      truncated=truncated)
+{append}{fold}
+    return truncated, rows, {pairs}"""
 
 
-def _drift_function(e: Expr, variables: Sequence[VarId]):
-    """Generated ``drift(rows)`` returning ``(first, worst)``.
+def _run_function(t_var: VarId, states: List[VarId], slopes: List,
+                  h: float, integrals: Sequence[Expr], keep_rows: bool):
+    """Generated ``run(steps, t, s0, ..., sn)``: the whole RK4 loop.
 
-    ``first`` is the value of ``e`` on row 0 and ``worst`` the largest
-    ``|value - first|`` over all rows.  Like ``max()``, ``worst`` starts
-    from row 0 and is replaced only where a later row's deviation is
-    greater.
+    Each step does all four RK4 stages straight-line on locals: stage k's
+    slopes are ``k<k>_<j>``, its states ``a<j>`` at the times ``tm`` (half
+    step) and ``tn`` (full step).  A row whose entries are all finite is
+    accepted: it is appended to ``rows`` when ``keep_rows`` is set, and
+    folded into each integral's drift (``_drift_lines``).  The function
+    returns ``(truncated, rows or None, ((first, worst), ...))``.
     """
+    n = len(states)
+    entries = ["t", *(f"s{j}" for j in range(n))]
+    row = ", ".join(entries)
+    names = {t_var: "t", **_positional(states)}
+    step = repr(h)
+    indent = " " * 12
+    stages = []
+    for k, (time, prefix, inc) in enumerate(
+            (("t", "s", None), ("tm", "a", f"0.5 * {step}"),
+             ("tm", "a", f"0.5 * {step}"), ("tn", "a", step)), start=1):
+        if k == 2:
+            stages.append(f"{indent}tm = t + 0.5 * {step}")
+        if k == 4:
+            stages.append(f"{indent}tn = t + {step}")
+        if inc is not None:
+            stages += [f"{indent}a{j} = s{j} + {inc} * k{k - 1}_{j}"
+                       for j in range(n)]
+        stage = {v: f"{prefix}{j}" for j, v in enumerate(states)}
+        stage[t_var] = time
+        for j, slope in enumerate(slopes):
+            if isinstance(slope, int):
+                stages.append(f"{indent}k{k}_{j} = {prefix}{slope}")
+            else:
+                stages += _sum(slope, stage, indent)
+                stages.append(f"{indent}k{k}_{j} = acc")
+    combine = [f"        s{j} = s{j} + {step} / 6.0 * "
+               f"(k1_{j} + 2 * k2_{j} + 2 * k3_{j} + k4_{j})"
+               for j in range(n)]
+    return _define("run", _RUN.format(
+        row=row, rows=f"[({row})]" if keep_rows else "None",
+        first="\n".join(_drift_lines(integrals, names, "    ", True)),
+        stages="\n".join(stages), combine="\n".join(combine),
+        # x - x is 0.0 for a finite x and NaN otherwise, so the sum is
+        # truthy exactly when some entry of the new row is not finite.
+        not_finite=" + ".join(f"({x} - {x})" for x in entries),
+        append=f"        rows.append(({row}))\n" if keep_rows else "",
+        fold="\n".join(_drift_lines(integrals, names, "        ", False)),
+        pairs=_drift_pairs(integrals)))
+
+
+def _run(el: ELSystem, cfg: NumericConfig, ic: Dict[VarId, float],
+         integrals: Sequence[Expr], keep_rows: bool):
+    """Validate, then run the generated loop from ``ic`` at t = 0:
+    ``(row variables, truncated, rows or None, ((first, worst), ...))``."""
+    t_var, states, slopes = _slopes(el, ic)
+    run = _run_function(t_var, states, slopes, cfg.step, integrals,
+                        keep_rows)
+    return ((t_var, *states),
+            *run(round(cfg.horizon / cfg.step), 0.0,
+                 *(float(ic[v]) for v in states)))
+
+
+def integrate_el(el: ELSystem, cfg: NumericConfig,
+                 ic: Dict[VarId, float]) -> Trajectory:
+    """Fixed-step RK4 trajectory of the first-order reduction.
+
+    The initial condition maps every state variable to a float; the
+    independent variable starts at zero.  One generated loop does every
+    step on positional floats, with the operation order of the module
+    docstring, and keeps each row.  An ``OverflowError`` or ``ValueError``
+    inside a step, or a non-finite value anywhere in the new row,
+    truncates the trajectory.
+    """
+    variables, truncated, rows, _ = _run(el, cfg, ic, (), True)
+    return Trajectory(variables=variables, rows=rows, truncated=truncated)
+
+
+def _report(pairs, cfg: NumericConfig, truncated: bool) -> NumericReport:
+    """The report of each integral's ``(first, worst)``: drift
+    ``worst / max(1, |first|)``, and inf where that is not finite."""
+    drifts = []
+    for first, worst in pairs:
+        drift = worst / max(1.0, abs(first))
+        drifts.append(drift if math.isfinite(drift) else math.inf)
+    return NumericReport(drifts=drifts,
+                         passes=[d <= cfg.tolerance for d in drifts],
+                         tolerance=cfg.tolerance, truncated=truncated)
+
+
+def check_integrals(laws: Sequence, el: ELSystem, cfg: NumericConfig,
+                    ic: Dict[VarId, float]) -> NumericReport:
+    """Integrate from ``ic`` and measure each integral's drift on the way.
+
+    The same RK4 loop as ``integrate_el`` and the same drift as
+    ``drift_report``, bit for bit, in one generated function that keeps
+    no rows: memory does not grow with the step count.  ``truncated`` on
+    the report is the trajectory's.
+    """
+    _, truncated, _, pairs = _run(el, cfg, ic, [_integral(l) for l in laws],
+                                  False)
+    return _report(pairs, cfg, truncated)
+
+
+_DRIFT = """\
+inf = float('inf')
+def drift(rows):
+    it = iter(rows)
+    {row} = next(it)
+{first}
+    for {row} in it:
+{fold}
+    return {pairs}"""
+
+
+def _drift_function(integrals: Sequence[Expr], variables: Sequence[VarId]):
+    """Generated ``drift(rows)`` returning ``((first, worst), ...)``, one
+    pair per integral, folded row by row as ``_drift_lines`` does."""
     names = _positional(variables)
-    row = ", ".join(names.values()) + ","
-    return _define("drift", "\n".join([
-        "def drift(rows):",
-        "    it = iter(rows)",
-        f"    {row} = next(it)",
-        *_sum(e, names, "    "),
-        "    first = acc",
-        "    worst = abs(acc - first)",
-        f"    for {row} in it:",
-        *_sum(e, names, "        "),
-        "        d = abs(acc - first)",
-        "        if d > worst:",
-        "            worst = d",
-        "    return first, worst"]))
+    return _define("drift", _DRIFT.format(
+        row=", ".join(names.values()) + ",",
+        first="\n".join(_drift_lines(integrals, names, "    ", True)),
+        fold="\n".join(_drift_lines(integrals, names, "        ", False)),
+        pairs=_drift_pairs(integrals)))
 
 
 def drift_report(laws: Sequence, traj: Trajectory,
                  cfg: NumericConfig) -> NumericReport:
-    """Relative drift of each integral along the trajectory.
+    """Relative drift of each integral along a kept trajectory.
 
     drift = max |I(t) - I(0)| / max(1, |I(0)|), evaluated at every row by
-    one generated function per integral, with the operation order of the
-    module docstring.  An integral whose value overflows on the trajectory
-    has infinite drift, and so fails.
+    one generated function, with the operation order of the module
+    docstring.  An integral whose value overflows on the trajectory has
+    infinite drift, and so fails.
     """
-    drifts = []
-    passes = []
-    for law in laws:
-        integral = law.components[0] if hasattr(law, "components") else law
-        fn = _drift_function(integral, traj.variables)
-        try:
-            first, worst = fn(traj.rows)
-            drift = worst / max(1.0, abs(first))
-        except OverflowError:
-            drift = math.inf
-        if not math.isfinite(drift):
-            drift = math.inf
-        drifts.append(drift)
-        passes.append(drift <= cfg.tolerance)
-    return NumericReport(drifts=drifts, passes=passes,
-                         tolerance=cfg.tolerance)
+    integrals = [_integral(l) for l in laws]
+    pairs = (_drift_function(integrals, traj.variables)(traj.rows)
+             if integrals else ())
+    return _report(pairs, cfg, traj.truncated)
 
 
 def seeded_initial_conditions(el: ELSystem, seed: int,

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from noether import (Ansatz, CompiledExpr, ConservationLaw, Expr, JetSpace,
-                     Lagrangian, NumericConfig, Trajectory, drift_report,
-                     euler_lagrange, integrate_el, load_problem, parse,
-                     seeded_initial_conditions, solve_noether)
+                     Lagrangian, NumericConfig, Trajectory, check_integrals,
+                     drift_report, euler_lagrange, integrate_el, load_problem,
+                     parse, seeded_initial_conditions, solve_noether)
 from noether.numeric import MAX_STEPS
 
 from util import (SEED, rand_expr, rand_nonzero_expr, reference_drift,
@@ -61,7 +61,7 @@ def test_config_rejects_overflowing_step_count():
 
 
 def test_config_rejects_too_many_steps():
-    # Every row is kept, so the step count bounds time and memory.
+    # The step count bounds time, and integrate_el's memory.
     with pytest.raises(ValueError, match="horizon / step"):
         NumericConfig(step=1e-9)
     assert NumericConfig(step=10.0 / MAX_STEPS).step == 1e-5
@@ -167,14 +167,21 @@ def test_integration_requires_solved_forms():
 
 
 def _assert_matches_reference(el, cfg, ic, integrals):
-    """Generated RK4 rows and drifts equal the dict-based reference's."""
+    """Generated RK4 rows and drifts equal the dict-based reference's, both
+    along a kept trajectory and from the loop that keeps no rows."""
     traj = integrate_el(el, cfg, ic)
     samples, truncated = reference_integrate(el, cfg, ic)
     assert traj.truncated == truncated
     assert traj.rows == [tuple(env[v] for v in traj.variables)
                          for env in samples]
+    drifts = [reference_drift(e, samples) for e in integrals]
     report = drift_report(integrals, traj, cfg)
-    assert report.drifts == [reference_drift(e, samples) for e in integrals]
+    assert report.drifts == drifts
+    assert report.truncated == truncated
+    fused = check_integrals(integrals, el, cfg, ic)
+    assert fused.drifts == drifts
+    assert fused.passes == report.passes
+    assert fused.truncated == truncated
     return traj
 
 
@@ -221,6 +228,18 @@ def test_blowup_truncates_like_reference():
     assert traj.truncated
 
 
+def test_infinite_row_truncates_like_reference():
+    """q'' = 10**6 q grows by products alone, which reach inf without
+    raising: the finiteness test, not an exception, ends the run."""
+    s = JetSpace(["t"], ["q"], max_order=4)
+    el = euler_lagrange(Lagrangian(s, 1, parse("1/2*q'^2 + 500000*q^2", s)))
+    ic = {s.dependents[0]: 1.0, s.lookup("q'"): 0.0}
+    traj = _assert_matches_reference(el, NumericConfig(), ic,
+                                     [parse("q", s), parse("q'", s)])
+    assert traj.truncated
+    assert len(traj.rows) < 10001
+
+
 def test_overflowing_integral_drift_matches_reference():
     s = JetSpace(["t"], ["y"], max_order=4)
     el = euler_lagrange(Lagrangian(s, 1, parse("1/2*y'^2 + y^3", s)))
@@ -259,8 +278,8 @@ def test_large_law_compiles_and_evaluates():
 
 
 def test_numcheck_compiles_each_source_once(monkeypatch, capsys):
-    """free_particle has one step function and five integrals: 6 distinct
-    sources, which the five initial conditions share."""
+    """free_particle's five integrals and its RK4 step make one generated
+    loop: 1 distinct source, which the five initial conditions share."""
     import builtins
 
     from noether import numeric
@@ -276,7 +295,7 @@ def test_numcheck_compiles_each_source_once(monkeypatch, capsys):
     monkeypatch.setattr(numeric, "compile", counting_compile, raising=False)
     assert main(["numcheck", str(PROBLEMS / "free_particle.prob")]) == 0
     capsys.readouterr()
-    assert len(sources) == len(set(sources)) == 6
+    assert len(sources) == len(set(sources)) == 1
 
 
 def test_step_size_is_part_of_the_compiled_source():
@@ -288,3 +307,41 @@ def test_step_size_is_part_of_the_compiled_source():
         cfg = NumericConfig(step=h, horizon=20 * h)
         traj = _assert_matches_reference(el, cfg, ic, [])
         assert traj.rows[1][0] == h
+
+
+@pytest.mark.parametrize("y0", [1e200, 1.3e154], ids=["row0", "later"])
+def test_overflow_gives_that_law_alone_infinite_drift(y0, free_particle, ode):
+    """y^2 overflows on row 0 (y = 1e200) or only once y has grown past
+    about 1.34e154; the other law keeps its finite drift."""
+    el = euler_lagrange(free_particle)
+    cfg = NumericConfig()
+    ic = {ode.dependents[0]: y0, ode.lookup("y'"): 1e152}
+    laws = [parse("y^2", ode), parse("y'", ode)]
+    _assert_matches_reference(el, cfg, ic, laws)
+    report = check_integrals(laws, el, cfg, ic)
+    assert report.drifts == [math.inf, 0.0]
+    assert report.passes == [False, True]
+    assert not report.truncated
+
+
+def test_check_memory_does_not_grow_with_steps(free_particle, ode):
+    """check_integrals keeps no rows: its peak allocation at 10**5 steps is
+    that at 10**4 steps, where kept rows would add megabytes."""
+    import tracemalloc
+
+    el = euler_lagrange(free_particle)
+    laws = [parse("y - x*y'", ode), parse("y'", ode)]
+    ic = {ode.dependents[0]: 0.3, ode.lookup("y'"): 0.7}
+    configs = [NumericConfig(step=1e-3), NumericConfig(step=1e-4)]
+    for cfg in configs:   # compile both loops before measuring
+        check_integrals(laws, el, cfg, ic)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for cfg in configs:
+            tracemalloc.reset_peak()
+            check_integrals(laws, el, cfg, ic)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 16 * 1024, peaks
