@@ -15,7 +15,7 @@ from .engine import (Ansatz, ConservationLaw, DeterminingSystem,
                      find_gauges, first_integral, hessian_relation_check,
                      match_generator, solve, solve_noether, verify,
                      verify_candidate)
-from .numeric import (CompiledExpr, NumericConfig, NumericReport, Trajectory,
+from .numeric import (NumericConfig, NumericReport, Trajectory,
                       check_integrals, drift_report, integrate_el,
                       seeded_initial_conditions)
 from .problem import Problem, ProblemError, load_problem
@@ -23,7 +23,7 @@ from .problem import Problem, ProblemError, load_problem
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ansatz", "CompiledExpr", "ConservationLaw", "DeterminingSystem",
+    "Ansatz", "ConservationLaw", "DeterminingSystem",
     "ELSystem", "Expr", "Generator", "HeadroomError", "HessianReport",
     "JetSpace", "Lagrangian", "NoetherSolution", "NonSymmetryError",
     "NumericConfig", "NumericReport", "ParseError", "Problem", "ProblemError",

@@ -58,8 +58,10 @@ class Ansatz:
     suppress_xi: bool = False
 
     def __post_init__(self):
-        if self.coeff_degree < 0 or self.gauge_degree < 0:
-            raise ValueError("ansatz degrees must be non-negative")
+        if self.coeff_degree < 0:
+            raise ValueError("ansatz degree must be non-negative")
+        if self.gauge_degree < 0:
+            raise ValueError("gauge degree must be non-negative")
         if self.coeff_jet_order < 0:
             raise ValueError("ansatz jet order must be non-negative")
         if self.gauge_jet_order is not None and self.gauge_jet_order < 0:

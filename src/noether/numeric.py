@@ -8,15 +8,17 @@ are not validated numerically -- their divergence check is exact already.
 
 The work runs in generated Python source, compiled once per distinct
 source with ``compile()``, on local floats instead of environments.  One
-generator writes the whole RK4 loop as a function ``run(steps, t, s0, ...,
-sn)``: each step does all four RK4 stages straight-line, tests the new row
-for finiteness, and folds it into each integral's running drift.
-``check_integrals`` runs it with the integrals and keeps no rows;
-``integrate_el`` runs it with no integrals and keeps every row in a
-``Trajectory``, and ``drift_report`` folds a kept trajectory's rows with the
-same per-row drift statements.  The source names only internal locals
-(``t``, ``s0``, ``a0``, ``k1_0``, ``acc``, ``first0``, ...) and float
-literals (``repr`` of floats); no user-supplied identifier reaches it.
+generator writes one function ``run(source, t, s0, ..., sn)``: its
+arguments are the first row, each item of ``source`` yields the next row,
+and each row is folded into each integral's running drift.  Callers differ
+only in where the rows come from.  ``check_integrals`` and
+``integrate_el`` pass ``range(steps)`` and the RK4 step: all four stages
+straight-line, then a finiteness test of the new row.  ``check_integrals``
+keeps no rows; ``integrate_el`` has no integrals and keeps every row in a
+``Trajectory``.  ``drift_report`` passes a kept trajectory's rows after the
+first.  The source names only internal locals (``t``, ``s0``, ``a0``,
+``k1_0``, ``acc``, ``first0``, ...) and float literals (``repr`` of
+floats); no user-supplied identifier reaches it.
 
 Operation-order rule: the generated code performs the floating-point
 operations of a direct evaluation in the same order, so its results are
@@ -109,38 +111,12 @@ def _sum(e: Expr, names: Dict[VarId, str], indent: str) -> List[str]:
     return lines
 
 
-def _positional(variables: Sequence[VarId]) -> Dict[VarId, str]:
-    """Internal argument names ``s0, s1, ...``, one per position."""
-    return {v: f"s{j}" for j, v in enumerate(variables)}
-
-
 @functools.lru_cache(maxsize=128)
-def _define(name: str, source: str):
-    """The function that generated source defines, compiled once."""
+def _define(source: str):
+    """The ``run`` function that generated source defines, compiled once."""
     namespace: Dict = {}
-    exec(compile(source, f"<noether.numeric.{name}>", "exec"), namespace)
-    return namespace[name]
-
-
-class CompiledExpr:
-    """Float evaluator of one expression over an environment.
-
-    It runs the code the integrator and the drift report generate (see the
-    module docstring), wrapped in one function of the expression's
-    variables.
-    """
-
-    def __init__(self, e: Expr):
-        self.variables = tuple(sorted(e.variables(),
-                                      key=lambda v: v.sort_index))
-        names = _positional(self.variables)
-        self._fn = _define("value", "\n".join([
-            f"def value({', '.join(names.values())}):",
-            *_sum(e, names, "    "),
-            "    return acc"]))
-
-    def __call__(self, env: Dict[VarId, float]) -> float:
-        return self._fn(*[env[v] for v in self.variables])
+    exec(compile(source, "<noether.numeric.run>", "exec"), namespace)
+    return namespace["run"]
 
 
 @dataclass
@@ -179,22 +155,31 @@ class NumericReport:
         return all(self.passes)
 
 
-def state_variables(el: ELSystem) -> List[VarId]:
-    """The first-order state: derivatives 0..order-1 of each dependent."""
+def _tops(el: ELSystem) -> List[VarId]:
+    """Each dependent's highest solved derivative, in dependent order."""
     space = el.space
     if not space.is_ode:
         raise ValueError("numeric integration supports time-like problems only")
     if not el.reducible:
         raise ValueError("explicit solved forms are required for integration")
-    out: List[VarId] = []
+    tops = []
     for i, dep in enumerate(space.dependents):
-        top = max((h.order for h in el.solved_forms if h.dep_index == i),
-                  default=0)
-        if top == 0:
+        top = max((h for h in el.solved_forms if h.dep_index == i),
+                  key=lambda h: h.order, default=None)
+        if top is None:
             raise ValueError(f"no solved equation for {dep.name!r}")
-        for k in range(top):
-            out.append(space.jet(i, (k,)))
-    return out
+        tops.append(top)
+    return tops
+
+
+def _states(el: ELSystem, tops: Sequence[VarId]) -> List[VarId]:
+    return [el.space.jet(h.dep_index, (k,)) for h in tops
+            for k in range(h.order)]
+
+
+def state_variables(el: ELSystem) -> List[VarId]:
+    """The first-order state: derivatives 0..order-1 of each dependent."""
+    return _states(el, _tops(el))
 
 
 def _slopes(el: ELSystem, ic: Dict[VarId, float]):
@@ -204,15 +189,15 @@ def _slopes(el: ELSystem, ic: Dict[VarId, float]):
     it equals, or the solved form that computes it.
     """
     space = el.space
-    states = state_variables(el)
+    tops = _tops(el)
+    states = _states(el, tops)
     missing = [v.name for v in states if v not in ic]
     if missing:
         raise ValueError(f"initial condition missing {', '.join(missing)}")
     index = {v: j for j, v in enumerate(states)}
-    slopes: List = [None] * len(states)
-    for i, dep in enumerate(space.dependents):
-        h = max((v for v in el.solved_forms if v.dep_index == i),
-                key=lambda v: v.order)
+    slopes: List = [index.get(space.jet(v.dep_index, (v.order + 1,)))
+                    for v in states]
+    for h in tops:
         rhs = el.solved_forms[h]
         bad = [v for v in rhs.variables()
                if v not in index and v.kind != INDEPENDENT]
@@ -220,10 +205,7 @@ def _slopes(el: ELSystem, ic: Dict[VarId, float]):
             raise ValueError(
                 f"solved form for {h.name} references non-state variables: "
                 f"{', '.join(v.name for v in bad)}")
-        slopes[index[space.jet(i, (h.order - 1,))]] = rhs
-    for j, v in enumerate(states):
-        if slopes[j] is None:
-            slopes[j] = index[space.jet(v.dep_index, (v.order + 1,))]
+        slopes[index[space.jet(h.dep_index, (h.order - 1,))]] = rhs
     return space.independents[0], states, slopes
 
 
@@ -263,92 +245,100 @@ def _drift_lines(integrals: Sequence[Expr], names: Dict[VarId, str],
     return lines
 
 
-def _drift_pairs(integrals: Sequence[Expr]) -> str:
-    return "(" + "".join(f"(first{i}, worst{i}), "
-                         for i in range(len(integrals))) + ")"
-
-
 _RUN = """\
 inf = float('inf')
-def run(steps, {row}):
+def run(source, {row}):
     rows = {rows}
 {first}
     truncated = False
-    for _ in range(steps):
-        try:
-{stages}
-        except (OverflowError, ValueError):
-            truncated = True
-            break
-        t = tn
-{combine}
-        if {not_finite}:
-            truncated = True
-            break
-{append}{fold}
-    return truncated, rows, {pairs}"""
+    for {target} in source:
+{step}{append}{fold}
+    return truncated, rows, ({pairs})"""
 
 
-def _run_function(t_var: VarId, states: List[VarId], slopes: List,
-                  h: float, integrals: Sequence[Expr], keep_rows: bool):
-    """Generated ``run(steps, t, s0, ..., sn)``: the whole RK4 loop.
+def _rk4_lines(t_var: VarId, states: List[VarId], slopes: List,
+               h: float) -> List[str]:
+    """One RK4 step from the row ``t, s0, ..., sn`` to the next.
 
-    Each step does all four RK4 stages straight-line on locals: stage k's
-    slopes are ``k<k>_<j>``, its states ``a<j>`` at the times ``tm`` (half
-    step) and ``tn`` (full step).  A row whose entries are all finite is
-    accepted: it is appended to ``rows`` when ``keep_rows`` is set, and
-    folded into each integral's drift (``_drift_lines``).  The function
-    returns ``(truncated, rows or None, ((first, worst), ...))``.
+    All four stages run straight-line on locals: stage k's slopes are
+    ``k<k>_<j>``, its states ``a<j>`` at the times ``tm`` (half step) and
+    ``tn`` (full step).  An ``OverflowError`` or ``ValueError`` in a stage,
+    or a non-finite entry in the new row, ends the loop truncated.
     """
     n = len(states)
-    entries = ["t", *(f"s{j}" for j in range(n))]
-    row = ", ".join(entries)
-    names = {t_var: "t", **_positional(states)}
     step = repr(h)
     indent = " " * 12
-    stages = []
+    lines = ["        try:"]
     for k, (time, prefix, inc) in enumerate(
             (("t", "s", None), ("tm", "a", f"0.5 * {step}"),
              ("tm", "a", f"0.5 * {step}"), ("tn", "a", step)), start=1):
         if k == 2:
-            stages.append(f"{indent}tm = t + 0.5 * {step}")
+            lines.append(f"{indent}tm = t + 0.5 * {step}")
         if k == 4:
-            stages.append(f"{indent}tn = t + {step}")
+            lines.append(f"{indent}tn = t + {step}")
         if inc is not None:
-            stages += [f"{indent}a{j} = s{j} + {inc} * k{k - 1}_{j}"
-                       for j in range(n)]
+            lines += [f"{indent}a{j} = s{j} + {inc} * k{k - 1}_{j}"
+                      for j in range(n)]
         stage = {v: f"{prefix}{j}" for j, v in enumerate(states)}
         stage[t_var] = time
         for j, slope in enumerate(slopes):
             if isinstance(slope, int):
-                stages.append(f"{indent}k{k}_{j} = {prefix}{slope}")
+                lines.append(f"{indent}k{k}_{j} = {prefix}{slope}")
             else:
-                stages += _sum(slope, stage, indent)
-                stages.append(f"{indent}k{k}_{j} = acc")
-    combine = [f"        s{j} = s{j} + {step} / 6.0 * "
-               f"(k1_{j} + 2 * k2_{j} + 2 * k3_{j} + k4_{j})"
-               for j in range(n)]
-    return _define("run", _RUN.format(
+                lines += _sum(slope, stage, indent)
+                lines.append(f"{indent}k{k}_{j} = acc")
+    lines += ["        except (OverflowError, ValueError):",
+              "            truncated = True",
+              "            break",
+              "        t = tn"]
+    lines += [f"        s{j} = s{j} + {step} / 6.0 * "
+              f"(k1_{j} + 2 * k2_{j} + 2 * k3_{j} + k4_{j})"
+              for j in range(n)]
+    # x - x is 0.0 for a finite x and NaN otherwise, so the sum is truthy
+    # exactly when some entry of the new row is not finite.
+    entries = ["t", *(f"s{j}" for j in range(n))]
+    return lines + [
+        f"        if {' + '.join(f'({x} - {x})' for x in entries)}:",
+        "            truncated = True",
+        "            break"]
+
+
+def _run_function(variables: Sequence[VarId], integrals: Sequence[Expr],
+                  keep_rows: bool = False, step: Sequence[str] = ()):
+    """Generated ``run(source, t, s0, ..., sn)``, whose arguments are the
+    first row, one float per entry of ``variables``.
+
+    Each item of ``source`` yields the next row: with ``step`` (the lines
+    of ``_rk4_lines``) an item is one RK4 step from the current row, and
+    ``source`` is ``range(steps)``; without, an item is the row itself.
+    Each accepted row is appended to ``rows`` when ``keep_rows`` is set,
+    and folded into each integral's drift (``_drift_lines``).  The
+    function returns ``(truncated, rows or None, ((first, worst), ...))``.
+    """
+    entries = ["t", *(f"s{j}" for j in range(len(variables) - 1))]
+    row = ", ".join(entries)
+    names = dict(zip(variables, entries))
+    return _define(_RUN.format(
         row=row, rows=f"[({row})]" if keep_rows else "None",
         first="\n".join(_drift_lines(integrals, names, "    ", True)),
-        stages="\n".join(stages), combine="\n".join(combine),
-        # x - x is 0.0 for a finite x and NaN otherwise, so the sum is
-        # truthy exactly when some entry of the new row is not finite.
-        not_finite=" + ".join(f"({x} - {x})" for x in entries),
+        target="_" if step else row + ",",
+        step="".join(line + "\n" for line in step),
         append=f"        rows.append(({row}))\n" if keep_rows else "",
         fold="\n".join(_drift_lines(integrals, names, "        ", False)),
-        pairs=_drift_pairs(integrals)))
+        pairs="".join(f"(first{i}, worst{i}), "
+                      for i in range(len(integrals)))))
 
 
 def _run(el: ELSystem, cfg: NumericConfig, ic: Dict[VarId, float],
          integrals: Sequence[Expr], keep_rows: bool):
-    """Validate, then run the generated loop from ``ic`` at t = 0:
+    """Validate, then run the generated RK4 loop from ``ic`` at t = 0:
     ``(row variables, truncated, rows or None, ((first, worst), ...))``."""
     t_var, states, slopes = _slopes(el, ic)
-    run = _run_function(t_var, states, slopes, cfg.step, integrals,
-                        keep_rows)
-    return ((t_var, *states),
-            *run(round(cfg.horizon / cfg.step), 0.0,
+    variables = (t_var, *states)
+    run = _run_function(variables, integrals, keep_rows,
+                        _rk4_lines(t_var, states, slopes, cfg.step))
+    return (variables,
+            *run(range(round(cfg.horizon / cfg.step)), 0.0,
                  *(float(ic[v]) for v in states)))
 
 
@@ -393,40 +383,18 @@ def check_integrals(laws: Sequence, el: ELSystem, cfg: NumericConfig,
     return _report(pairs, cfg, truncated)
 
 
-_DRIFT = """\
-inf = float('inf')
-def drift(rows):
-    it = iter(rows)
-    {row} = next(it)
-{first}
-    for {row} in it:
-{fold}
-    return {pairs}"""
-
-
-def _drift_function(integrals: Sequence[Expr], variables: Sequence[VarId]):
-    """Generated ``drift(rows)`` returning ``((first, worst), ...)``, one
-    pair per integral, folded row by row as ``_drift_lines`` does."""
-    names = _positional(variables)
-    return _define("drift", _DRIFT.format(
-        row=", ".join(names.values()) + ",",
-        first="\n".join(_drift_lines(integrals, names, "    ", True)),
-        fold="\n".join(_drift_lines(integrals, names, "        ", False)),
-        pairs=_drift_pairs(integrals)))
-
-
 def drift_report(laws: Sequence, traj: Trajectory,
                  cfg: NumericConfig) -> NumericReport:
     """Relative drift of each integral along a kept trajectory.
 
     drift = max |I(t) - I(0)| / max(1, |I(0)|), evaluated at every row by
-    one generated function, with the operation order of the module
-    docstring.  An integral whose value overflows on the trajectory has
-    infinite drift, and so fails.
+    the generated loop fed the kept rows instead of RK4 steps, with the
+    operation order of the module docstring.  An integral whose value
+    overflows on the trajectory has infinite drift, and so fails.
     """
     integrals = [_integral(l) for l in laws]
-    pairs = (_drift_function(integrals, traj.variables)(traj.rows)
-             if integrals else ())
+    pairs = (_run_function(traj.variables, integrals)(
+        traj.rows[1:], *traj.rows[0])[2] if integrals else ())
     return _report(pairs, cfg, traj.truncated)
 
 

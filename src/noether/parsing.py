@@ -8,8 +8,10 @@ Grammar (whitespace insignificant)::
     base   := integer | name | '(' expr ')'
 
 Division is only legal by a (sub)expression that evaluates to a nonzero
-rational constant.  Parentheses nest at most ``MAX_NESTING`` deep.  Names
-resolve against a ``JetSpace``:
+rational constant.  Parentheses nest at most ``MAX_NESTING`` deep.  An
+integer, product or power whose expansion could have more than
+``MAX_TERMS`` terms or a coefficient of more than ``MAX_BITS`` bits is
+refused before it is expanded.  Names resolve against a ``JetSpace``:
 
 * registered names directly (independents, dependents, canonical jet names
   such as ``u_tx``);
@@ -35,6 +37,11 @@ _DOT_RE = re.compile(r"^(d*)dot$")
 
 # Each parenthesis level costs four Python frames of the descent.
 MAX_NESTING = 100
+# Expanding (y + t)^999, at the term bound, takes about a second: its
+# coefficients have up to a thousand bits.  A 4096-bit coefficient prints
+# in about 1233 digits, far inside what ``str`` converts (4300).
+MAX_TERMS = 1000
+MAX_BITS = 4096
 
 
 class ParseError(ValueError):
@@ -65,6 +72,43 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _power_terms(m: int, k: int) -> int:
+    """C(m - 1 + k, k), the most terms the k-th power of an m-term
+    polynomial can have, counted only until it passes ``MAX_TERMS``."""
+    count, r = 1, min(m - 1, k)
+    for i in range(1, r + 1):
+        count = count * (m - 1 + k - r + i) // i
+        if count > MAX_TERMS:
+            break
+    return count
+
+
+def _bits(e: Expr) -> int:
+    """Bit length of the largest numerator or denominator of ``e``, not
+    counting coefficients 1 and -1, whose powers stay that size."""
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for c in e.term_map().values() if abs(c) != 1), default=0)
+
+
+def _bounded(terms: int, bits: int, position: int) -> None:
+    if terms > MAX_TERMS:
+        raise ParseError(f"expansion could exceed {MAX_TERMS} terms", position)
+    if bits > MAX_BITS:
+        raise ParseError(f"expansion could exceed {MAX_BITS}-bit "
+                         f"coefficients", position)
+
+
+def _integer(digits: str, position: int) -> int:
+    try:   # int() refuses more than 4300 digits
+        value = int(digits)
+    except ValueError:
+        value = None
+    if value is None or value.bit_length() > MAX_BITS:
+        raise ParseError(f"integer of {len(digits)} digits exceeds "
+                         f"{MAX_BITS} bits", position)
+    return value
 
 
 def resolve_name(space: JetSpace, name: str, position: int = 0) -> VarId:
@@ -189,6 +233,8 @@ class _Parser:
                 self.take()
                 nxt = self.factor()
                 if value == "*":
+                    _bounded(len(total) * len(nxt),
+                             _bits(total) + _bits(nxt), pos)
                     total = total * nxt
                 else:
                     if not nxt.is_constant:
@@ -203,19 +249,21 @@ class _Parser:
 
     def factor(self) -> Expr:
         base = self.base()
-        kind, value, pos = self.peek()
+        kind, value, at = self.peek()
         if kind == "op" and value == "^":
             self.take()
             kind, value, pos = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer", pos)
-            return base ** int(value)
+            k = _integer(value, pos)
+            _bounded(_power_terms(len(base), k), k * _bits(base), at)
+            return base ** k
         return base
 
     def base(self) -> Expr:
         kind, value, pos = self.take()
         if kind == "int":
-            return Expr.constant(int(value))
+            return Expr.constant(_integer(value, pos))
         if kind == "name":
             return Expr.variable(resolve_name(self.space, value, pos))
         if kind == "op" and value == "(":

@@ -228,6 +228,14 @@ def load_problem(path: str) -> Problem:
     order = _int(prob["order"], "order")
     if order < 1:
         raise ProblemError("field 'order' must be at least 1")
+    # Each derivative order takes a character of the text (a prime, a 'd'
+    # or a suffix letter).  Checked before the space is built, whose jet
+    # names grow quadratically with the order.
+    if order > len(prob["lagrangian"]):
+        raise ProblemError(
+            f"field 'order' is {order} but a lagrangian of "
+            f"{len(prob['lagrangian'])} characters has no derivative of "
+            f"that order")
 
     try:
         space = JetSpace(independents, dependents, max_order=2 * order + 2)

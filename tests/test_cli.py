@@ -304,6 +304,30 @@ def test_deeply_nested_lagrangian_exits_2(tmp_path, capsys):
     assert "'lagrangian'" in out and "nested too deeply" in out
 
 
+@pytest.mark.parametrize("order", ["20000", "50000", str(10 ** 30)])
+def test_huge_order_exits_2_before_building(tmp_path, capsys, order):
+    # The jet space of order 2*order + 2 would take seconds to gigabytes.
+    bad = tmp_path / "order.prob"
+    bad.write_text("[problem]\nindependents = x\ndependents = y\n"
+                   f"lagrangian = 1/2*y'^2\norder = {order}\n")
+    with deadline(1):
+        code, out = run(capsys, "symmetries", str(bad))
+    assert code == 2
+    assert f"field 'order' is {order} but a lagrangian of 8 characters" in out
+
+
+@pytest.mark.parametrize("power", ["(y + x)^3000", "(y + x + y')^150"])
+def test_runaway_expansion_exits_2(tmp_path, capsys, power):
+    bad = tmp_path / "power.prob"
+    bad.write_text("[problem]\nindependents = x\ndependents = y\n"
+                   f"lagrangian = 1/2*y'^2 + {power}\norder = 1\n")
+    with deadline(1):
+        code, out = run(capsys, "symmetries", str(bad))
+    assert code == 2
+    assert "field 'lagrangian'" in out
+    assert "expansion could exceed 1000 terms" in out
+
+
 def _child_env():
     """The environment of a child interpreter that imports this checkout."""
     env = dict(os.environ)

@@ -219,6 +219,28 @@ def test_parse_nesting_limit(ode):
         parse("(" + deep + ")", ode)
 
 
+def test_parse_expansion_bounds(ode):
+    """A product or power is refused at its operator when its expansion
+    could exceed MAX_TERMS terms or MAX_BITS-bit coefficients."""
+    from noether.parsing import MAX_BITS, MAX_TERMS
+    assert (MAX_TERMS, MAX_BITS) == (1000, 4096)
+    for text, at in (("(y + x)^3000", 7), ("(y + x + y')^150", 12),
+                     ("(y + x + y')^44", 12), ("2^4096*y", 1),
+                     ("(1/2*y'^2)^10000000000", 10), ("3^2000*3^2000", 6)):
+        with pytest.raises(ParseError, match="expansion could exceed") as info:
+            parse(text, ode)
+        assert info.value.position == at
+    assert len(parse("(y + x + y')^43", ode)) == 990      # C(45, 2)
+    assert len(parse("y^123456789012345678901234567890", ode)) == 1
+    forty = " + ".join(f"x^{i}" for i in range(40))
+    assert len(parse(f"({forty})*({' + '.join(f'y^{j}' for j in range(25))})",
+                     ode)) == 1000
+    with pytest.raises(ParseError, match="1000 terms"):
+        parse(f"({forty})*({' + '.join(f'y^{j}' for j in range(26))})", ode)
+    with pytest.raises(ParseError, match="5000 digits exceeds 4096 bits"):
+        parse("9" * 5000 + "*y", ode)
+
+
 # -- stored coefficient types ---------------------------------------------------
 
 

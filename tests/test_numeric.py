@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from noether import (Ansatz, CompiledExpr, ConservationLaw, Expr, JetSpace,
+from noether import (Ansatz, ConservationLaw, Expr, JetSpace,
                      Lagrangian, NumericConfig, Trajectory, check_integrals,
                      drift_report, euler_lagrange, integrate_el, load_problem,
                      parse, seeded_initial_conditions, solve_noether)
@@ -19,24 +19,40 @@ from util import (SEED, rand_expr, rand_nonzero_expr, reference_drift,
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
+def _two_row_drift(e, variables, point):
+    """drift_report of ``e`` on the rows 0 and ``point``, which is
+    |e(point) - e(0)| / max(1, |e(0)|)."""
+    traj = Trajectory(variables=tuple(variables),
+                      rows=[(0.0,) * len(variables),
+                            tuple(point[v] for v in variables)])
+    return drift_report([e], traj, NumericConfig()).drifts[0]
+
+
 def test_compile_simple(ode):
-    f = CompiledExpr(parse("1/2*y'^2", ode))
-    assert f({ode.lookup("y'"): 2.0}) == pytest.approx(2.0)
-    assert CompiledExpr(Expr.zero())({}) == 0.0
-    g = CompiledExpr(parse("y - x*y'", ode))
-    env = {ode.lookup("x"): 1.0, ode.lookup("y"): 3.0, ode.lookup("y'"): 1.0}
-    assert g(env) == pytest.approx(2.0)
+    x, y, yp = (ode.lookup(n) for n in ("x", "y", "y'"))
+    point = {x: 1.0, y: 3.0, yp: 2.0}
+    assert _two_row_drift(parse("1/2*y'^2", ode), [x, y, yp], point) == 2.0
+    assert _two_row_drift(Expr.zero(), [x, y, yp], point) == 0.0
+    point[yp] = 1.0
+    assert _two_row_drift(parse("y - x*y'", ode), [x, y, yp], point) == 2.0
 
 
 def test_compile_matches_exact_evaluation(rng, ode):
+    """The generated drift equals the direct monomial loop bit for bit
+    (the operation-order rule) and exact evaluation to rounding."""
     vars = [ode.lookup(n) for n in ("x", "y", "y'", "y''")]
+    origin = dict.fromkeys(vars, Fraction(0))
     for _ in range(25):
         e = rand_expr(rng, vars)
         point = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                  for v in vars}
-        exact = float(e.evaluate(point))
-        approx = CompiledExpr(e)({v: float(q) for v, q in point.items()})
-        assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        samples = [dict.fromkeys(vars, 0.0),
+                   {v: float(q) for v, q in point.items()}]
+        drift = _two_row_drift(e, vars, samples[1])
+        assert drift == reference_drift(e, samples)
+        first = e.evaluate(origin)
+        exact = abs(e.evaluate(point) - first) / max(1, abs(first))
+        assert drift == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
 
 
 def test_config_validation():
@@ -73,10 +89,9 @@ def test_linear_trajectory_is_exact(free_particle, ode):
     y, yp = ode.dependents[0], ode.lookup("y'")
     traj = integrate_el(el, cfg, {y: 0.0, yp: 1.0})
     assert not traj.truncated
-    assert len(traj.samples) == 10001
-    x = ode.independents[0]
-    for env in traj.samples[:: 1000]:
-        assert env[y] == pytest.approx(env[x], abs=1e-12)
+    assert len(traj.rows) == 10001
+    for row in traj.rows[:: 1000]:
+        assert row[traj.variables.index(y)] == pytest.approx(row[0], abs=1e-12)
 
 
 def test_cubic_trajectory_coefficients(chain, ode):
@@ -85,11 +100,11 @@ def test_cubic_trajectory_coefficients(chain, ode):
     names = ["y", "y'", "y''", "y'''"]
     ic = {ode.lookup(n): 1.0 for n in names}
     traj = integrate_el(el, cfg, ic)
-    x = ode.independents[0]
-    for env in traj.samples[:: 2500]:
-        t = env[x]
+    y = traj.variables.index(ode.lookup("y"))
+    for row in traj.rows[:: 2500]:
+        t = row[0]
         expected = 1.0 + t + t * t / 2.0 + t ** 3 / 6.0
-        assert env[ode.lookup("y")] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert row[y] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def test_oscillator_energy_drift():
@@ -100,9 +115,9 @@ def test_oscillator_energy_drift():
     q, qd = s.dependents[0], s.lookup("q'")
     traj = integrate_el(el, cfg, {q: 1.0, qd: 0.0})
     # closed-form check of the trajectory itself
-    t_var = s.independents[0]
-    for env in traj.samples[:: 1000]:
-        assert env[q] == pytest.approx(math.cos(env[t_var]), abs=1e-9)
+    for row in traj.rows[:: 1000]:
+        assert row[traj.variables.index(q)] == pytest.approx(math.cos(row[0]),
+                                                             abs=1e-9)
     energy = ConservationLaw("first-integral",
                              (parse("1/2*q'^2 + 1/2*q^2", s),))
     report = drift_report([energy], traj, cfg)
@@ -150,7 +165,7 @@ def test_blowup_truncates_trajectory():
     traj = integrate_el(el, NumericConfig(),
                         {s.dependents[0]: 5.0, s.lookup("q'"): 5.0})
     assert traj.truncated
-    assert len(traj.samples) < 10001
+    assert len(traj.rows) < 10001
 
 
 def test_missing_initial_condition_rejected(free_particle, ode):
@@ -296,6 +311,35 @@ def test_numcheck_compiles_each_source_once(monkeypatch, capsys):
     assert main(["numcheck", str(PROBLEMS / "free_particle.prob")]) == 0
     capsys.readouterr()
     assert len(sources) == len(set(sources)) == 1
+
+
+def test_every_entry_point_compiles_only_run_sources(monkeypatch,
+                                                     free_particle, ode):
+    """integrate_el, check_integrals and drift_report share one generator:
+    each compiles one source, a ``run`` written from the one template."""
+    import builtins
+
+    from noether import numeric
+
+    compiled = []
+
+    def recording_compile(source, filename, *args, **kwargs):
+        compiled.append((filename, source))
+        return builtins.compile(source, filename, *args, **kwargs)
+
+    numeric._define.cache_clear()
+    monkeypatch.setattr(numeric, "compile", recording_compile, raising=False)
+    el = euler_lagrange(free_particle)
+    cfg = NumericConfig(horizon=0.1)
+    ic = {ode.dependents[0]: 0.3, ode.lookup("y'"): 0.7}
+    laws = [parse("y - x*y'", ode), parse("y'", ode)]
+    drift_report(laws, integrate_el(el, cfg, ic), cfg)
+    check_integrals(laws, el, cfg, ic)
+    header = numeric._RUN.split("{", 1)[0]
+    assert len(compiled) == 3
+    for filename, source in compiled:
+        assert filename == "<noether.numeric.run>"
+        assert source.startswith(header) and source.count("def ") == 1
 
 
 def test_step_size_is_part_of_the_compiled_source():
