@@ -15,10 +15,7 @@ from .engine import (Ansatz, ConservationLaw, DeterminingSystem,
                      find_gauges, first_integral, hessian_relation_check,
                      match_generator, solve, solve_noether, verify,
                      verify_candidate)
-from .numeric import (NumericConfig, NumericReport, Trajectory,
-                      check_integrals, drift_report, integrate_el,
-                      seeded_initial_conditions)
-from .problem import Problem, ProblemError, load_problem
+from .problem import NumericConfig, Problem, ProblemError, load_problem
 
 __version__ = "0.1.0"
 
@@ -37,3 +34,19 @@ __all__ = [
     "reduce_mod_el", "seeded_initial_conditions", "solve", "solve_noether",
     "total_derivative", "verify", "verify_candidate",
 ]
+
+# Only ``numcheck`` integrates, so ``noether.numeric`` is imported on first
+# use of one of its names (PEP 562), not with the package.
+_NUMERIC = ("NumericReport", "Trajectory", "check_integrals", "drift_report",
+            "integrate_el", "seeded_initial_conditions")
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        from . import numeric
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_NUMERIC))

@@ -30,9 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from .engine import (Ansatz, UnsupportedProblem, _solution, find_gauges,
                      solve_noether, verify)
 from .jets import Generator, HeadroomError
-from .numeric import (NumericConfig, check_integrals,
-                      seeded_initial_conditions)
-from .problem import Problem, ProblemError, load_problem
+from .problem import NumericConfig, Problem, ProblemError, load_problem
 from .variational import ELSystem, euler_lagrange
 
 EXIT_OK = 0
@@ -179,6 +177,8 @@ def _run_verify(problem: Problem, el: ELSystem, args, result: Dict) -> None:
 
 
 def _run_numcheck(problem: Problem, el: ELSystem, args, result: Dict) -> None:
+    # Imported here: no other command needs the numeric layer at start-up.
+    from .numeric import check_integrals, seeded_initial_conditions
     if not problem.space.is_ode:
         raise UnsupportedProblem(
             "numcheck integrates time-like problems only; field-theory laws "

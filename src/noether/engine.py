@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import PARAMETER, Expr, Monomial, Rational, VarId, mono_key
+from .expr import (PARAMETER, Expr, Monomial, Rational, Record, VarId,
+                   mono_key)
 from .jets import (Generator, JetSpace, _characteristics, _peel, _prolong,
                    multi_derivative, total_derivative)
 from .linalg import Row, nullspace, solve_affine, solve_affine_many
@@ -75,33 +76,40 @@ class Ansatz:
         return L.order if self.suppress_xi else L.order - 1
 
 
-@dataclass
-class ConservationLaw:
+class ConservationLaw(Record):
     """A first integral (one component) or a flux vector (one per independent)."""
 
-    kind: str  # "first-integral" | "flux-vector"
-    components: Tuple[Expr, ...]
+    __slots__ = _fields = ("kind", "components")
+
+    def __init__(self, kind: str, components: Tuple[Expr, ...]):
+        self.kind = kind  # "first-integral" | "flux-vector"
+        self.components = components
 
     def __iter__(self):
         return iter(self.components)
 
 
-@dataclass
-class NoetherSolution:
+class NoetherSolution(Record):
     """A verified symmetry with its gauge term and conservation law."""
 
-    generator: Generator
-    gauge: Tuple[Expr, ...]
-    law: ConservationLaw
+    __slots__ = _fields = ("generator", "gauge", "law")
+
+    def __init__(self, generator: Generator, gauge: Tuple[Expr, ...],
+                 law: ConservationLaw):
+        self.generator = generator
+        self.gauge = gauge
+        self.law = law
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of the divergence check.  ``ok`` is None when reduction is
     unavailable and only the raw residual can be reported."""
 
-    ok: Optional[bool]
-    residual: Expr
+    __slots__ = _fields = ("ok", "residual")
+
+    def __init__(self, ok: Optional[bool], residual: Expr):
+        self.ok = ok
+        self.residual = residual
 
 
 @dataclass

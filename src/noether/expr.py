@@ -20,7 +20,6 @@ registration index (graded-lexicographic order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
@@ -30,7 +29,6 @@ JET = "jet"
 PARAMETER = "parameter"
 
 
-@dataclass(frozen=True, eq=False)
 class VarId:
     """An interned variable of a jet space.
 
@@ -42,14 +40,25 @@ class VarId:
 
     ``multi_index`` holds one derivative count per independent variable; it
     is all zeros for a plain dependent variable and empty for independents
-    and parameters.
+    and parameters.  Fields are read-only once set.
     """
 
-    kind: str
-    name: str
-    sort_index: int
-    dep_index: int = -1
-    multi_index: Tuple[int, ...] = ()
+    __slots__ = ("kind", "name", "sort_index", "dep_index", "multi_index")
+
+    def __init__(self, kind: str, name: str, sort_index: int,
+                 dep_index: int = -1, multi_index: Tuple[int, ...] = ()):
+        set_field = object.__setattr__
+        set_field(self, "kind", kind)
+        set_field(self, "name", name)
+        set_field(self, "sort_index", sort_index)
+        set_field(self, "dep_index", dep_index)
+        set_field(self, "multi_index", multi_index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def order(self) -> int:
@@ -58,6 +67,34 @@ class VarId:
 
     def __repr__(self) -> str:
         return f"VarId({self.name!r})"
+
+
+class Record:
+    """Base of the plain value classes.
+
+    A subclass lists its fields in ``_fields`` and sets them in its own
+    ``__init__``; it gets field-wise ``==`` and a dataclass-style ``repr``
+    over them, and is unhashable, like a mutable dataclass.  Defining one
+    costs nothing at import, where ``@dataclass`` compiles generated
+    source.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
 
 
 # An exact coefficient: an int, or a Fraction whose denominator is not 1.

@@ -15,10 +15,9 @@ it raises ``HeadroomError`` instead of growing the registry.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .expr import DEPENDENT, INDEPENDENT, JET, Expr, VarId
+from .expr import DEPENDENT, INDEPENDENT, JET, Expr, Record, VarId
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
@@ -147,8 +146,7 @@ class JetSpace:
         return self._counter
 
 
-@dataclass
-class Generator:
+class Generator(Record):
     """A symmetry candidate: one coefficient per independent and dependent.
 
     ``xi`` maps independent variables to their coefficients (tau in time-like
@@ -156,8 +154,12 @@ class Generator:
     mean zero.
     """
 
-    xi: Dict[VarId, Expr] = field(default_factory=dict)
-    eta: Dict[VarId, Expr] = field(default_factory=dict)
+    __slots__ = _fields = ("xi", "eta")
+
+    def __init__(self, xi: Dict[VarId, Expr] | None = None,
+                 eta: Dict[VarId, Expr] | None = None):
+        self.xi = {} if xi is None else xi
+        self.eta = {} if eta is None else eta
 
     def xi_of(self, x: VarId) -> Expr:
         return self.xi.get(x, Expr.zero())

@@ -42,46 +42,12 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .expr import INDEPENDENT, Expr, VarId
+from .expr import INDEPENDENT, Expr, Record, VarId
+# Configuration is part of a problem; both names are re-exported here.
+from .problem import MAX_STEPS, NumericConfig  # noqa: F401
 from .variational import ELSystem
-
-
-# The step count bounds the time of a run, and the memory of
-# ``integrate_el``, which keeps every row: 10**6 rows of a small problem
-# take seconds and a few hundred MB.  ``check_integrals`` keeps none.
-MAX_STEPS = 10 ** 6
-
-
-@dataclass(frozen=True)
-class NumericConfig:
-    """RK4 step, horizon, drift tolerance and initial-condition seed; the
-    three floats must be finite, and ``horizon / step`` at most
-    ``MAX_STEPS``."""
-
-    step: float = 1e-3
-    horizon: float = 10.0
-    tolerance: float = 1e-8
-    seed: int = 42
-
-    def __post_init__(self):
-        for name in ("step", "horizon", "tolerance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got "
-                                 f"{getattr(self, name)}")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.horizon < 10 * self.step:
-            raise ValueError("horizon must cover at least ten steps")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if not math.isfinite(self.horizon / self.step):
-            raise ValueError("horizon / step must be finite")
-        if round(self.horizon / self.step) > MAX_STEPS:
-            raise ValueError(f"horizon / step must be at most {MAX_STEPS}, "
-                             f"got {self.horizon / self.step:.3g}")
 
 
 def _term(coeff, mono, names: Dict[VarId, str]) -> str:
@@ -119,8 +85,7 @@ def _define(source: str):
     return namespace["run"]
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """RK4 states, one row of floats per step.
 
     ``variables`` names the columns: the independent variable first, then
@@ -130,9 +95,13 @@ class Trajectory:
     value; the rows then end at the last finite state.
     """
 
-    variables: Tuple[VarId, ...]
-    rows: List[Tuple[float, ...]]
-    truncated: bool = False
+    __slots__ = _fields = ("variables", "rows", "truncated")
+
+    def __init__(self, variables: Tuple[VarId, ...],
+                 rows: List[Tuple[float, ...]], truncated: bool = False):
+        self.variables = variables
+        self.rows = rows
+        self.truncated = truncated
 
     @property
     def samples(self) -> List[Dict[VarId, float]]:
@@ -140,15 +109,18 @@ class Trajectory:
         return [dict(zip(self.variables, row)) for row in self.rows]
 
 
-@dataclass
-class NumericReport:
+class NumericReport(Record):
     """Drift of each integral and whether it is within ``tolerance``;
     ``truncated`` when the trajectory ended early."""
 
-    drifts: List[float]
-    passes: List[bool]
-    tolerance: float
-    truncated: bool = False
+    __slots__ = _fields = ("drifts", "passes", "tolerance", "truncated")
+
+    def __init__(self, drifts: List[float], passes: List[bool],
+                 tolerance: float, truncated: bool = False):
+        self.drifts = drifts
+        self.passes = passes
+        self.tolerance = tolerance
+        self.truncated = truncated
 
     @property
     def all_pass(self) -> bool:

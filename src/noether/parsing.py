@@ -10,8 +10,9 @@ Grammar (whitespace insignificant)::
 Division is only legal by a (sub)expression that evaluates to a nonzero
 rational constant.  Parentheses nest at most ``MAX_NESTING`` deep.  An
 integer, product or power whose expansion could have more than
-``MAX_TERMS`` terms or a coefficient of more than ``MAX_BITS`` bits is
-refused before it is expanded.  Names resolve against a ``JetSpace``:
+``MAX_TERMS`` terms, a coefficient of more than ``MAX_BITS`` bits, or more
+than ``MAX_WORK`` terms times coefficient bits is refused before it is
+expanded.  Names resolve against a ``JetSpace``:
 
 * registered names directly (independents, dependents, canonical jet names
   such as ``u_tx``);
@@ -37,11 +38,15 @@ _DOT_RE = re.compile(r"^(d*)dot$")
 
 # Each parenthesis level costs four Python frames of the descent.
 MAX_NESTING = 100
-# Expanding (y + t)^999, at the term bound, takes about a second: its
-# coefficients have up to a thousand bits.  A 4096-bit coefficient prints
-# in about 1233 digits, far inside what ``str`` converts (4300).
+# A 4096-bit coefficient prints in about 1233 digits, far inside what
+# ``str`` converts (4300).
 MAX_TERMS = 1000
 MAX_BITS = 4096
+# The terms and bits bounds alone admit (y + t)^999, whose thousand terms
+# of up to a thousand bits take about a second to expand.  Terms times
+# bits tracks the time of an expansion; at this bound the slowest accepted
+# ones, such as (y + t + y')^43 or (y + t)^361, take about 0.1 s.
+MAX_WORK = 2 ** 17
 
 
 class ParseError(ValueError):
@@ -92,12 +97,21 @@ def _bits(e: Expr) -> int:
                 for c in e.term_map().values() if abs(c) != 1), default=0)
 
 
+def _sum_bits(n: int) -> int:
+    """Bits a sum of ``n`` products can add to their size: ceil(log2 n)."""
+    return (n - 1).bit_length() if n > 1 else 0
+
+
 def _bounded(terms: int, bits: int, position: int) -> None:
     if terms > MAX_TERMS:
         raise ParseError(f"expansion could exceed {MAX_TERMS} terms", position)
     if bits > MAX_BITS:
         raise ParseError(f"expansion could exceed {MAX_BITS}-bit "
                          f"coefficients", position)
+    if terms * (bits + 1) > MAX_WORK:
+        raise ParseError(f"expansion could exceed {MAX_WORK} terms times "
+                         f"coefficient bits ({terms} terms of up to {bits} "
+                         f"bits)", position)
 
 
 def _integer(digits: str, position: int) -> int:
@@ -234,7 +248,8 @@ class _Parser:
                 nxt = self.factor()
                 if value == "*":
                     _bounded(len(total) * len(nxt),
-                             _bits(total) + _bits(nxt), pos)
+                             _bits(total) + _bits(nxt)
+                             + _sum_bits(min(len(total), len(nxt))), pos)
                     total = total * nxt
                 else:
                     if not nxt.is_constant:
@@ -256,7 +271,8 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer", pos)
             k = _integer(value, pos)
-            _bounded(_power_terms(len(base), k), k * _bits(base), at)
+            _bounded(_power_terms(len(base), k),
+                     k * (_bits(base) + _sum_bits(len(base))), at)
             return base ** k
         return base
 

@@ -38,13 +38,13 @@ Generator coefficients are named ``xi_<independent>`` and
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .engine import Ansatz, ConservationLaw
-from .expr import Expr, VarId
+from .expr import Expr, Record, VarId
 from .jets import Generator, JetSpace
-from .numeric import NumericConfig
 from .parsing import ParseError, parse
 from .variational import Lagrangian
 
@@ -57,16 +57,58 @@ _PROBLEM_KEYS = ("independents", "dependents", "lagrangian", "order")
 _SECTIONS = {"problem", "ansatz", "generators", "laws", "numeric"}
 
 
-@dataclass
-class Problem:
+# The step count bounds the time of a run, and the memory of
+# ``integrate_el``, which keeps every row: 10**6 rows of a small problem
+# take seconds and a few hundred MB.  ``check_integrals`` keeps none.
+MAX_STEPS = 10 ** 6
+
+
+@dataclass(frozen=True)
+class NumericConfig:
+    """RK4 step, horizon, drift tolerance and initial-condition seed; the
+    three floats must be finite, and ``horizon / step`` at most
+    ``MAX_STEPS``."""
+
+    step: float = 1e-3
+    horizon: float = 10.0
+    tolerance: float = 1e-8
+    seed: int = 42
+
+    def __post_init__(self):
+        for name in ("step", "horizon", "tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
+        if self.step <= 0:
+            raise ValueError("step must be positive")
+        if self.horizon < 10 * self.step:
+            raise ValueError("horizon must cover at least ten steps")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
+        if not math.isfinite(self.horizon / self.step):
+            raise ValueError("horizon / step must be finite")
+        if round(self.horizon / self.step) > MAX_STEPS:
+            raise ValueError(f"horizon / step must be at most {MAX_STEPS}, "
+                             f"got {self.horizon / self.step:.3g}")
+
+
+class Problem(Record):
     """A fully validated problem: space, Lagrangian, ansatz and candidates."""
 
-    space: JetSpace
-    lagrangian: Lagrangian
-    ansatz: Ansatz
-    candidates: List[Tuple[str, Generator]] = field(default_factory=list)
-    candidate_laws: List[Tuple[str, ConservationLaw]] = field(default_factory=list)
-    numeric: NumericConfig = field(default_factory=NumericConfig)
+    __slots__ = _fields = ("space", "lagrangian", "ansatz", "candidates",
+                           "candidate_laws", "numeric")
+
+    def __init__(self, space: JetSpace, lagrangian: Lagrangian,
+                 ansatz: Ansatz,
+                 candidates: List[Tuple[str, Generator]] | None = None,
+                 candidate_laws: List[Tuple[str, ConservationLaw]] | None = None,
+                 numeric: NumericConfig | None = None):
+        self.space = space
+        self.lagrangian = lagrangian
+        self.ansatz = ansatz
+        self.candidates = [] if candidates is None else candidates
+        self.candidate_laws = [] if candidate_laws is None else candidate_laws
+        self.numeric = NumericConfig() if numeric is None else numeric
 
     def echo(self) -> Dict:
         return {
@@ -250,6 +292,13 @@ def load_problem(path: str) -> Problem:
     lagrangian = Lagrangian(space, order, body)
 
     ansatz = _settings(cp, "ansatz", _ANSATZ, Ansatz, "ansatz")
+    # The gauge's total derivative must stay inside the jet space.
+    if (ansatz.gauge_jet_order is not None
+            and ansatz.gauge_jet_order >= space.max_order):
+        raise ProblemError(
+            f"field 'ansatz.gauge_jet_order' is {ansatz.gauge_jet_order}, "
+            f"but the gauge jet order of a Lagrangian of order {order} must "
+            f"be below {space.max_order}")
 
     candidates = []
     if "generators" in cp:

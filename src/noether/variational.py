@@ -9,10 +9,9 @@ reduction of any expression to a normal form modulo the equations of motion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .expr import JET, Expr, VarId
+from .expr import JET, Expr, Record, VarId
 from .jets import JetSpace, multi_derivative
 
 
@@ -20,39 +19,40 @@ class ReductionError(Exception):
     """Reduction modulo the equations of motion could not proceed."""
 
 
-@dataclass
-class Lagrangian:
+class Lagrangian(Record):
     """A polynomial Lagrangian of a fixed derivative order.
 
     ``partials`` holds each nonzero jet partial once, as (dependent index,
     jet v, dL/dv), dependent by dependent and then in registration order.
+    It is derived from the other fields, so ``==`` and ``repr`` leave it
+    out.
     """
 
-    space: JetSpace
-    order: int
-    body: Expr
-    partials: List[Tuple[int, VarId, Expr]] = field(
-        init=False, repr=False, compare=False)
+    __slots__ = ("space", "order", "body", "partials")
+    _fields = ("space", "order", "body")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, space: JetSpace, order: int, body: Expr):
+        if order < 1:
             raise ValueError("Lagrangian order must be at least 1")
-        if self.body.is_zero:
+        if body.is_zero:
             raise ValueError("Lagrangian body must not be identically zero")
-        actual = self.body.max_jet_order()
-        if actual > self.order:
+        actual = body.max_jet_order()
+        if actual > order:
             raise ValueError(
-                f"Lagrangian of order {self.order} contains a derivative of "
+                f"Lagrangian of order {order} contains a derivative of "
                 f"order {actual}")
-        present = self.body.variables()
-        self.partials = [(i, v, self.body.partial(v))
-                         for i in range(len(self.space.dependents))
-                         for v in self.space.jet_vars(i, self.order)
-                         if v in present]
+        self.space = space
+        self.order = order
+        self.body = body
+        present = body.variables()
+        self.partials: List[Tuple[int, VarId, Expr]] = [
+            (i, v, body.partial(v))
+            for i in range(len(space.dependents))
+            for v in space.jet_vars(i, order)
+            if v in present]
 
 
-@dataclass
-class ELSystem:
+class ELSystem(Record):
     """Euler-Lagrange equations, one per dependent variable.
 
     ``equations[i]`` is canonical (monic in its distinguished derivative when
@@ -62,9 +62,13 @@ class ELSystem:
     unavailable and verification falls back to reporting raw residuals.
     """
 
-    space: JetSpace
-    equations: List[Expr]
-    solved_forms: Optional[Dict[VarId, Expr]]
+    __slots__ = _fields = ("space", "equations", "solved_forms")
+
+    def __init__(self, space: JetSpace, equations: List[Expr],
+                 solved_forms: Optional[Dict[VarId, Expr]]):
+        self.space = space
+        self.equations = equations
+        self.solved_forms = solved_forms
 
     @property
     def reducible(self) -> bool:
@@ -151,12 +155,14 @@ def reduce_mod_el(e: Expr, el: ELSystem, space: JetSpace) -> Expr:
     raise ReductionError("reduction did not terminate; malformed solved forms")
 
 
-@dataclass
-class HessianReport:
+class HessianReport(Record):
     """Second-derivative matrix of a first-order Lagrangian in the velocities."""
 
-    matrix: List[List[Expr]]
-    determinant: Expr
+    __slots__ = _fields = ("matrix", "determinant")
+
+    def __init__(self, matrix: List[List[Expr]], determinant: Expr):
+        self.matrix = matrix
+        self.determinant = determinant
 
     @property
     def regular(self) -> bool:

@@ -39,6 +39,8 @@ INTS = st.one_of(st.integers(-2, 3), st.sampled_from(HUGE))
 FLOATS = st.sampled_from(("0.01", "0.002", "0", "-1", "1e-300", "1e300",
                           "inf", "nan", "1e-9"))
 EXPONENTS = st.one_of(st.integers(0, 3), st.sampled_from((3000, *HUGE)))
+# Both sides of the jet-space headroom, 2 * order + 2, for orders 1 and 2.
+GAUGE_JET_ORDERS = st.one_of(st.integers(-2, 7), st.sampled_from(HUGE))
 
 # File field or flag -> (values, the words an exit-2 message names it by).
 FIELDS = {
@@ -47,7 +49,7 @@ FIELDS = {
     ("ansatz", "degree"): (INTS, "degree"),
     ("ansatz", "gauge_degree"): (INTS, "gauge degree"),
     ("ansatz", "jet_order"): (INTS, "jet order"),
-    ("ansatz", "gauge_jet_order"): (INTS, "gauge jet order"),
+    ("ansatz", "gauge_jet_order"): (GAUGE_JET_ORDERS, "gauge jet order"),
     ("numeric", "step"): (FLOATS, "step"),
     ("numeric", "horizon"): (FLOATS, "horizon"),
     ("numeric", "tolerance"): (FLOATS, "tolerance"),

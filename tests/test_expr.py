@@ -6,7 +6,7 @@ import pytest
 
 from noether import Expr, JetSpace, ParseError, parse
 
-from util import rand_expr
+from util import deadline, rand_expr
 
 
 def test_parse_literal_quadratic(ode):
@@ -239,6 +239,24 @@ def test_parse_expansion_bounds(ode):
         parse(f"({forty})*({' + '.join(f'y^{j}' for j in range(26))})", ode)
     with pytest.raises(ParseError, match="5000 digits exceeds 4096 bits"):
         parse("9" * 5000 + "*y", ode)
+
+
+def test_parse_work_bound(ode):
+    """Terms times coefficient bits is bounded as well, so that the powers
+    just inside every bound still expand quickly.  (y + x)^999 is inside
+    the terms and bits bounds and took about a second."""
+    from noether.parsing import MAX_WORK
+    assert MAX_WORK == 2 ** 17
+    with deadline(2):
+        assert len(parse("(y + x)^361", ode)) == 362     # 362 * 362 terms*bits
+        assert len(parse("(3*y + 2*x)^208", ode)) == 209
+        assert len(parse("(y + x + y')^43", ode)) == 990
+        for text, at in (("(y + x)^362", 7), ("(y + x)^999", 7),
+                         ("(1 + y)^999", 7), ("(3*y + 2*x)^209", 11)):
+            with pytest.raises(ParseError,
+                               match="terms times coefficient bits") as info:
+                parse(text, ode)
+            assert info.value.position == at
 
 
 # -- stored coefficient types ---------------------------------------------------

@@ -13,14 +13,25 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import random
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 from noether import Expr, Generator, JetSpace, total_derivative
 from noether.numeric import state_variables
 
 SEED = 42
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """The environment of a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 @contextlib.contextmanager
