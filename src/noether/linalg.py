@@ -6,6 +6,18 @@ result keeps that form, and every division goes through ``rational_div``,
 since ``int / int`` is a float.  The elimination order is fixed by the input
 row order and by always pivoting on the leftmost column, so results are
 deterministic.
+
+One elimination keeps a column index: ``holders[c]`` is the set of pivot
+columns whose rows hold an entry in column ``c``.  It is updated wherever a
+pivot row changes, an entry added when a column appears in the row and
+removed when it cancels, and a new pivot row's columns are registered when
+it is stored.  Back-elimination then visits only the rows holding the new
+pivot column, and the read-outs of ``nullspace`` and ``solve_affine_many``
+only the rows holding a free or right-hand-side column.  The visiting order
+of the set cannot change a result: each pivot-row update reads only the new
+row, the visited rows are exactly those holding the column, and a row's own
+key order depends only on that row's own updates.  The incoming row is
+reduced against the pivots without the index, since it is not yet one.
 """
 
 from __future__ import annotations
@@ -27,16 +39,13 @@ def _axpy(target: Row, factor: Rational, source: Row) -> None:
             target.pop(col, None)
 
 
-def rref(rows: List[Row], limit: Optional[int] = None,
-         stuck: Optional[List[Row]] = None) -> Dict[int, Row]:
-    """Reduced row echelon form; returns pivot column -> normalized row.
-
-    Every returned row has coefficient 1 in its pivot column and contains no
-    other pivot column, so back-substitution can read answers directly.
-    Columns at or past ``limit`` are carried along but never pivoted on: a
-    row that reduces to entries there alone is appended to ``stuck``.
-    """
+def _eliminate(rows: List[Row], limit: Optional[int] = None,
+               stuck: Optional[List[Row]] = None
+               ) -> Tuple[Dict[int, Row], Dict[int, set[int]]]:
+    """``rref``'s pivots, with the column index: column -> pivot columns
+    whose rows hold it."""
     pivots: Dict[int, Row] = {}
+    holders: Dict[int, set[int]] = {}
     for row in rows:
         r = {c: _as_rational(v) for c, v in row.items()}
         # Existing pivot rows hold no pivot columns besides their own, so a
@@ -53,11 +62,35 @@ def rref(rows: List[Row], limit: Optional[int] = None,
         lv = r[lead]
         if lv != 1:
             r = {c: rational_div(v, lv) for c, v in r.items()}
-        for prow in pivots.values():
-            if lead in prow:
-                _axpy(prow, prow[lead], r)
+        held = holders.pop(lead, ())
+        for col in r:
+            holders.setdefault(col, set()).add(lead)
+        for p in held:
+            prow = pivots[p]
+            factor = prow[lead]
+            for col, val in r.items():
+                s = prow.get(col, 0) - factor * val
+                if s:
+                    if col not in prow:
+                        holders[col].add(p)
+                    prow[col] = _exact(s)
+                else:
+                    del prow[col]
+                    holders[col].discard(p)
         pivots[lead] = r
-    return pivots
+    return pivots, holders
+
+
+def rref(rows: List[Row], limit: Optional[int] = None,
+         stuck: Optional[List[Row]] = None) -> Dict[int, Row]:
+    """Reduced row echelon form; returns pivot column -> normalized row.
+
+    Every returned row has coefficient 1 in its pivot column and contains no
+    other pivot column, so back-substitution can read answers directly.
+    Columns at or past ``limit`` are carried along but never pivoted on: a
+    row that reduces to entries there alone is appended to ``stuck``.
+    """
+    return _eliminate(rows, limit, stuck)[0]
 
 
 def nullspace(rows: List[Row], n_cols: int) -> List[Row]:
@@ -67,16 +100,14 @@ def nullspace(rows: List[Row], n_cols: int) -> List[Row]:
     with its entries in ascending column order and normalized so that its
     first entry is 1.
     """
-    pivots = rref(rows)
+    pivots, holders = _eliminate(rows)
     basis = []
     for free in range(n_cols):
         if free in pivots:
             continue
         vec = {free: 1}
-        for pcol, prow in pivots.items():
-            val = prow.get(free)
-            if val:
-                vec[pcol] = -val
+        for pcol in holders.get(free, ()):
+            vec[pcol] = -pivots[pcol][free]
         vec = dict(sorted(vec.items()))
         first = next(iter(vec.values()))
         if first != 1:
@@ -115,7 +146,7 @@ def solve_affine_many(rows: List[Tuple[Row, Dict[int, Rational]]],
                 r[n_cols + k] = -b
         combined.append(r)
     stuck: List[Row] = []
-    pivots = rref(combined, limit=n_cols, stuck=stuck)
+    pivots, holders = _eliminate(combined, n_cols, stuck)
     inconsistent = {c for r in stuck for c in r}
     solutions: List[Optional[List[Rational]]] = []
     for rhs_col in range(n_cols, n_cols + n_rhs):
@@ -123,7 +154,7 @@ def solve_affine_many(rows: List[Tuple[Row, Dict[int, Rational]]],
             solutions.append(None)
             continue
         solution = [0] * n_cols
-        for pcol, prow in pivots.items():
-            solution[pcol] = -prow.get(rhs_col, 0)
+        for pcol in holders.get(rhs_col, ()):
+            solution[pcol] = -pivots[pcol][rhs_col]
         solutions.append(solution)
     return solutions

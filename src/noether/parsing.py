@@ -12,7 +12,8 @@ rational constant.  Parentheses nest at most ``MAX_NESTING`` deep.  An
 integer, product or power whose expansion could have more than
 ``MAX_TERMS`` terms, a coefficient of more than ``MAX_BITS`` bits, or more
 than ``MAX_WORK`` terms times coefficient bits is refused before it is
-expanded.  Names resolve against a ``JetSpace``:
+expanded, and so is the one that brings the text's expansions past
+``MAX_WORK`` in total.  Names resolve against a ``JetSpace``:
 
 * registered names directly (independents, dependents, canonical jet names
   such as ``u_tx``);
@@ -45,7 +46,9 @@ MAX_BITS = 4096
 # The terms and bits bounds alone admit (y + t)^999, whose thousand terms
 # of up to a thousand bits take about a second to expand.  Terms times
 # bits tracks the time of an expansion; at this bound the slowest accepted
-# ones, such as (y + t + y')^43 or (y + t)^361, take about 0.1 s.
+# ones, such as (y + t + y')^43 or (y + t)^361, take about 0.1 s.  The
+# bound holds for the whole text as well, so that a sum of many such
+# powers cannot take many times as long.
 MAX_WORK = 2 ** 17
 
 
@@ -102,7 +105,8 @@ def _sum_bits(n: int) -> int:
     return (n - 1).bit_length() if n > 1 else 0
 
 
-def _bounded(terms: int, bits: int, position: int) -> None:
+def _bounded(terms: int, bits: int, position: int) -> int:
+    """The work of one expansion, terms times (bits + 1), if in bounds."""
     if terms > MAX_TERMS:
         raise ParseError(f"expansion could exceed {MAX_TERMS} terms", position)
     if bits > MAX_BITS:
@@ -112,6 +116,7 @@ def _bounded(terms: int, bits: int, position: int) -> None:
         raise ParseError(f"expansion could exceed {MAX_WORK} terms times "
                          f"coefficient bits ({terms} terms of up to {bits} "
                          f"bits)", position)
+    return terms * (bits + 1)
 
 
 def _integer(digits: str, position: int) -> int:
@@ -200,6 +205,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.work = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -213,6 +219,13 @@ class _Parser:
         kind, value, pos = self.take()
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}", pos)
+
+    def charge(self, terms: int, bits: int, position: int) -> None:
+        """Bound one expansion, then the text's total work."""
+        self.work += _bounded(terms, bits, position)
+        if self.work > MAX_WORK:
+            raise ParseError(f"expansions could exceed {MAX_WORK} terms times "
+                             f"coefficient bits in total", position)
 
     def parse(self) -> Expr:
         value = self.expr()
@@ -247,9 +260,9 @@ class _Parser:
                 self.take()
                 nxt = self.factor()
                 if value == "*":
-                    _bounded(len(total) * len(nxt),
-                             _bits(total) + _bits(nxt)
-                             + _sum_bits(min(len(total), len(nxt))), pos)
+                    self.charge(len(total) * len(nxt),
+                                _bits(total) + _bits(nxt)
+                                + _sum_bits(min(len(total), len(nxt))), pos)
                     total = total * nxt
                 else:
                     if not nxt.is_constant:
@@ -271,8 +284,8 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer", pos)
             k = _integer(value, pos)
-            _bounded(_power_terms(len(base), k),
-                     k * (_bits(base) + _sum_bits(len(base))), at)
+            self.charge(_power_terms(len(base), k),
+                        k * (_bits(base) + _sum_bits(len(base))), at)
             return base ** k
         return base
 

@@ -259,6 +259,18 @@ def test_parse_work_bound(ode):
             assert info.value.position == at
 
 
+def test_parse_work_bound_is_per_text(ode):
+    """The work bound covers the whole text, so ten powers each just
+    inside it are refused at the second one instead of expanding in
+    about a second."""
+    power = "(y + x + y')^43"
+    with deadline(1):
+        assert len(parse(power, ode)) == 990
+        with pytest.raises(ParseError, match="bits in total") as info:
+            parse(" + ".join([power] * 10), ode)
+    assert info.value.position == len(power) + 3 + power.index("^")
+
+
 # -- stored coefficient types ---------------------------------------------------
 
 

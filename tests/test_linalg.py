@@ -1,14 +1,16 @@
 """Exact sparse elimination: the multi-right-hand-side solve against the
-single-right-hand-side reference, and int-or-Fraction entries against the
-Fraction-only reference, on seeded random rational systems."""
+single-right-hand-side reference, int-or-Fraction entries against the
+Fraction-only reference, and the column-indexed elimination against the
+scanning one, on seeded random rational systems."""
 
 import random
 from fractions import Fraction
 
 from noether.linalg import nullspace, rref, solve_affine, solve_affine_many
 
-from util import (SEED, is_canonical, reference_nullspace,
-                  reference_solve_affine)
+from util import (SEED, deadline, is_canonical, reference_nullspace,
+                  reference_solve_affine, scanning_nullspace, scanning_rref,
+                  scanning_solve_affine_many)
 
 
 def _fraction_entry(rng):
@@ -127,3 +129,93 @@ def test_mixed_entries_match_fraction_reference():
         assert all(is_canonical(v) for v in entries), entries
         types.update(type(v) for v in entries)
     assert types == {int, Fraction}
+
+
+def _sparse_system(rng):
+    """A seeded sparse system of up to 60 rows over up to 40 columns.
+
+    Rows hold a few mixed int/Fraction entries, or a combination of up to
+    three earlier rows, so that pivot rows gain and cancel entries during
+    back-elimination and many systems are rank-deficient.  Right-hand side
+    k is either A x_k or random sparse entries.
+    """
+    n_cols = rng.randint(1, 40)
+    rows = []
+    for _ in range(rng.randint(0, 60)):
+        if rows and rng.random() < 0.3:
+            row = {}
+            for other in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                w = _mixed_entry(rng)
+                for c, v in other.items():
+                    row[c] = row.get(c, 0) + w * v
+            row = {c: v for c, v in row.items() if v}
+        else:
+            cols = rng.sample(range(n_cols), rng.randint(0, min(n_cols, 6)))
+            row = {c: _mixed_entry(rng) for c in cols}
+        rows.append(row)
+    n_rhs = rng.randint(0, 4)
+    rhs = [{} for _ in rows]
+    for k in range(n_rhs):
+        # Half the right-hand sides are A x for an integer x: consistent.
+        x = [rng.randint(-2, 2) for _ in range(n_cols)]
+        consistent = rng.random() < 0.5
+        for row, b in zip(rows, rhs):
+            if consistent:
+                value = sum(v * x[c] for c, v in row.items())
+            else:
+                value = _mixed_entry(rng) if rng.random() < 0.3 else 0
+            if value:
+                b[k] = value
+    return rows, rhs, n_cols, n_rhs
+
+
+def _ordered(rows):
+    """Each row's entries in stored key order, with their types."""
+    return [[(c, type(v), v) for c, v in row.items()] for row in rows]
+
+
+def _typed(solutions):
+    """Each solution's values with their types; None stays None."""
+    return [sol and [(type(v), v) for v in sol] for sol in solutions]
+
+
+def test_indexed_elimination_matches_scanning_oracle():
+    rng = random.Random(SEED)
+    seen = {"rank_deficient": 0, "stuck": 0, "inconsistent": 0, "solved": 0}
+    for _ in range(150):
+        rows, rhs, n_cols, n_rhs = _sparse_system(rng)
+        limit = rng.choice([None, rng.randint(0, n_cols)])
+        stuck, want_stuck = [], []
+        got = rref(rows, limit, stuck)
+        want = scanning_rref(rows, limit, want_stuck)
+        assert list(got) == list(want)
+        assert _ordered(got.values()) == _ordered(want.values())
+        assert _ordered(stuck) == _ordered(want_stuck)
+        basis = nullspace(rows, n_cols)
+        assert _ordered(basis) == _ordered(scanning_nullspace(rows, n_cols))
+        system = list(zip(rows, rhs))
+        solutions = solve_affine_many(system, n_cols, n_rhs)
+        assert (_typed(solutions)
+                == _typed(scanning_solve_affine_many(system, n_cols, n_rhs)))
+        rank = n_cols - len(basis)
+        seen["rank_deficient"] += rank < min(len(rows), n_cols)
+        seen["stuck"] += bool(stuck)
+        seen["inconsistent"] += None in solutions
+        seen["solved"] += any(sol is not None for sol in solutions)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_elimination_scales_with_the_rows_holding_a_column():
+    """One free column per row: every pivot row holds one free column, so
+    reading out the basis or a solution must not scan every pivot row for
+    every column (quadratic in n, many seconds at this size)."""
+    n = 12000
+    rows = [{i: 1, n + i: 2} for i in range(n)]
+    with deadline(1):
+        basis = nullspace(rows, 2 * n)
+        solutions = solve_affine_many([(row, {0: 1}) for row in rows],
+                                      2 * n, 1)
+    assert len(basis) == n
+    assert basis[0] == {0: 1, n: Fraction(-1, 2)}
+    assert basis[-1] == {n - 1: 1, 2 * n - 1: Fraction(-1, 2)}
+    assert solutions == [[1] * n + [0] * n]

@@ -6,7 +6,9 @@ oracle expands the textbook double sum directly, on-shell checks
 substitute solved derivatives by hand instead of calling the reducer, the
 determinant expands every cofactor afresh instead of sharing minors, and
 the reference integrator and drift run RK4 over dict environments with a
-direct monomial loop instead of the generated code.
+direct monomial loop instead of the generated code, and the scanning
+elimination visits every pivot row where ``noether.linalg`` reads its
+column index.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from noether import Expr, Generator, JetSpace, total_derivative
+from noether.expr import _as_rational, _exact, rational_div
 from noether.numeric import state_variables
 
 SEED = 42
@@ -36,13 +39,25 @@ def child_env():
 
 @contextlib.contextmanager
 def deadline(seconds):
-    """Raise TimeoutError in the block after ``seconds`` instead of hanging."""
+    """Raise TimeoutError in the block after ``seconds`` instead of hanging.
+
+    The error is raised again from here, without the interrupted frames: a
+    signal can land on an instruction with no line number, and pytest
+    fails with an internal error, ending the whole run, when it formats
+    such a traceback.
+    """
+    message = f"still running after {seconds} s"
+
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise TimeoutError(message)
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
     try:
         yield
+    except TimeoutError as err:
+        if str(err) != message:
+            raise
+        raise TimeoutError(message) from None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -314,3 +329,86 @@ def reference_nullspace(rows, n_cols):
             vec = [v / first for v in vec]
         basis.append(vec)
     return basis
+
+
+def _scanning_axpy(target, factor, source):
+    """target -= factor * source, dropping zeros."""
+    for col, val in source.items():
+        s = target.get(col, 0) - factor * val
+        if s:
+            target[col] = _exact(s)
+        else:
+            target.pop(col, None)
+
+
+def scanning_rref(rows, limit=None, stuck=None):
+    """``noether.linalg.rref`` as it stood before the column index: each
+    new pivot scans every pivot row for its column."""
+    pivots = {}
+    for row in rows:
+        r = {c: _as_rational(v) for c, v in row.items()}
+        # Existing pivot rows hold no pivot columns besides their own, so a
+        # single sweep clears every pivot-column entry from r.
+        for col in sorted(r):
+            if col in r and col in pivots:
+                _scanning_axpy(r, r[col], pivots[col])
+        if not r:
+            continue
+        lead = min(r)
+        if limit is not None and lead >= limit:
+            stuck.append(r)
+            continue
+        lv = r[lead]
+        if lv != 1:
+            r = {c: rational_div(v, lv) for c, v in r.items()}
+        for prow in pivots.values():
+            if lead in prow:
+                _scanning_axpy(prow, prow[lead], r)
+        pivots[lead] = r
+    return pivots
+
+
+def scanning_nullspace(rows, n_cols):
+    """``noether.linalg.nullspace`` as it stood before the column index:
+    each free column scans every pivot row."""
+    pivots = scanning_rref(rows)
+    basis = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        vec = {free: 1}
+        for pcol, prow in pivots.items():
+            val = prow.get(free)
+            if val:
+                vec[pcol] = -val
+        vec = dict(sorted(vec.items()))
+        first = next(iter(vec.values()))
+        if first != 1:
+            vec = {c: rational_div(v, first) for c, v in vec.items()}
+        basis.append(vec)
+    return basis
+
+
+def scanning_solve_affine_many(rows, n_cols, n_rhs):
+    """``noether.linalg.solve_affine_many`` as it stood before the column
+    index: each right-hand side scans every pivot row."""
+    combined = []
+    for row, rhs in rows:
+        r = dict(row)
+        for k, b in rhs.items():
+            if b:
+                r[n_cols + k] = -b
+        combined.append(r)
+    stuck = []
+    pivots = scanning_rref(combined, limit=n_cols, stuck=stuck)
+    inconsistent = {c for r in stuck for c in r}
+    solutions = []
+    for rhs_col in range(n_cols, n_cols + n_rhs):
+        if rhs_col in inconsistent:
+            solutions.append(None)
+            continue
+        solution = [0] * n_cols
+        for pcol, prow in pivots.items():
+            solution[pcol] = -prow.get(rhs_col, 0)
+        solutions.append(solution)
+    return solutions
