@@ -122,7 +122,7 @@ class DeterminingSystem:
     ``rows`` are sparse over positions in ``unknowns``.  The templates are
     linear in the parameters, one parameter per term, and are the one
     description of the ansatz: ``materialize`` reads a parameter assignment
-    out of them as a generator and gauge, term by term.
+    out of them as a generator and gauge, one term per nonzero value.
     """
 
     unknowns: List[VarId]
@@ -302,61 +302,60 @@ def _monomials_upto(space: JetSpace, jet_order: int, degree: int,
     return monos
 
 
-def _unknown(space: JetSpace, k: int) -> VarId:
-    """Unknown k of one linear system.
-
-    It orders after every variable of the space and is never registered
-    there, so it cannot clash with a problem's own names; each system makes
-    its own and never mixes them with another's.
+def _ansatz(space: JetSpace, slots: Sequence[Sequence[Monomial]]
+            ) -> Tuple[List[VarId], List[Expr]]:
+    """Fresh unknowns ``c0``, ``c1``, ... and one template per slot, each
+    monomial of the slot times its own unknown.  An unknown orders after
+    every variable of the space, so it is its term's last factor, and is
+    never registered there, so it cannot clash with a problem's names.
     """
-    return VarId(PARAMETER, f"c{k}", space.variable_count + k)
+    unknowns: List[VarId] = []
+    templates = []
+    for monos in slots:
+        new = [VarId(PARAMETER, f"c{k}", space.variable_count + k)
+               for k in range(len(unknowns), len(unknowns) + len(monos))]
+        unknowns += new
+        templates.append(Expr({m + ((c, 1),): 1 for m, c in zip(monos, new)}))
+    return unknowns, templates
 
 
-def _ansatz_polynomial(space: JetSpace, monos: Sequence[Monomial],
-                       unknowns: List[VarId]) -> Expr:
-    """A fresh linear combination of monomials with new parameters, each
-    the last factor of its term."""
-    new = [_unknown(space, len(unknowns) + k) for k in range(len(monos))]
-    unknowns += new
-    return Expr({mono + ((c, 1),): 1 for mono, c in zip(monos, new)})
-
-
-def _affine_system(e: Expr, unknowns: Sequence[VarId]
-                   ) -> Dict[Monomial, Tuple[Row, Rational]]:
-    """The equation e = 0, for e affine in ``unknowns``, as sparse rows.
-
-    Maps each monomial in the other variables, ascending by ``mono_key``,
-    to (row, rhs): the row holds the monomial's coefficient of each unknown
-    by column, and rhs is minus its unknown-free coefficient.
+def _rows(e: Expr, unknowns: Sequence[VarId]) -> Dict[Monomial, Row]:
+    """The equation e = 0, for e linear and homogeneous in ``unknowns``, as
+    sparse rows: each monomial in the other variables, ascending by
+    ``mono_key``, maps to its coefficient of each unknown by column.
     """
     index = {c: k for k, c in enumerate(unknowns)}
     rows: Dict[Monomial, Row] = {}
-    rhs: Dict[Monomial, Rational] = {}
     for mono, coeff in e.term_map().items():
-        # Unknowns order after every variable of the space, so a term's
-        # unknown, if any, is its last factor.
-        if not mono or mono[-1][0] not in index:
-            rows.setdefault(mono, {})
-            rhs[mono] = -coeff
-        elif mono[-1][1] == 1 and (len(mono) == 1
-                                   or mono[-2][0] not in index):
-            rows.setdefault(mono[:-1], {})[index[mono[-1][0]]] = coeff
-        else:
-            raise AssertionError(
-                "internal error: expression is not affine in the unknowns")
-    return {m: (rows[m], rhs.get(m, 0))
-            for m in sorted(rows, key=mono_key)}
+        # Unknowns order last, so a term's unknown is its last factor.
+        if not mono or mono[-1][0] not in index or mono[-1][1] != 1 \
+                or (len(mono) > 1 and mono[-2][0] in index):
+            raise AssertionError("internal error: expression is not "
+                                 "linear and homogeneous in the unknowns")
+        rows.setdefault(mono[:-1], {})[index[mono[-1][0]]] = coeff
+    return {m: rows[m] for m in sorted(rows, key=mono_key)}
 
 
-def _fill(template: Expr, values: Dict[VarId, Rational]) -> Expr:
-    """A template at the unknowns' values; a missing unknown is zero.
+def _read_out(templates: Sequence[Expr],
+              assignments: Sequence[Dict[VarId, Rational]]
+              ) -> List[List[Expr]]:
+    """Every template at each assignment's values; a missing unknown is zero.
 
-    Every template term is one monomial times one unknown, which orders
-    after every variable of the space and so is the term's last factor.
+    Each unknown is located once, by slot and term; an assignment then
+    visits only its nonzero values.  Each slot keeps its template's order,
+    and a template coefficient of 1, as ``_ansatz`` makes, is not multiplied.
     """
-    return Expr({mono[:-1]: coeff * values[mono[-1][0]]
-                 for mono, coeff in template.term_map().items()
-                 if values.get(mono[-1][0])})
+    where = {mono[-1][0]: (s, k, mono[:-1], coeff)
+             for s, t in enumerate(templates)
+             for k, (mono, coeff) in enumerate(t.term_map().items())}
+    out = []
+    for a in assignments:
+        terms: List[Dict[Monomial, Rational]] = [{} for _ in templates]
+        for s, _, mono, coeff, v in sorted(where[c] + (v,)
+                                           for c, v in a.items() if v):
+            terms[s][mono] = v if coeff == 1 else coeff * v
+        out.append([Expr(t) for t in terms])
+    return out
 
 
 def _check_solving_supported(L: Lagrangian):
@@ -392,30 +391,17 @@ def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
     gauge_monos = _monomials_upto(space, ansatz.resolved_gauge_jet_order(L),
                                   ansatz.gauge_degree, include_constant=False)
 
-    unknowns: List[VarId] = []
-    xi_templates: Dict[VarId, Expr] = {}
-    eta_templates: Dict[VarId, Expr] = {}
-    if not ansatz.suppress_xi:
-        for x in space.independents:
-            xi_templates[x] = _ansatz_polynomial(space, coeff_monos, unknowns)
-    for u in space.dependents:
-        eta_templates[u] = _ansatz_polynomial(space, coeff_monos, unknowns)
-    gauge_templates = tuple(
-        _ansatz_polynomial(space, gauge_monos, unknowns)
-        if ansatz.include_gauge else Expr.zero()
-        for _ in space.independents)
-
-    g = Generator(xi=xi_templates, eta=eta_templates)
-    residual = condition_residual(L, g, gauge_templates)
-    rows = []
-    for row, rhs in _affine_system(residual, unknowns).values():
-        if rhs:
-            raise AssertionError(
-                "internal error: determining system is not homogeneous")
-        rows.append(row)
-    return DeterminingSystem(unknowns=unknowns, rows=rows,
-                             xi_templates=xi_templates,
-                             eta_templates=eta_templates,
+    xs = () if ansatz.suppress_xi else space.independents
+    n = len(xs) + len(space.dependents)   # the xi and eta slots
+    gauge = gauge_monos if ansatz.include_gauge else []
+    unknowns, templates = _ansatz(
+        space, [coeff_monos] * n + [gauge] * len(space.independents))
+    g = Generator(xi=dict(zip(xs, templates)),
+                  eta=dict(zip(space.dependents, templates[len(xs):n])))
+    gauge_templates = tuple(templates[n:])
+    rows = _rows(condition_residual(L, g, gauge_templates), unknowns)
+    return DeterminingSystem(unknowns=unknowns, rows=list(rows.values()),
+                             xi_templates=g.xi, eta_templates=g.eta,
                              gauge_templates=gauge_templates)
 
 
@@ -445,8 +431,7 @@ def materialize(L: Lagrangian, ds: DeterminingSystem,
     slots = [*ds.xi_templates.values(), *ds.eta_templates.values(),
              *ds.gauge_templates]
     out = []
-    for a in assignments:
-        values = [_fill(t, a) for t in slots]
+    for values in _read_out(slots, assignments):
         g = Generator(
             xi={x: e for x, e in zip(xs, values) if not e.is_zero},
             eta={u: e for u, e in zip(us, values[len(xs):]) if not e.is_zero})
@@ -511,24 +496,22 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
     gauges: List[Optional[Tuple[Expr, ...]]] = [None] * len(generators)
     for order, members in groups.items():
         monos = _monomials_upto(space, order, degree, include_constant=False)
-        unknowns: List[VarId] = []
-        templates = [_ansatz_polynomial(space, monos, unknowns)
-                     for _ in space.independents]
+        unknowns, templates = _ansatz(space, [monos] * len(space.independents))
         divergence = condition_residual(L, Generator(), templates)
         system = {mono: (row, {})
-                  for mono, (row, _) in _affine_system(divergence,
-                                                       unknowns).items()}
+                  for mono, row in _rows(divergence, unknowns).items()}
         del divergence   # only its rows are used; keeping it raises the peak
         for k, member in enumerate(members):
-            residual = condition_residual(L, generators[member])
-            for mono, (_, b) in _affine_system(residual, ()).items():
-                system.setdefault(mono, ({}, {}))[1][k] = b
+            terms = condition_residual(L, generators[member]).term_map()
+            for mono in sorted(terms, key=mono_key):
+                system.setdefault(mono, ({}, {}))[1][k] = -terms[mono]
         solutions = solve_affine_many(list(system.values()), len(unknowns),
                                       len(members))
-        for member, solution in zip(members, solutions):
-            if solution is not None:
-                values = dict(zip(unknowns, solution))
-                gauges[member] = tuple(_fill(t, values) for t in templates)
+        found = {member: {c: v for c, v in zip(unknowns, sol) if v}
+                 for member, sol in zip(members, solutions) if sol is not None}
+        values = _read_out(templates, list(found.values()))
+        for member, gauge in zip(found, values):
+            gauges[member] = tuple(gauge)
     return gauges
 
 
@@ -579,14 +562,16 @@ def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
         return ([g.eta_of(u) for u in space.dependents]
                 + [g.xi_of(x) for x in space.independents])
 
-    unknowns = [_unknown(space, k) for k in range(len(solutions))]
     parts = [slots(sol.generator) for sol in solutions]
     system: List[Tuple[Row, Rational]] = []
     for s, goal in enumerate(slots(target)):
-        e = -goal
-        for c, part in zip(unknowns, parts):
-            e = e + Expr.variable(c) * part[s]
-        system += _affine_system(e, unknowns).values()
+        rhs = goal.term_map()
+        rows: Dict[Monomial, Row] = {m: {} for m in rhs}
+        for k, part in enumerate(parts):
+            for mono, coeff in part[s].term_map().items():
+                rows.setdefault(mono, {})[k] = coeff
+        system += [(rows[m], rhs.get(m, 0))
+                   for m in sorted(rows, key=mono_key)]
     weights = solve_affine(system, len(solutions))
     if weights is None:
         return None

@@ -13,9 +13,11 @@ from noether import (Ansatz, Expr, Generator, JetSpace, Lagrangian,
                      hessian_relation_check, load_problem, match_generator,
                      parse, reduce_mod_el, solve, solve_noether, verify,
                      verify_candidate)
-from noether.engine import materialize
+from noether.engine import (_ansatz, _monomials_upto, _read_out, _rows,
+                            materialize)
 
-from util import first_integral_closed_form, is_canonical, on_shell_zero
+from util import (first_integral_closed_form, is_canonical, on_shell_zero,
+                  scanning_fill)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,6 +118,60 @@ def test_ansatz_beyond_the_slot_bound_is_refused(free_particle, ode):
         find_gauge(free_particle, gen(ode, eta={"y": "1"}), degree=200)
     with pytest.raises(ValueError, match="degree -1 must be non-negative"):
         find_gauge(free_particle, gen(ode, eta={"y": "1"}), degree=-1)
+
+
+def _read_out_cases(planar, quartic_field):
+    coupled = load_problem(str(ROOT / "tests/data/coupled_second_order.prob"))
+    systems = [determining_system(planar, Ansatz(coeff_degree=5,
+                                                 coeff_jet_order=1,
+                                                 gauge_degree=5)),
+               determining_system(quartic_field, Ansatz()),
+               determining_system(coupled.lagrangian, coupled.ansatz)]
+    cases = [[*ds.xi_templates.values(), *ds.eta_templates.values(),
+              *ds.gauge_templates] for ds in systems]
+    # find_gauges' gauge-only ansatz: one slot per independent
+    monos = _monomials_upto(quartic_field.space, 0, 4, include_constant=False)
+    gauges = _ansatz(quartic_field.space, [monos, monos])[1]
+    return cases + [gauges, [t * Fraction(-2, 3) for t in gauges]]
+
+
+def test_read_out_matches_scanning_oracle(rng, planar, quartic_field):
+    """Reading only an assignment's entries gives every template's value,
+    term order and coefficient types, whatever order the entries come in."""
+    values = [0, 1, -3, 7, Fraction(2, 3), Fraction(-5, 4), Fraction(6, 3)]
+    nonzero = 0
+    for templates in _read_out_cases(planar, quartic_field):
+        unknowns = [mono[-1][0] for t in templates for mono in t.term_map()]
+        assignments = [{}]
+        for _ in range(30):
+            picked = rng.sample(unknowns, min(rng.randint(1, 40),
+                                              len(unknowns)))
+            assignments.append({c: rng.choice(values) for c in picked})
+        assignments.append({c: rng.choice(values[1:]) for c in unknowns})
+        got = _read_out(templates, assignments)
+        assert len(got) == len(assignments)
+        for a, slots in zip(assignments, got):
+            want = [scanning_fill(t, a) for t in templates]
+            assert slots == want
+            assert [[(m, type(c)) for m, c in e.term_map().items()]
+                    for e in slots] == \
+                [[(m, type(c)) for m, c in e.term_map().items()]
+                 for e in want]
+            nonzero += sum(not e.is_zero for e in slots)
+    assert nonzero > 100
+
+
+def test_rows_refuse_what_is_not_linear_homogeneous(ode):
+    (c0, c1), _ = _ansatz(ode, [[()], [()]])
+    y = Expr.variable(ode.lookup("y"))
+    a, b = Expr.variable(c0), Expr.variable(c1)
+    assert _rows(y * a + b * 2 + y * b, [c0, c1]) == \
+        {(): {1: 2}, ((ode.lookup("y"), 1),): {0: 1, 1: 1}}
+    assert list(_rows(y * y * b + a, [c0, c1])) == \
+        [(), ((ode.lookup("y"), 2),)]
+    for e in (a + y, a + Expr.one(), a * a, a * b, y * a * b):
+        with pytest.raises(AssertionError, match="linear and homogeneous"):
+            _rows(e, [c0, c1])
 
 
 def test_solver_output_is_deterministic(free_particle):

@@ -6,9 +6,10 @@ oracle expands the textbook double sum directly, on-shell checks
 substitute solved derivatives by hand instead of calling the reducer, the
 determinant expands every cofactor afresh instead of sharing minors, and
 the reference integrator and drift run RK4 over dict environments with a
-direct monomial loop instead of the generated code, and the scanning
+direct monomial loop instead of the generated code, the scanning
 elimination visits every pivot row where ``noether.linalg`` reads its
-column index.
+column index, and the scanning fill reads every template term for every
+assignment where ``noether.engine`` reads only the assignment's entries.
 """
 
 from __future__ import annotations
@@ -412,3 +413,14 @@ def scanning_solve_affine_many(rows, n_cols, n_rhs):
             solution[pcol] = -prow.get(rhs_col, 0)
         solutions.append(solution)
     return solutions
+
+
+def scanning_fill(template, values):
+    """A template at the unknowns' values; a missing unknown is zero.
+
+    Every template term is one monomial times one unknown, which orders
+    after every variable of the space and so is the term's last factor.
+    """
+    return Expr({mono[:-1]: coeff * values[mono[-1][0]]
+                 for mono, coeff in template.term_map().items()
+                 if values.get(mono[-1][0])})
