@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .expr import (PARAMETER, Expr, Monomial, Rational, Record, VarId,
-                   mono_key)
+from .expr import (INDEPENDENT, PARAMETER, Expr, Monomial, Rational, Record,
+                   VarId, mono_degree, mono_key, rational_div)
 from .jets import (Generator, JetSpace, _characteristics, _peel, _prolong,
                    multi_derivative, total_derivative)
 from .linalg import Row, nullspace, solve_affine, solve_affine_many
@@ -141,7 +141,9 @@ def condition_residual(L: Lagrangian, g: Generator,
 
     Zero exactly when the pair is a Noether symmetry.  The sign convention
     is (symmetry side) - (gauge divergence), so a pure scaling candidate on
-    a quadratic Lagrangian leaves a positive residual.
+    a quadratic Lagrangian leaves a positive residual.  The determining
+    systems are assembled without it (``_assemble``), so the re-check of
+    every law in ``_law`` is independent of the solver.
     """
     space = L.space
     n = len(space.independents)
@@ -319,21 +321,94 @@ def _ansatz(space: JetSpace, slots: Sequence[Sequence[Monomial]]
     return unknowns, templates
 
 
-def _rows(e: Expr, unknowns: Sequence[VarId]) -> Dict[Monomial, Row]:
-    """The equation e = 0, for e linear and homogeneous in ``unknowns``, as
-    sparse rows: each monomial in the other variables, ascending by
-    ``mono_key``, maps to its coefficient of each unknown by column.
+def _assemble(L: Lagrangian, slots: Sequence[Tuple[str, int, List[Monomial]]],
+              degree: int) -> Tuple[Callable, Dict[int, Row]]:
+    """Rows of the invariance residual, column by column: column k is the
+    residual of the k-th monomial m over the slots, ("xi" | "gauge",
+    independent, monomials) or ("eta", dependent, monomials).  It is the
+    sum over nu of D^nu(m), memoised for every slot, times the slot's
+    factors: dL/du_i,mu for eta_i; -1 at nu = e_j for gauge component j;
+    for xi_j, dL/dx_j, L and the characteristic form's D^mu(-m*u_i,j) +
+    m*u_i,mu+j, expanded by Leibniz so that its nu = 0 term cancels.
+
+    A monomial is packed into one int: the total degree in the top field,
+    then one field per variable in registration order, so integer order is
+    ``mono_key`` order and a product is a sum.  No row's degree exceeds the
+    Lagrangian's plus ``degree``, and a field holds one more.  Returns the
+    packing of a term map and the rows by packed monomial.
     """
-    index = {c: k for k, c in enumerate(unknowns)}
-    rows: Dict[Monomial, Row] = {}
-    for mono, coeff in e.term_map().items():
-        # Unknowns order last, so a term's unknown is its last factor.
-        if not mono or mono[-1][0] not in index or mono[-1][1] != 1 \
-                or (len(mono) > 1 and mono[-2][0] in index):
-            raise AssertionError("internal error: expression is not "
-                                 "linear and homogeneous in the unknowns")
-        rows.setdefault(mono[:-1], {})[index[mono[-1][0]]] = coeff
-    return {m: rows[m] for m in sorted(rows, key=mono_key)}
+    space, n = L.space, len(L.space.independents)
+    vars = [*space.independents, *space.jet_vars()]
+    most = max(map(mono_degree, L.body.term_map())) + degree
+    width = (most + 1).bit_length()
+    top = 1 << width * len(vars)
+    unit = {v: top | 1 << width * (len(vars) - 1 - s)
+            for s, v in enumerate(vars)}
+
+    def pack(terms: Dict[Monomial, Rational]) -> Dict[int, Rational]:
+        return {sum(unit[v] * e for v, e in m): c for m, c in terms.items()}
+
+    memo: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
+
+    def D(p: int, multi: Tuple[int, ...]) -> Dict[int, int]:
+        """D^multi of the packed monomial p, through the space's jets; its
+        coefficients are positive, so none cancels."""
+        if not any(multi):
+            return {p: 1}
+        if (p, multi) not in memo:
+            memo[p, multi] = out = {}
+            j, lower = _peel(multi)
+            for q, c in D(p, lower).items():
+                rest = q & top - 1
+                while rest:   # each variable of q, highest field first
+                    f = (rest.bit_length() - 1) // width
+                    e = rest >> width * f
+                    rest -= e << width * f
+                    v = vars[len(vars) - 1 - f]
+                    if v.kind != INDEPENDENT:
+                        r = q - unit[v] + unit[space.derivative(v, j)]
+                    elif v is space.independents[j]:
+                        r = q - unit[v]
+                    else:
+                        continue
+                    out[r] = out.get(r, 0) + c * e
+        return memo[p, multi]
+
+    rows: Dict[int, Row] = {}
+    k = 0
+    for kind, j, monos in slots:
+        e_j = tuple(int(a == j) for a in range(n))   # for xi_j and gauge j
+        if kind == "gauge":
+            factors = {e_j: Expr.constant(-1)}
+        elif kind == "eta":
+            factors = {v.multi_index: dl for i, v, dl in L.partials if i == j}
+        else:
+            factors = {(0,) * n: L.body.partial(space.independents[j]),
+                       e_j: L.body}
+            for i, v, dl in L.partials:
+                mu = v.multi_index
+                for nu in itertools.product(*(range(a + 1) for a in mu)):
+                    if any(nu):   # C(mu, nu) D^nu(m) u_i,mu-nu+j, negated
+                        u = Expr.variable(space.jet(i, tuple(
+                            a - b + c for a, b, c in zip(mu, nu, e_j))))
+                        factors[nu] = factors.get(nu, Expr.zero()) - \
+                            u * dl * math.prod(map(math.comb, mu, nu))
+        # Scaled to integers: Fraction arithmetic would dominate the loop.
+        q = math.lcm(*(c.denominator for f in factors.values()
+                       for c in f.term_map().values()))
+        scaled = [(nu, list(pack((f * q).term_map()).items()))
+                  for nu, f in factors.items()]
+        for m in monos:
+            p, col = sum(unit[v] * e for v, e in m), {}
+            for nu, f in scaled:
+                for a, c in D(p, nu).items():
+                    for b, d in f:
+                        col[a + b] = col.get(a + b, 0) + c * d
+            for key, c in col.items():
+                if c:
+                    rows.setdefault(key, {})[k] = rational_div(c, q)
+            k += 1
+    return pack, rows
 
 
 def _read_out(templates: Sequence[Expr],
@@ -376,7 +451,8 @@ def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
 
     Every coefficient of the residual with respect to monomials in the
     non-parameter variables must vanish; each such coefficient is one
-    homogeneous linear row over the fresh parameters.  Constant gauge
+    homogeneous linear row over the fresh parameters, assembled column by
+    column and ascending by ``mono_key``.  Constant gauge
     monomials are never instantiated: they cannot influence the condition
     and would only add trivial additive-constant directions.
     """
@@ -394,13 +470,17 @@ def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
     xs = () if ansatz.suppress_xi else space.independents
     n = len(xs) + len(space.dependents)   # the xi and eta slots
     gauge = gauge_monos if ansatz.include_gauge else []
-    unknowns, templates = _ansatz(
-        space, [coeff_monos] * n + [gauge] * len(space.independents))
+    slots = ([("xi", j, coeff_monos) for j in range(len(xs))]
+             + [("eta", i, coeff_monos) for i in range(len(space.dependents))]
+             + [("gauge", j, gauge) for j in range(len(space.independents))])
+    unknowns, templates = _ansatz(space, [monos for *_, monos in slots])
     g = Generator(xi=dict(zip(xs, templates)),
                   eta=dict(zip(space.dependents, templates[len(xs):n])))
     gauge_templates = tuple(templates[n:])
-    rows = _rows(condition_residual(L, g, gauge_templates), unknowns)
-    return DeterminingSystem(unknowns=unknowns, rows=list(rows.values()),
+    rows = _assemble(L, slots, max(ansatz.coeff_degree,
+                                   ansatz.gauge_degree))[1]
+    return DeterminingSystem(unknowns=unknowns,
+                             rows=[rows[key] for key in sorted(rows)],
                              xi_templates=g.xi, eta_templates=g.eta,
                              gauge_templates=gauge_templates)
 
@@ -481,9 +561,9 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
     minus the divergence of the gauge, and only the first part depends on
     the candidate.  So the candidates are grouped by gauge jet order (by
     default the Lagrangian order less one, raised to a time-like
-    candidate's own derivative dependence), and each group builds its
-    gauge templates and their divergence once and eliminates them once,
-    with one right-hand side per candidate.
+    candidate's own derivative dependence), and each group assembles its
+    gauge columns once and eliminates them once, with one right-hand side
+    per candidate: its residual, packed like the columns.
     """
     space = L.space
     groups: Dict[int, List[int]] = {}
@@ -497,17 +577,19 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
     for order, members in groups.items():
         monos = _monomials_upto(space, order, degree, include_constant=False)
         unknowns, templates = _ansatz(space, [monos] * len(space.independents))
-        divergence = condition_residual(L, Generator(), templates)
-        system = {mono: (row, {})
-                  for mono, row in _rows(divergence, unknowns).items()}
-        del divergence   # only its rows are used; keeping it raises the peak
-        for k, member in enumerate(members):
-            terms = condition_residual(L, generators[member]).term_map()
-            for mono in sorted(terms, key=mono_key):
-                system.setdefault(mono, ({}, {}))[1][k] = -terms[mono]
+        residuals = [condition_residual(L, generators[m]).term_map()
+                     for m in members]
+        pack, rows = _assemble(
+            L, [("gauge", j, monos) for j in range(len(space.independents))],
+            max([degree, *map(mono_degree, itertools.chain(*residuals))]))
+        system = {key: (rows[key], {}) for key in sorted(rows)}
+        for k, terms in enumerate(residuals):
+            rhs = pack(terms)
+            for key in sorted(rhs):
+                system.setdefault(key, ({}, {}))[1][k] = -rhs[key]
         solutions = solve_affine_many(list(system.values()), len(unknowns),
                                       len(members))
-        found = {member: {c: v for c, v in zip(unknowns, sol) if v}
+        found = {member: {unknowns[c]: v for c, v in sol.items()}
                  for member, sol in zip(members, solutions) if sol is not None}
         values = _read_out(templates, list(found.values()))
         for member, gauge in zip(found, values):

@@ -123,20 +123,22 @@ def solve_affine(rows: List[Tuple[Row, Rational]],
     Free variables are set to zero, so the answer is the canonical
     particular solution of the reduced system.
     """
-    return solve_affine_many([(row, {0: rhs}) for row, rhs in rows],
-                             n_cols, 1)[0]
+    sol = solve_affine_many([(row, {0: rhs}) for row, rhs in rows],
+                            n_cols, 1)[0]
+    return None if sol is None else [sol.get(c, 0) for c in range(n_cols)]
 
 
 def solve_affine_many(rows: List[Tuple[Row, Dict[int, Rational]]],
-                      n_cols: int, n_rhs: int
-                      ) -> List[Optional[List[Rational]]]:
+                      n_cols: int, n_rhs: int) -> List[Optional[Row]]:
     """``solve_affine`` for right-hand sides 0 .. n_rhs-1 in one elimination.
 
     Each row carries its right-hand sides sparsely, as {k: b_k}.  They ride
     along as columns past the unknowns, so pivots depend on A alone and
     every consistent right-hand side gets exactly the solution
-    ``solve_affine`` would give it alone.  Right-hand side k is None when a
-    row whose unknown part reduced to zero still has a nonzero entry k.
+    ``solve_affine`` would give it alone, here sparse like a ``nullspace``
+    vector: its nonzero values in ascending column order.  Right-hand side
+    k is None when a row whose unknown part reduced to zero still has a
+    nonzero entry k.
     """
     combined = []
     for row, rhs in rows:
@@ -148,13 +150,6 @@ def solve_affine_many(rows: List[Tuple[Row, Dict[int, Rational]]],
     stuck: List[Row] = []
     pivots, holders = _eliminate(combined, n_cols, stuck)
     inconsistent = {c for r in stuck for c in r}
-    solutions: List[Optional[List[Rational]]] = []
-    for rhs_col in range(n_cols, n_cols + n_rhs):
-        if rhs_col in inconsistent:
-            solutions.append(None)
-            continue
-        solution = [0] * n_cols
-        for pcol in holders.get(rhs_col, ()):
-            solution[pcol] = -pivots[pcol][rhs_col]
-        solutions.append(solution)
-    return solutions
+    return [None if rhs_col in inconsistent else
+            {p: -pivots[p][rhs_col] for p in sorted(holders.get(rhs_col, ()))}
+            for rhs_col in range(n_cols, n_cols + n_rhs)]

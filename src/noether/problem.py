@@ -239,6 +239,14 @@ def _parse_law(space: JetSpace, name: str, raw: str) -> ConservationLaw:
     return ConservationLaw(kind, components)
 
 
+def _check_headroom(what: str, jet_order: int, order: int, bound: int,
+                    use: str) -> None:
+    if jet_order > bound:
+        raise ProblemError(
+            f"{what} has derivative order {jet_order}, but its {use} allows "
+            f"at most {bound} for a lagrangian of order {order}")
+
+
 def load_problem(path: str) -> Problem:
     """Read, parse and validate a problem file."""
     cp = configparser.ConfigParser(delimiters=("=",), interpolation=None)
@@ -300,15 +308,24 @@ def load_problem(path: str) -> Problem:
             f"but the gauge jet order of a Lagrangian of order {order} must "
             f"be below {space.max_order}")
 
+    # A generator's prolongation differentiates it order times, and a law's
+    # divergence once; both must stay inside the jet space.
     candidates = []
     if "generators" in cp:
         for name, raw in cp["generators"].items():
-            candidates.append((name, _parse_generator(space, name, raw)))
+            g = _parse_generator(space, name, raw)
+            _check_headroom(f"generator {name!r}", g.dependence_order,
+                            order, space.max_order - order, "prolongation")
+            candidates.append((name, g))
 
     laws = []
     if "laws" in cp:
         for name, raw in cp["laws"].items():
-            laws.append((name, _parse_law(space, name, raw)))
+            law = _parse_law(space, name, raw)
+            _check_headroom(f"law {name!r}",
+                            max(c.max_jet_order() for c in law.components),
+                            order, space.max_order - 1, "divergence")
+            laws.append((name, law))
 
     numeric = _settings(cp, "numeric", _NUMERIC, NumericConfig,
                         "numeric config")

@@ -164,6 +164,45 @@ def test_gauge_jet_order_beyond_headroom_exits_2(tmp_path, capsys):
             "a Lagrangian of order 1 must be below 4") in out
 
 
+@pytest.mark.parametrize("lagrangian,order,section,entry,message", [
+    ("1/2*y'^2", 1, "generators", "G1 = eta: y''''",
+     "generator 'G1' has derivative order 4, but its prolongation allows "
+     "at most 3 for a lagrangian of order 1"),
+    ("1/2*y'^2", 1, "laws", "I1 = y''''",
+     "law 'I1' has derivative order 4, but its divergence allows at most 3 "
+     "for a lagrangian of order 1"),
+    ("1/2*y''^2", 2, "generators", "G2 = xi: y'''''",
+     "generator 'G2' has derivative order 5, but its prolongation allows "
+     "at most 4 for a lagrangian of order 2"),
+])
+def test_candidate_beyond_headroom_exits_2_by_name(tmp_path, capsys,
+                                                   lagrangian, order, section,
+                                                   entry, message):
+    bad = tmp_path / "candidate.prob"
+    bad.write_text(f"[problem]\nindependents = x\ndependents = y\n"
+                   f"lagrangian = {lagrangian}\norder = {order}\n\n"
+                   f"[{section}]\n{entry}\n")
+    for command in ("verify", "integrals"):
+        code, out = run(capsys, command, str(bad))
+        assert code == 2
+        assert out.strip() == f"{bad}: error: {message}"
+
+
+@pytest.mark.parametrize("lagrangian,order,entries", [
+    ("1/2*y'^2", 1, "[generators]\nG1 = eta: y'''\n[laws]\nI1 = y'''\n"),
+    ("1/2*y''^2", 2, "[generators]\nG1 = eta: y''''\n[laws]\nI1 = y'''''\n"),
+])
+def test_candidate_at_headroom_still_runs(tmp_path, capsys, lagrangian,
+                                          order, entries):
+    edge = tmp_path / "edge.prob"
+    edge.write_text(f"[problem]\nindependents = x\ndependents = y\n"
+                    f"lagrangian = {lagrangian}\norder = {order}\n\n"
+                    f"[ansatz]\ngauge_degree = 2\n{entries}")
+    code, out = run(capsys, "verify", str(edge))
+    assert code in (0, 1)   # G1 is accepted at order 1, rejected at 2
+    assert "  G1: " in out and "law I1: ok" in out
+
+
 def test_huge_degree_flag_exits_2_before_building(capsys):
     # C(100002, 2) monomials per slot: refused before any is built.
     with deadline(2):

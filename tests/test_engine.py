@@ -13,11 +13,11 @@ from noether import (Ansatz, Expr, Generator, JetSpace, Lagrangian,
                      hessian_relation_check, load_problem, match_generator,
                      parse, reduce_mod_el, solve, solve_noether, verify,
                      verify_candidate)
-from noether.engine import (_ansatz, _monomials_upto, _read_out, _rows,
-                            materialize)
+from noether.engine import _ansatz, _monomials_upto, _read_out, materialize
 
 from util import (first_integral_closed_form, is_canonical, on_shell_zero,
-                  scanning_fill)
+                  rand_expr, scanning_fill, split_rows,
+                  template_gauge_systems, template_rows)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,13 +165,135 @@ def test_rows_refuse_what_is_not_linear_homogeneous(ode):
     (c0, c1), _ = _ansatz(ode, [[()], [()]])
     y = Expr.variable(ode.lookup("y"))
     a, b = Expr.variable(c0), Expr.variable(c1)
-    assert _rows(y * a + b * 2 + y * b, [c0, c1]) == \
+    assert split_rows(y * a + b * 2 + y * b, [c0, c1]) == \
         {(): {1: 2}, ((ode.lookup("y"), 1),): {0: 1, 1: 1}}
-    assert list(_rows(y * y * b + a, [c0, c1])) == \
+    assert list(split_rows(y * y * b + a, [c0, c1])) == \
         [(), ((ode.lookup("y"), 2),)]
     for e in (a + y, a + Expr.one(), a * a, a * b, y * a * b):
         with pytest.raises(AssertionError, match="linear and homogeneous"):
-            _rows(e, [c0, c1])
+            split_rows(e, [c0, c1])
+
+
+def _random_lagrangian(rng, independents, dependents, order):
+    """A seeded polynomial Lagrangian of exactly the given order, with
+    Fraction coefficients, on a space with the loader's headroom."""
+    space = JetSpace(independents, dependents, max_order=2 * order + 2)
+    jets = space.jet_vars(max_order=order)
+    highest = [v for v in jets if v.order == order]
+    while True:
+        body = (rand_expr(rng, [*space.independents, *jets], max_degree=3)
+                + Expr.variable(rng.choice(highest)) ** 2
+                * Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+        if body.max_jet_order() == order:
+            return Lagrangian(space, order, body)
+
+
+def _assembly_cases(rng):
+    """(Lagrangian, ansatz) pairs: every loadable file with its own ansatz
+    and three variants, the planar ladder, seeded random Lagrangians and
+    Lagrangians of high degree."""
+    for path in LOADABLE:
+        problem = load_problem(str(ROOT / path))
+        L, a = problem.lagrangian, problem.ansatz
+        yield L, a
+        yield L, Ansatz(coeff_degree=2, coeff_jet_order=L.order,
+                        suppress_xi=True)
+        yield L, Ansatz(coeff_degree=2, include_gauge=False)
+        yield L, Ansatz(coeff_degree=2, coeff_jet_order=1, gauge_degree=3)
+    planar = load_problem(str(ROOT / "problems/free_particle_2d.prob"))
+    for d in range(2, 6):
+        yield planar.lagrangian, Ansatz(coeff_degree=d, coeff_jet_order=1,
+                                        gauge_degree=d)
+    shapes = [(["t"], ["y"], 1), (["t"], ["x", "y"], 1), (["t"], ["y"], 2),
+              (["t"], ["x", "y"], 2), (["t", "x"], ["u"], 1)]
+    for independents, dependents, order in shapes * 3:
+        L = _random_lagrangian(rng, independents, dependents, order)
+        yield L, Ansatz(coeff_degree=rng.randint(0, 2),
+                        coeff_jet_order=rng.randint(0, min(order, 1)),
+                        gauge_degree=rng.randint(0, 3),
+                        include_gauge=rng.random() < 0.8,
+                        suppress_xi=rng.random() < 0.3)
+    space = JetSpace(["t"], ["y"], max_order=4)
+    # Too narrow a field would reorder or merge the rows of the first.
+    for text in ("1/2*y'^2 + y^30 + t^30", "1/2*y'^2 - 2/3*t*y^29*y'"):
+        L = Lagrangian(space, 1, parse(text, space))
+        yield L, Ansatz(coeff_degree=2)
+        yield L, Ansatz(coeff_degree=1, coeff_jet_order=1, gauge_degree=31)
+
+
+def test_assembly_matches_template_rows(rng):
+    """The rows assembled column by column equal, row for row and with
+    equal entry types, those split from the templates' residual."""
+    cases = 0
+    for L, ansatz in _assembly_cases(rng):
+        ds = determining_system(L, ansatz)
+        want = template_rows(L, ds)
+        assert ds.rows == want
+        assert [{c: type(v) for c, v in row.items()} for row in ds.rows] == \
+            [{c: type(v) for c, v in row.items()} for row in want]
+        cases += 1
+    assert cases == 4 * len(LOADABLE) + 4 + 15 + 4
+
+
+def test_gauge_systems_match_template_path(monkeypatch):
+    """``find_gauges`` eliminates, row for row, the systems split from the
+    gauge templates' divergence and the candidates' residuals."""
+    import noether.engine as engine
+    eliminate, seen = engine.solve_affine_many, []
+    monkeypatch.setattr(engine, "solve_affine_many",
+                        lambda rows, *n: seen.append(rows) or eliminate(
+                            rows, *n))
+    cases = []
+    for path in LOADABLE:
+        problem = load_problem(str(ROOT / path))
+        if problem.candidates:
+            cases.append((problem.lagrangian,
+                          [g for _, g in problem.candidates], 4))
+    ode = JetSpace(["t"], ["y"], max_order=4)
+    free = Lagrangian(ode, 1, parse("1/2*y'^2", ode))
+    # Residuals of degree up to 11 and 30 over gauges of degree 2 and 4;
+    # too narrow a field merges two monomials of the first.
+    gens = [Generator(eta={ode.dependents[0]: parse(text, ode)})
+            for text in ("y^9*y' + t*y'^9", "y^20*t^9", "y")]
+    cases += [(free, gens, 2), (free, gens, 4)]
+    for L, gens, degree in cases:
+        seen.clear()
+        find_gauges(L, gens, degree=degree)
+        want = template_gauge_systems(L, gens, degree)
+        assert seen == want
+        assert [[{c: type(v) for c, v in part.items()} for part in row]
+                for rows in seen for row in rows] == \
+            [[{c: type(v) for c, v in part.items()} for part in row]
+             for rows in want for row in rows]
+    assert len(cases) >= 4
+
+
+def test_find_gauges_with_high_degree_candidates():
+    """Candidates whose residuals reach degree 30, and a gauge of degree
+    28, keep the verdicts and gauges of the template path."""
+    ode = JetSpace(["t"], ["y"], max_order=4)
+    t, y = ode.independents[0], ode.dependents[0]
+
+    def g(xi=None, eta=None):
+        return Generator(xi={t: parse(xi, ode)} if xi else {},
+                         eta={y: parse(eta, ode)} if eta else {})
+
+    def strs(gauges):
+        return [gauge and [str(e) for e in gauge] for gauge in gauges]
+
+    free = Lagrangian(ode, 1, parse("1/2*y'^2", ode))
+    gens = [g(eta="y^20*t^9"), g(eta="t"), g(xi="t^2", eta="t*y"),
+            g(eta="y")]
+    for degree in (4, 30):
+        assert strs(find_gauges(free, gens, degree=degree)) == \
+            [None, ["y"], ["1/2*y^2"], None]
+    # L = 1/2*y'^2 + D_t(y^20*t^9)
+    shifted = Lagrangian(ode, 1, parse(
+        "1/2*y'^2 + 20*y^19*y'*t^9 + 9*y^20*t^8", ode))
+    gens = [g(eta="1"), g(eta="y^20*t^9"), g(xi="1")]
+    assert strs(find_gauges(shifted, gens, degree=28)) == \
+        [["20*t^9*y^19"], None, ["9*t^8*y^20"]]
+    assert find_gauges(shifted, gens, degree=27) == [None, None, None]
 
 
 def test_solver_output_is_deterministic(free_particle):

@@ -25,6 +25,15 @@ def _mixed_entry(rng):
     return rng.choice([-3, -2, -1, 1, 2, 5])
 
 
+def _dense(solutions, n_cols):
+    """Sparse solutions as dense lists, once each is checked to hold only
+    nonzero values in ascending column order; None stays None."""
+    assert all(sol is None or (list(sol) == sorted(sol) and all(sol.values()))
+               for sol in solutions)
+    return [None if sol is None else [sol.get(c, 0) for c in range(n_cols)]
+            for sol in solutions]
+
+
 def _random_row(rng, n_cols, entry=_fraction_entry):
     cols = rng.sample(range(n_cols), rng.randint(0, n_cols))
     return {c: entry(rng) for c in cols}
@@ -72,7 +81,8 @@ def test_multi_rhs_solve_matches_reference():
     seen = {"none": 0, "solved": 0, "rank_deficient": 0}
     for _ in range(200):
         rows, rhs, n_cols, n_rhs = _random_system(rng)
-        got = solve_affine_many(list(zip(rows, rhs)), n_cols, n_rhs)
+        got = _dense(solve_affine_many(list(zip(rows, rhs)), n_cols, n_rhs),
+                     n_cols)
         assert len(got) == n_rhs
         rank = n_cols - len(nullspace(rows, n_cols))
         if rank < min(len(rows), n_cols):
@@ -93,13 +103,13 @@ def test_multi_rhs_inconsistency_is_per_right_hand_side():
     rows = [({0: one, 1: one}, {0: one, 1: one}),
             ({0: two, 1: two}, {0: two, 1: three}),
             ({}, {2: Fraction(5)})]
-    assert solve_affine_many(rows, 2, 4) == [
+    assert _dense(solve_affine_many(rows, 2, 4), 2) == [
         [Fraction(1), Fraction(0)], None, None, [Fraction(0), Fraction(0)]]
 
 
 def test_multi_rhs_without_unknowns():
     rows = [({}, {0: Fraction(0), 1: Fraction(1)})]
-    assert solve_affine_many(rows, 0, 3) == [[], None, []]
+    assert _dense(solve_affine_many(rows, 0, 3), 0) == [[], None, []]
     assert solve_affine_many([], 2, 0) == []
 
 
@@ -118,7 +128,8 @@ def test_mixed_entries_match_fraction_reference():
                    for vec in basis)
         assert ([[vec.get(c, 0) for c in range(n_cols)] for vec in basis]
                 == reference_nullspace(exact, n_cols))
-        got = solve_affine_many(list(zip(rows, rhs)), n_cols, n_rhs)
+        got = _dense(solve_affine_many(list(zip(rows, rhs)), n_cols, n_rhs),
+                     n_cols)
         for k in range(n_rhs):
             single = [(row, Fraction(b.get(k, 0)))
                       for row, b in zip(exact, rhs)]
@@ -195,7 +206,7 @@ def test_indexed_elimination_matches_scanning_oracle():
         assert _ordered(basis) == _ordered(scanning_nullspace(rows, n_cols))
         system = list(zip(rows, rhs))
         solutions = solve_affine_many(system, n_cols, n_rhs)
-        assert (_typed(solutions)
+        assert (_typed(_dense(solutions, n_cols))
                 == _typed(scanning_solve_affine_many(system, n_cols, n_rhs)))
         rank = n_cols - len(basis)
         seen["rank_deficient"] += rank < min(len(rows), n_cols)
@@ -218,4 +229,4 @@ def test_elimination_scales_with_the_rows_holding_a_column():
     assert len(basis) == n
     assert basis[0] == {0: 1, n: Fraction(-1, 2)}
     assert basis[-1] == {n - 1: 1, 2 * n - 1: Fraction(-1, 2)}
-    assert solutions == [[1] * n + [0] * n]
+    assert _dense(solutions, 2 * n) == [[1] * n + [0] * n]

@@ -8,8 +8,10 @@ determinant expands every cofactor afresh instead of sharing minors, and
 the reference integrator and drift run RK4 over dict environments with a
 direct monomial loop instead of the generated code, the scanning
 elimination visits every pivot row where ``noether.linalg`` reads its
-column index, and the scanning fill reads every template term for every
-assignment where ``noether.engine`` reads only the assignment's entries.
+column index, the scanning fill reads every template term for every
+assignment where ``noether.engine`` reads only the assignment's entries,
+and the template rows split the invariance residual of the whole ansatz
+by unknown where ``noether.engine`` assembles them column by column.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import signal
 from fractions import Fraction
 from pathlib import Path
 
-from noether import Expr, Generator, JetSpace, total_derivative
-from noether.expr import _as_rational, _exact, rational_div
+from noether import (Expr, Generator, JetSpace, condition_residual,
+                     total_derivative)
+from noether.engine import _ansatz, _monomials_upto
+from noether.expr import _as_rational, _exact, mono_key, rational_div
 from noether.numeric import state_variables
 
 SEED = 42
@@ -424,3 +428,56 @@ def scanning_fill(template, values):
     return Expr({mono[:-1]: coeff * values[mono[-1][0]]
                  for mono, coeff in template.term_map().items()
                  if values.get(mono[-1][0])})
+
+
+def split_rows(e, unknowns):
+    """The equation e = 0, for e linear and homogeneous in ``unknowns``, as
+    sparse rows: each monomial in the other variables, ascending by
+    ``mono_key``, maps to its coefficient of each unknown by column."""
+    index = {c: k for k, c in enumerate(unknowns)}
+    rows = {}
+    for mono, coeff in e.term_map().items():
+        # Unknowns order last, so a term's unknown is its last factor.
+        if not mono or mono[-1][0] not in index or mono[-1][1] != 1 \
+                or (len(mono) > 1 and mono[-2][0] in index):
+            raise AssertionError("internal error: expression is not "
+                                 "linear and homogeneous in the unknowns")
+        rows.setdefault(mono[:-1], {})[index[mono[-1][0]]] = coeff
+    return {m: rows[m] for m in sorted(rows, key=mono_key)}
+
+
+def template_rows(L, ds):
+    """The rows of the determining system ``ds`` as they were built before
+    column assembly: the invariance residual of its templates, in which
+    every term carries its unknown as a factor, split by unknown."""
+    g = Generator(xi=dict(ds.xi_templates), eta=dict(ds.eta_templates))
+    residual = condition_residual(L, g, ds.gauge_templates)
+    return list(split_rows(residual, ds.unknowns).values())
+
+
+def template_gauge_systems(L, generators, degree=4, jet_order=None):
+    """The (row, right-hand sides) systems ``find_gauges`` eliminates, one
+    per gauge jet order in order of first use, as they were built before
+    column assembly: the rows split from the gauge templates' divergence,
+    ascending, then each candidate's new residual monomials, ascending."""
+    space = L.space
+    groups = {}
+    for k, g in enumerate(generators):
+        order = jet_order
+        if order is None:
+            order = (max(L.order - 1, g.dependence_order)
+                     if space.is_ode else 0)
+        groups.setdefault(order, []).append(k)
+    systems = []
+    for order, members in groups.items():
+        monos = _monomials_upto(space, order, degree, include_constant=False)
+        unknowns, templates = _ansatz(space, [monos] * len(space.independents))
+        divergence = condition_residual(L, Generator(), templates)
+        system = {mono: (row, {})
+                  for mono, row in split_rows(divergence, unknowns).items()}
+        for k, member in enumerate(members):
+            terms = condition_residual(L, generators[member]).term_map()
+            for mono in sorted(terms, key=mono_key):
+                system.setdefault(mono, ({}, {}))[1][k] = -terms[mono]
+        systems.append(list(system.values()))
+    return systems
