@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .expr import (INDEPENDENT, PARAMETER, Expr, Monomial, Rational, Record,
                    VarId, mono_degree, mono_key, rational_div)
 from .jets import (Generator, JetSpace, _characteristics, _peel, _prolong,
                    multi_derivative, total_derivative)
-from .linalg import Row, nullspace, solve_affine, solve_affine_many
+from .linalg import Row, nullspace, solve_affine_many
 from .variational import (ELSystem, Lagrangian, ReductionError,
                           _hessian_matrix, euler_lagrange, reduce_mod_el)
 
@@ -120,9 +120,10 @@ class DeterminingSystem:
     order after every variable of the problem's ``JetSpace`` but are not
     registered in it, so they never clash with the problem's names.
     ``rows`` are sparse over positions in ``unknowns``.  The templates are
-    linear in the parameters, one parameter per term, and are the one
-    description of the ansatz: ``materialize`` reads a parameter assignment
-    out of them as a generator and gauge, one term per nonzero value.
+    linear in the parameters, one parameter per term, and describe the
+    ansatz to callers of this record.  No command builds them:
+    ``solve_noether`` and ``find_gauges`` read each solution straight from
+    its columns, one monomial in one slot each.
     """
 
     unknowns: List[VarId]
@@ -280,14 +281,11 @@ def hessian_relation_check(L: Lagrangian, g: Generator, integral: Expr) -> bool:
 # -- determining equations ----------------------------------------------------
 
 
-def _monomials_upto(space: JetSpace, jet_order: int, degree: int,
-                    include_constant: bool = True) -> List[Monomial]:
-    """All monomials of total degree <= degree, ascending, over the
-    independents and the jets up to ``jet_order``.
-
-    Raises ValueError, before building any, for a negative degree or when
-    there would be more than ``MAX_SLOT_MONOMIALS``.
-    """
+def _slot_variables(space: JetSpace, jet_order: int, degree: int,
+                    include_constant: bool) -> List[VarId]:
+    """The independents and the jets up to ``jet_order``, over which a slot
+    holds its monomials; ValueError for a negative degree or for more than
+    ``MAX_SLOT_MONOMIALS`` monomials."""
     if degree < 0:
         raise ValueError(f"ansatz degree {degree} must be non-negative")
     vars = list(space.independents) + space.jet_vars(max_order=jet_order)
@@ -296,12 +294,50 @@ def _monomials_upto(space: JetSpace, jet_order: int, degree: int,
         raise ValueError(
             f"ansatz degree {degree} over {len(vars)} variables needs "
             f"{count} monomials per slot; the bound is {MAX_SLOT_MONOMIALS}")
-    # ``vars`` ascend by sort index, and so does each combination.
-    monos = [tuple((v, combo.count(v)) for v in dict.fromkeys(combo))
-             for d in range(0 if include_constant else 1, degree + 1)
-             for combo in itertools.combinations_with_replacement(vars, d)]
-    monos.sort(key=mono_key)
-    return monos
+    return vars
+
+
+class _Packing:
+    """The monomials of one linear system, each packed into one int: the
+    total degree in the top field, then one field per variable in
+    registration order, so integer order is ``mono_key`` order and a
+    product is a sum.  No monomial of the system exceeds the Lagrangian's
+    degree plus ``degree``, that of a slot or right-hand side, and a field
+    holds one more."""
+
+    __slots__ = ("space", "vars", "width", "top", "unit")
+
+    def __init__(self, L: Lagrangian, degree: int):
+        self.space = space = L.space
+        self.vars = vars = [*space.independents, *space.jet_vars()]
+        most = max(map(mono_degree, L.body.term_map())) + degree
+        self.width = width = (most + 1).bit_length()
+        self.top = 1 << width * len(vars)
+        self.unit = {v: self.top | 1 << width * (len(vars) - 1 - s)
+                     for s, v in enumerate(vars)}
+
+    def pack(self, terms: Dict[Monomial, Rational]) -> Dict[int, Rational]:
+        return {sum(self.unit[v] * e for v, e in m): c
+                for m, c in terms.items()}
+
+    def factors(self, p: int) -> Iterator[Tuple[VarId, int]]:
+        """Each variable of the packed monomial p with its exponent, in
+        registration order: the highest field first."""
+        rest, width = p & self.top - 1, self.width
+        while rest:
+            f = (rest.bit_length() - 1) // width
+            e = rest >> width * f
+            rest -= e << width * f
+            yield self.vars[len(self.vars) - 1 - f], e
+
+    def monomials(self, jet_order: int, degree: int,
+                  include_constant: bool = True) -> List[int]:
+        """A slot's monomials of total degree <= degree, ascending."""
+        units = [self.unit[v] for v in _slot_variables(
+            self.space, jet_order, degree, include_constant)]
+        lowest = 0 if include_constant else 1
+        return sorted(sum(c) for d in range(lowest, degree + 1)
+                      for c in itertools.combinations_with_replacement(units, d))
 
 
 def _ansatz(space: JetSpace, slots: Sequence[Sequence[Monomial]]
@@ -321,33 +357,19 @@ def _ansatz(space: JetSpace, slots: Sequence[Sequence[Monomial]]
     return unknowns, templates
 
 
-def _assemble(L: Lagrangian, slots: Sequence[Tuple[str, int, List[Monomial]]],
-              degree: int) -> Tuple[Callable, Dict[int, Row]]:
-    """Rows of the invariance residual, column by column: column k is the
-    residual of the k-th monomial m over the slots, ("xi" | "gauge",
-    independent, monomials) or ("eta", dependent, monomials).  It is the
-    sum over nu of D^nu(m), memoised for every slot, times the slot's
-    factors: dL/du_i,mu for eta_i; -1 at nu = e_j for gauge component j;
-    for xi_j, dL/dx_j, L and the characteristic form's D^mu(-m*u_i,j) +
-    m*u_i,mu+j, expanded by Leibniz so that its nu = 0 term cancels.
-
-    A monomial is packed into one int: the total degree in the top field,
-    then one field per variable in registration order, so integer order is
-    ``mono_key`` order and a product is a sum.  No row's degree exceeds the
-    Lagrangian's plus ``degree``, and a field holds one more.  Returns the
-    packing of a term map and the rows by packed monomial.
+def _assemble(L: Lagrangian, packing: _Packing,
+              slots: Sequence[Tuple[str, int, List[int]]]) -> Dict[int, Row]:
+    """Rows of the invariance residual by packed monomial, ascending, built
+    column by column: column k is the residual of the k-th packed monomial
+    m over the slots, ("xi" | "gauge", independent, monomials) or ("eta",
+    dependent, monomials).  It is the sum over nu of D^nu(m), memoised for
+    every slot, times the slot's factors: dL/du_i,mu for eta_i; -1 at nu =
+    e_j for gauge component j; for xi_j, dL/dx_j, L and the characteristic
+    form's D^mu(-m*u_i,j) + m*u_i,mu+j, expanded by Leibniz so that its
+    nu = 0 term cancels.
     """
     space, n = L.space, len(L.space.independents)
-    vars = [*space.independents, *space.jet_vars()]
-    most = max(map(mono_degree, L.body.term_map())) + degree
-    width = (most + 1).bit_length()
-    top = 1 << width * len(vars)
-    unit = {v: top | 1 << width * (len(vars) - 1 - s)
-            for s, v in enumerate(vars)}
-
-    def pack(terms: Dict[Monomial, Rational]) -> Dict[int, Rational]:
-        return {sum(unit[v] * e for v, e in m): c for m, c in terms.items()}
-
+    unit = packing.unit
     memo: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
 
     def D(p: int, multi: Tuple[int, ...]) -> Dict[int, int]:
@@ -359,12 +381,7 @@ def _assemble(L: Lagrangian, slots: Sequence[Tuple[str, int, List[Monomial]]],
             memo[p, multi] = out = {}
             j, lower = _peel(multi)
             for q, c in D(p, lower).items():
-                rest = q & top - 1
-                while rest:   # each variable of q, highest field first
-                    f = (rest.bit_length() - 1) // width
-                    e = rest >> width * f
-                    rest -= e << width * f
-                    v = vars[len(vars) - 1 - f]
+                for v, e in packing.factors(q):
                     if v.kind != INDEPENDENT:
                         r = q - unit[v] + unit[space.derivative(v, j)]
                     elif v is space.independents[j]:
@@ -396,10 +413,10 @@ def _assemble(L: Lagrangian, slots: Sequence[Tuple[str, int, List[Monomial]]],
         # Scaled to integers: Fraction arithmetic would dominate the loop.
         q = math.lcm(*(c.denominator for f in factors.values()
                        for c in f.term_map().values()))
-        scaled = [(nu, list(pack((f * q).term_map()).items()))
+        scaled = [(nu, list(packing.pack((f * q).term_map()).items()))
                   for nu, f in factors.items()]
-        for m in monos:
-            p, col = sum(unit[v] * e for v, e in m), {}
+        for p in monos:
+            col: Dict[int, int] = {}
             for nu, f in scaled:
                 for a, c in D(p, nu).items():
                     for b, d in f:
@@ -408,81 +425,67 @@ def _assemble(L: Lagrangian, slots: Sequence[Tuple[str, int, List[Monomial]]],
                 if c:
                     rows.setdefault(key, {})[k] = rational_div(c, q)
             k += 1
-    return pack, rows
+    return dict(sorted(rows.items()))
 
 
-def _read_out(templates: Sequence[Expr],
-              assignments: Sequence[Dict[VarId, Rational]]
-              ) -> List[List[Expr]]:
-    """Every template at each assignment's values; a missing unknown is zero.
+def _slot_values(vec: Row, columns: Sequence[Tuple[int, Monomial]],
+                 n_slots: int) -> List[Expr]:
+    """Each slot's polynomial at a sparse solution: column c is the
+    coefficient of monomial ``columns[c][1]`` in slot ``columns[c][0]``.
+    A solution's entries ascend by column, so each slot's terms ascend by
+    ``mono_key``, and only its nonzero entries are visited."""
+    terms: List[Dict[Monomial, Rational]] = [{} for _ in range(n_slots)]
+    for c, v in vec.items():
+        s, mono = columns[c]
+        terms[s][mono] = v
+    return [Expr(t) for t in terms]
 
-    Each unknown is located once, by slot and term; an assignment then
-    visits only its nonzero values.  Each slot keeps its template's order,
-    and a template coefficient of 1, as ``_ansatz`` makes, is not multiplied.
+
+def _system(L: Lagrangian, ansatz: Ansatz
+            ) -> Tuple[List[Row], Sequence[VarId], List[List[Monomial]]]:
+    """The determining system's rows, ascending by ``mono_key``, the
+    independents with a xi slot, and the unpacked monomials of each slot:
+    xi, then one eta per dependent and one gauge per independent.  Column
+    k is the k-th monomial over the slots.  Constant gauge monomials, which
+    would only add additive-constant directions, are never instantiated.
     """
-    where = {mono[-1][0]: (s, k, mono[:-1], coeff)
-             for s, t in enumerate(templates)
-             for k, (mono, coeff) in enumerate(t.term_map().items())}
-    out = []
-    for a in assignments:
-        terms: List[Dict[Monomial, Rational]] = [{} for _ in templates]
-        for s, _, mono, coeff, v in sorted(where[c] + (v,)
-                                           for c, v in a.items() if v):
-            terms[s][mono] = v if coeff == 1 else coeff * v
-        out.append([Expr(t) for t in terms])
-    return out
-
-
-def _check_solving_supported(L: Lagrangian):
     space = L.space
-    if space.is_ode:
-        return
-    if len(space.independents) == 2 and len(space.dependents) == 1 \
-            and L.order == 1:
-        return
-    raise UnsupportedProblem(
-        "determining equations are solved for time-like problems of any "
-        "order and for first-order problems in two independent and one "
-        "dependent variable; use verification mode otherwise")
-
-
-def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
-    """Instantiate the ansatz and collect the invariance condition.
-
-    Every coefficient of the residual with respect to monomials in the
-    non-parameter variables must vanish; each such coefficient is one
-    homogeneous linear row over the fresh parameters, assembled column by
-    column and ascending by ``mono_key``.  Constant gauge
-    monomials are never instantiated: they cannot influence the condition
-    and would only add trivial additive-constant directions.
-    """
-    _check_solving_supported(L)
-    space = L.space
+    if not space.is_ode and (len(space.independents), len(space.dependents),
+                             L.order) != (2, 1, 1):
+        raise UnsupportedProblem(
+            "determining equations are solved for time-like problems of any "
+            "order and for first-order problems in two independent and one "
+            "dependent variable; use verification mode otherwise")
     if ansatz.coeff_jet_order > L.order:
         raise ValueError(
             "coefficient jet order above the Lagrangian order is not "
             "meaningful once the equations of motion constrain the system")
-    coeff_monos = _monomials_upto(space, ansatz.coeff_jet_order,
-                                  ansatz.coeff_degree)
-    gauge_monos = _monomials_upto(space, ansatz.resolved_gauge_jet_order(L),
-                                  ansatz.gauge_degree, include_constant=False)
-
+    packing = _Packing(L, max(ansatz.coeff_degree, ansatz.gauge_degree))
+    coeff = packing.monomials(ansatz.coeff_jet_order, ansatz.coeff_degree)
+    gauge = packing.monomials(ansatz.resolved_gauge_jet_order(L),
+                              ansatz.gauge_degree, include_constant=False)
     xs = () if ansatz.suppress_xi else space.independents
-    n = len(xs) + len(space.dependents)   # the xi and eta slots
-    gauge = gauge_monos if ansatz.include_gauge else []
-    slots = ([("xi", j, coeff_monos) for j in range(len(xs))]
-             + [("eta", i, coeff_monos) for i in range(len(space.dependents))]
+    gauge = gauge if ansatz.include_gauge else []
+    slots = ([("xi", j, coeff) for j in range(len(xs))]
+             + [("eta", i, coeff) for i in range(len(space.dependents))]
              + [("gauge", j, gauge) for j in range(len(space.independents))])
-    unknowns, templates = _ansatz(space, [monos for *_, monos in slots])
-    g = Generator(xi=dict(zip(xs, templates)),
-                  eta=dict(zip(space.dependents, templates[len(xs):n])))
-    gauge_templates = tuple(templates[n:])
-    rows = _assemble(L, slots, max(ansatz.coeff_degree,
-                                   ansatz.gauge_degree))[1]
-    return DeterminingSystem(unknowns=unknowns,
-                             rows=[rows[key] for key in sorted(rows)],
-                             xi_templates=g.xi, eta_templates=g.eta,
-                             gauge_templates=gauge_templates)
+    rows = _assemble(L, packing, slots)
+    unpacked = {p: tuple(packing.factors(p)) for p in {*coeff, *gauge}}
+    return (list(rows.values()), xs,
+            [[unpacked[p] for p in monos] for *_, monos in slots])
+
+
+def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
+    """Instantiate the ansatz and collect the invariance condition: each
+    coefficient of the residual, by monomial in the problem's variables, is
+    one homogeneous linear row over fresh parameters, one per column."""
+    rows, xs, slots = _system(L, ansatz)
+    unknowns, templates = _ansatz(L.space, slots)
+    n = len(xs) + len(L.space.dependents)   # the xi and eta slots
+    return DeterminingSystem(
+        unknowns=unknowns, rows=rows, xi_templates=dict(zip(xs, templates)),
+        eta_templates=dict(zip(L.space.dependents, templates[len(xs):n])),
+        gauge_templates=tuple(templates[n:]))
 
 
 def solve(ds: DeterminingSystem) -> List[Dict[VarId, Rational]]:
@@ -493,31 +496,6 @@ def solve(ds: DeterminingSystem) -> List[Dict[VarId, Rational]]:
     """
     basis = nullspace(ds.rows, len(ds.unknowns))
     return [{ds.unknowns[c]: v for c, v in vec.items()} for vec in basis]
-
-
-def materialize(L: Lagrangian, ds: DeterminingSystem,
-                assignments: Sequence[Dict[VarId, Rational]]
-                ) -> List[NoetherSolution]:
-    """Read parameter assignments out of the templates and build their laws.
-
-    Each assignment becomes its generator and gauge by one multiply per
-    template term whose parameter it sets.  Directions
-    with an identically zero generator are dropped before a law is built:
-    they are divergence-free gauge fields (possible for flux-vector gauges)
-    carrying no symmetry content.  The law builders re-check the invariance
-    condition exactly, so the solver's word is not taken.
-    """
-    xs, us = list(ds.xi_templates), list(ds.eta_templates)
-    slots = [*ds.xi_templates.values(), *ds.eta_templates.values(),
-             *ds.gauge_templates]
-    out = []
-    for values in _read_out(slots, assignments):
-        g = Generator(
-            xi={x: e for x, e in zip(xs, values) if not e.is_zero},
-            eta={u: e for u, e in zip(us, values[len(xs):]) if not e.is_zero})
-        if not g.is_zero:
-            out.append(_solution(L, g, tuple(values[len(xs) + len(us):])))
-    return out
 
 
 def _solution(L: Lagrangian, g: Generator,
@@ -531,9 +509,24 @@ def _solution(L: Lagrangian, g: Generator,
 
 
 def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
-    """End to end: determining system, nullspace, verified solutions."""
-    ds = determining_system(L, ansatz)
-    return materialize(L, ds, solve(ds))
+    """End to end: determining system, nullspace, verified solutions.
+
+    Each nullspace vector is read from its columns into a generator and
+    gauge.  Directions with a zero generator, divergence-free gauge fields
+    with no symmetry content, are dropped before a law is built.  The law
+    builders re-check the invariance condition exactly."""
+    rows, xs, slots = _system(L, ansatz)
+    us = L.space.dependents
+    columns = [(s, m) for s, monos in enumerate(slots) for m in monos]
+    out = []
+    for vec in nullspace(rows, len(columns)):
+        values = _slot_values(vec, columns, len(slots))
+        g = Generator(
+            xi={x: e for x, e in zip(xs, values) if not e.is_zero},
+            eta={u: e for u, e in zip(us, values[len(xs):]) if not e.is_zero})
+        if not g.is_zero:
+            out.append(_solution(L, g, tuple(values[len(xs) + len(us):])))
+    return out
 
 
 # -- verification mode --------------------------------------------------------
@@ -566,6 +559,7 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
     per candidate: its residual, packed like the columns.
     """
     space = L.space
+    n = len(space.independents)
     groups: Dict[int, List[int]] = {}
     for k, g in enumerate(generators):
         order = jet_order
@@ -575,25 +569,26 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
         groups.setdefault(order, []).append(k)
     gauges: List[Optional[Tuple[Expr, ...]]] = [None] * len(generators)
     for order, members in groups.items():
-        monos = _monomials_upto(space, order, degree, include_constant=False)
-        unknowns, templates = _ansatz(space, [monos] * len(space.independents))
+        # An over-bound degree is refused before any residual is computed.
+        _slot_variables(space, order, degree, False)
         residuals = [condition_residual(L, generators[m]).term_map()
                      for m in members]
-        pack, rows = _assemble(
-            L, [("gauge", j, monos) for j in range(len(space.independents))],
-            max([degree, *map(mono_degree, itertools.chain(*residuals))]))
-        system = {key: (rows[key], {}) for key in sorted(rows)}
+        packing = _Packing(L, max([degree, *map(
+            mono_degree, itertools.chain(*residuals))]))
+        monos = packing.monomials(order, degree, include_constant=False)
+        rows = _assemble(L, packing, [("gauge", j, monos) for j in range(n)])
+        system = {key: (row, {}) for key, row in rows.items()}
         for k, terms in enumerate(residuals):
-            rhs = pack(terms)
+            rhs = packing.pack(terms)
             for key in sorted(rhs):
                 system.setdefault(key, ({}, {}))[1][k] = -rhs[key]
-        solutions = solve_affine_many(list(system.values()), len(unknowns),
+        solutions = solve_affine_many(list(system.values()), n * len(monos),
                                       len(members))
-        found = {member: {unknowns[c]: v for c, v in sol.items()}
-                 for member, sol in zip(members, solutions) if sol is not None}
-        values = _read_out(templates, list(found.values()))
-        for member, gauge in zip(found, values):
-            gauges[member] = tuple(gauge)
+        unpacked = [tuple(packing.factors(p)) for p in monos]
+        columns = [(j, m) for j in range(n) for m in unpacked]
+        for member, sol in zip(members, solutions):
+            if sol is not None:
+                gauges[member] = tuple(_slot_values(sol, columns, n))
     return gauges
 
 
@@ -645,16 +640,17 @@ def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
                 + [g.xi_of(x) for x in space.independents])
 
     parts = [slots(sol.generator) for sol in solutions]
-    system: List[Tuple[Row, Rational]] = []
+    system: List[Tuple[Row, Dict[int, Rational]]] = []
     for s, goal in enumerate(slots(target)):
         rhs = goal.term_map()
         rows: Dict[Monomial, Row] = {m: {} for m in rhs}
         for k, part in enumerate(parts):
             for mono, coeff in part[s].term_map().items():
                 rows.setdefault(mono, {})[k] = coeff
-        system += [(rows[m], rhs.get(m, 0))
+        system += [(rows[m], {0: rhs.get(m, 0)})
                    for m in sorted(rows, key=mono_key)]
-    weights = solve_affine(system, len(solutions))
+    weights = solve_affine_many(system, len(solutions), 1)[0]
     if weights is None:
         return None
-    return combine_solutions(L, solutions, weights)
+    return combine_solutions(
+        L, solutions, [weights.get(k, 0) for k in range(len(solutions))])

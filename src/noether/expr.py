@@ -34,9 +34,10 @@ class VarId:
 
     A ``JetSpace`` creates one object per variable it registers, so the
     inherited identity ``__eq__``/``__hash__`` are both correct and fast.
-    Solver unknowns (kind ``PARAMETER``) are not registered: each linear
-    system creates its own, ordered after the space's variables, and never
-    mixes them with another system's.
+    Solver unknowns (kind ``PARAMETER``) are not registered: each
+    ``determining_system`` record creates its own for its templates,
+    ordered after the space's variables, and never mixes them with
+    another record's.
 
     ``multi_index`` holds one derivative count per independent variable; it
     is all zeros for a plain dependent variable and empty for independents

@@ -116,26 +116,16 @@ def nullspace(rows: List[Row], n_cols: int) -> List[Row]:
     return basis
 
 
-def solve_affine(rows: List[Tuple[Row, Rational]],
-                 n_cols: int) -> Optional[List[Rational]]:
-    """One exact solution of A x = b, or None when inconsistent.
-
-    Free variables are set to zero, so the answer is the canonical
-    particular solution of the reduced system.
-    """
-    sol = solve_affine_many([(row, {0: rhs}) for row, rhs in rows],
-                            n_cols, 1)[0]
-    return None if sol is None else [sol.get(c, 0) for c in range(n_cols)]
-
-
 def solve_affine_many(rows: List[Tuple[Row, Dict[int, Rational]]],
                       n_cols: int, n_rhs: int) -> List[Optional[Row]]:
-    """``solve_affine`` for right-hand sides 0 .. n_rhs-1 in one elimination.
+    """One exact solution of A x = b_k for each right-hand side k in
+    0 .. n_rhs-1, all in one elimination.
 
     Each row carries its right-hand sides sparsely, as {k: b_k}.  They ride
     along as columns past the unknowns, so pivots depend on A alone and
-    every consistent right-hand side gets exactly the solution
-    ``solve_affine`` would give it alone, here sparse like a ``nullspace``
+    every consistent right-hand side gets exactly the solution it would
+    get alone: free variables set to zero, the canonical particular
+    solution of the reduced system.  It is sparse like a ``nullspace``
     vector: its nonzero values in ascending column order.  Right-hand side
     k is None when a row whose unknown part reduced to zero still has a
     nonzero entry k.

@@ -1,30 +1,39 @@
 """Problem-file ingestion and validation.
 
-A problem file is a flat key-value text in INI-style sections::
+A problem file is a flat key-value text in INI-style sections; a comment
+has its line to itself, since after a value ``#`` is part of the value::
 
     # comment lines start with '#'
     [problem]
-    independents = x          # comma or whitespace separated names
+    # comma or whitespace separated names
+    independents = x
     dependents = y
-    lagrangian = 1/2*y'^2     # expression in the documented grammar
-    order = 1                 # must equal the highest derivative present
+    # an expression in the documented grammar
+    lagrangian = 1/2*y'^2
+    # must equal the highest derivative present
+    order = 1
 
-    [ansatz]                  # optional; all keys optional
+    # optional; all keys optional
+    [ansatz]
     degree = 4
     jet_order = 0
-    gauge = on                # on/off
+    # on/off
+    gauge = on
     gauge_degree = 4
     gauge_jet_order = 1
     suppress_xi = off
 
-    [generators]              # optional; verification-mode candidates
+    # optional; verification-mode candidates
+    [generators]
     G5 = xi_x: x^2; eta_y: x*y
 
-    [laws]                    # optional; candidate conservation laws
-    I3 = 1/2*y'^2             # PDE laws list one component per independent,
-                              # comma separated
+    # optional; candidate conservation laws.  PDE laws list one component
+    # per independent, comma separated
+    [laws]
+    I3 = 1/2*y'^2
 
-    [numeric]                 # optional overrides for the validator
+    # optional overrides for the validator
+    [numeric]
     step = 1e-3
     horizon = 10.0
     tolerance = 1e-8

@@ -1,8 +1,14 @@
-"""The README stays in step with the public API."""
+"""The README and the docstrings stay in step with the code."""
 
+import re
+import textwrap
 from pathlib import Path
 
+import pytest
+
 import noether
+import noether.problem
+from noether import load_problem
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +18,39 @@ def test_library_tour_names_every_public_name():
     tour = text.split("## Library tour", 1)[1].split("\n## ", 1)[0]
     missing = [name for name in noether.__all__ if f"`{name}`" not in tour]
     assert not missing, f"README library tour misses {missing}"
+
+
+def _readme_example():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", text, re.DOTALL)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def _docstring_example():
+    """The indented literal block after the module docstring's '::'."""
+    block = noether.problem.__doc__.split("::\n", 1)[1]
+    lines = []
+    for line in block.splitlines():
+        if line and not line.startswith("    "):
+            break
+        lines.append(line)
+    return textwrap.dedent("\n".join(lines))
+
+
+@pytest.mark.parametrize("example", [_readme_example, _docstring_example],
+                         ids=["readme", "problem-docstring"])
+def test_problem_file_examples_load(example, tmp_path):
+    """Each documented problem file is accepted as written, comments
+    included, with the values it shows."""
+    path = tmp_path / "example.prob"
+    path.write_text(example(), encoding="utf-8")
+    problem = load_problem(str(path))
+    space = problem.lagrangian.space
+    assert [v.name for v in space.independents] == ["x"]
+    assert [v.name for v in space.dependents] == ["y"]
+    assert problem.lagrangian.order == 1
+    assert problem.ansatz.coeff_degree == 4
+    assert problem.ansatz.gauge_jet_order == 1
+    assert "G5" in dict(problem.candidates)
+    assert problem.numeric.seed == 42

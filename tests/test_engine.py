@@ -13,10 +13,10 @@ from noether import (Ansatz, Expr, Generator, JetSpace, Lagrangian,
                      hessian_relation_check, load_problem, match_generator,
                      parse, reduce_mod_el, solve, solve_noether, verify,
                      verify_candidate)
-from noether.engine import _ansatz, _monomials_upto, _read_out, materialize
+from noether.engine import _ansatz, _Packing
 
-from util import (first_integral_closed_form, is_canonical, on_shell_zero,
-                  rand_expr, scanning_fill, split_rows,
+from util import (first_integral_closed_form, is_canonical, monomials_upto,
+                  on_shell_zero, rand_expr, scanning_fill, split_rows,
                   template_gauge_systems, template_rows)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,11 +97,11 @@ def test_ansatz_slot_count_matches_binomial(planar):
     # that must be what is built.  planar has t, x, y and x', y' at order 1.
     from math import comb
 
-    from noether.engine import _monomials_upto
     for order, n_vars in ((0, 3), (1, 5)):
         for degree in range(4):
+            packing = _Packing(planar, degree)
             for constant in (True, False):
-                monos = _monomials_upto(planar.space, order, degree, constant)
+                monos = packing.monomials(order, degree, constant)
                 assert len(monos) == len(set(monos)) == \
                     comb(n_vars + degree, degree) - (not constant)
 
@@ -109,9 +109,11 @@ def test_ansatz_slot_count_matches_binomial(planar):
 def test_ansatz_beyond_the_slot_bound_is_refused(free_particle, ode):
     # Over x and y, degree 139 gives C(141, 139) = 9870 monomials and
     # degree 140 gives 10011, just past the bound of 10000.
-    from noether.engine import MAX_SLOT_MONOMIALS, _monomials_upto
+    from noether.engine import MAX_SLOT_MONOMIALS
     assert MAX_SLOT_MONOMIALS == 10_000
-    assert len(_monomials_upto(ode, 0, 139)) == 9870
+    assert len(_Packing(free_particle, 139).monomials(0, 139)) == 9870
+    with pytest.raises(ValueError, match="ansatz degree 140 over 2"):
+        _Packing(free_particle, 140).monomials(0, 140)
     with pytest.raises(ValueError, match="ansatz degree 140 over 2"):
         determining_system(free_particle, Ansatz(coeff_degree=140))
     with pytest.raises(ValueError, match="ansatz degree 200 over 2"):
@@ -120,45 +122,99 @@ def test_ansatz_beyond_the_slot_bound_is_refused(free_particle, ode):
         find_gauge(free_particle, gen(ode, eta={"y": "1"}), degree=-1)
 
 
-def _read_out_cases(planar, quartic_field):
-    coupled = load_problem(str(ROOT / "tests/data/coupled_second_order.prob"))
-    systems = [determining_system(planar, Ansatz(coeff_degree=5,
-                                                 coeff_jet_order=1,
-                                                 gauge_degree=5)),
-               determining_system(quartic_field, Ansatz()),
-               determining_system(coupled.lagrangian, coupled.ansatz)]
-    cases = [[*ds.xi_templates.values(), *ds.eta_templates.values(),
-              *ds.gauge_templates] for ds in systems]
-    # find_gauges' gauge-only ansatz: one slot per independent
-    monos = _monomials_upto(quartic_field.space, 0, 4, include_constant=False)
-    gauges = _ansatz(quartic_field.space, [monos, monos])[1]
-    return cases + [gauges, [t * Fraction(-2, 3) for t in gauges]]
+@pytest.mark.parametrize("jet_order", [0, 1, 2])
+@pytest.mark.parametrize("shape", [
+    (["t"], ["y"]), (["t"], ["x", "y"]), (["t"], ["x", "y", "z"]),
+    (["t", "x"], ["u"])])
+def test_packed_monomials_match_tuple_enumerator(shape, jet_order):
+    """Unpacked, a slot's packed monomials are the tuple monomials, in
+    ``mono_key`` order, each once."""
+    space = JetSpace(*shape, max_order=4)
+    body = Expr.zero()
+    for v in space.jet_vars(max_order=1):
+        body = body + Expr.variable(v) ** 2
+    L = Lagrangian(space, 1, body)
+    for degree in range(7):
+        packing = _Packing(L, degree)
+        for constant in (True, False):
+            got = [tuple(packing.factors(p))
+                   for p in packing.monomials(jet_order, degree, constant)]
+            want = monomials_upto(space, jet_order, degree, constant)
+            assert got == want
+            assert len(set(got)) == len(got)
 
 
-def test_read_out_matches_scanning_oracle(rng, planar, quartic_field):
-    """Reading only an assignment's entries gives every template's value,
-    term order and coefficient types, whatever order the entries come in."""
-    values = [0, 1, -3, 7, Fraction(2, 3), Fraction(-5, 4), Fraction(6, 3)]
-    nonzero = 0
-    for templates in _read_out_cases(planar, quartic_field):
-        unknowns = [mono[-1][0] for t in templates for mono in t.term_map()]
-        assignments = [{}]
-        for _ in range(30):
-            picked = rng.sample(unknowns, min(rng.randint(1, 40),
-                                              len(unknowns)))
-            assignments.append({c: rng.choice(values) for c in picked})
-        assignments.append({c: rng.choice(values[1:]) for c in unknowns})
-        got = _read_out(templates, assignments)
-        assert len(got) == len(assignments)
-        for a, slots in zip(assignments, got):
-            want = [scanning_fill(t, a) for t in templates]
-            assert slots == want
-            assert [[(m, type(c)) for m, c in e.term_map().items()]
-                    for e in slots] == \
-                [[(m, type(c)) for m, c in e.term_map().items()]
-                 for e in want]
-            nonzero += sum(not e.is_zero for e in slots)
-    assert nonzero > 100
+def _solution_cases():
+    for path in LOADABLE:
+        problem = load_problem(str(ROOT / path))
+        yield problem.lagrangian, problem.ansatz
+    planar = load_problem(str(ROOT / "problems/free_particle_2d.prob"))
+    yield planar.lagrangian, Ansatz(coeff_degree=5, coeff_jet_order=1,
+                                    gauge_degree=5)
+
+
+def test_solutions_match_scanning_oracle():
+    """Each solution read straight from the nullspace columns equals the
+    templates of the public record filled at the matching assignment:
+    the same generators and gauges, term order and coefficient types."""
+
+    def shape(e):
+        return [(m, c, type(c)) for m, c in e.term_map().items()]
+
+    cases = 0
+    for L, ansatz in _solution_cases():
+        ds = determining_system(L, ansatz)
+        want = []
+        for a in solve(ds):
+            xi = {x: scanning_fill(t, a) for x, t in ds.xi_templates.items()}
+            eta = {u: scanning_fill(t, a)
+                   for u, t in ds.eta_templates.items()}
+            gauge = [scanning_fill(t, a) for t in ds.gauge_templates]
+            xi = {x: e for x, e in xi.items() if not e.is_zero}
+            eta = {u: e for u, e in eta.items() if not e.is_zero}
+            if xi or eta:
+                want.append((xi, eta, gauge))
+        got = solve_noether(L, ansatz)
+        assert len(got) == len(want)
+        for sol, (xi, eta, gauge) in zip(got, want):
+            assert list(sol.generator.xi) == list(xi)
+            assert list(sol.generator.eta) == list(eta)
+            assert [shape(e) for e in sol.generator.xi.values()] == \
+                [shape(e) for e in xi.values()]
+            assert [shape(e) for e in sol.generator.eta.values()] == \
+                [shape(e) for e in eta.values()]
+            assert [shape(e) for e in sol.gauge] == [shape(e) for e in gauge]
+        cases += bool(want)
+    assert cases == len(LOADABLE) + 1
+
+
+def test_command_paths_make_no_solver_unknowns(monkeypatch, capsys):
+    """``symmetries``, ``integrals`` and ``verify`` solve on packed
+    monomials alone: no ``PARAMETER`` variable is ever constructed."""
+    from noether import cli
+    from noether.expr import PARAMETER, VarId
+    made = []
+    init = VarId.__init__
+
+    def counting(self, kind, *args, **kwargs):
+        made.append(kind)
+        init(self, kind, *args, **kwargs)
+    monkeypatch.setattr(VarId, "__init__", counting)
+    verified = 0
+    for path in LOADABLE:
+        commands = ["symmetries", "integrals"]
+        if load_problem(str(ROOT / path)).candidates:
+            commands.append("verify")
+            verified += 1
+        for command in commands:
+            assert cli.main([command, str(ROOT / path), "--json",
+                             "--deterministic"]) in (0, 1)
+    capsys.readouterr()
+    assert verified >= 3
+    assert made and PARAMETER not in made
+    determining_system(load_problem(str(ROOT / LOADABLE[0])).lagrangian,
+                       Ansatz())
+    assert PARAMETER in made
 
 
 def test_rows_refuse_what_is_not_linear_homogeneous(ode):
@@ -668,7 +724,7 @@ def test_boyer_equivalence_per_generator(free_particle, ode):
 def test_evolutionary_search_spans_point_laws(free_particle, ode):
     """The suppressed-xi search space contains all point-symmetry laws
     modulo the equations of motion."""
-    from noether.linalg import solve_affine
+    from noether.linalg import solve_affine_many
     from noether.expr import mono_key
     el = euler_lagrange(free_particle)
     ev_sols = solve_noether(free_particle,
@@ -690,7 +746,8 @@ def test_evolutionary_search_spans_point_laws(free_particle, ode):
                 rows[index[m]][col] = c
         for m, c in target.term_map().items():
             rhs[index[m]] = c
-        return solve_affine(list(zip(rows, rhs)), len(reduced)) is not None
+        system = [(row, {0: b}) for row, b in zip(rows, rhs)]
+        return solve_affine_many(system, len(reduced), 1)[0] is not None
 
     for sol in point_sols:
         assert in_span(sol.law.components[0])
@@ -715,10 +772,9 @@ def test_coefficients_are_int_or_true_fraction(path):
     el = euler_lagrange(L)
     exprs = [L.body, *el.equations, *(el.solved_forms or {}).values()]
     ds = determining_system(L, problem.ansatz)
-    assignments = solve(ds)
     numbers = [v for row in ds.rows for v in row.values()]
-    numbers += [v for a in assignments for v in a.values()]
-    for sol in materialize(L, ds, assignments):
+    numbers += [v for a in solve(ds) for v in a.values()]
+    for sol in solve_noether(L, problem.ansatz):
         exprs += [*sol.generator.xi.values(), *sol.generator.eta.values(),
                   *sol.gauge, *sol.law.components]
     gens = [g for _, g in problem.candidates]

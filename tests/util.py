@@ -9,14 +9,17 @@ the reference integrator and drift run RK4 over dict environments with a
 direct monomial loop instead of the generated code, the scanning
 elimination visits every pivot row where ``noether.linalg`` reads its
 column index, the scanning fill reads every template term for every
-assignment where ``noether.engine`` reads only the assignment's entries,
-and the template rows split the invariance residual of the whole ansatz
-by unknown where ``noether.engine`` assembles them column by column.
+assignment where ``noether.engine`` reads only the solution's entries,
+the template rows split the invariance residual of the whole ansatz by
+unknown where ``noether.engine`` assembles them column by column, and the
+tuple enumerator sorts monomials by ``mono_key`` where ``noether.engine``
+sorts packed ints.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import random
@@ -26,7 +29,7 @@ from pathlib import Path
 
 from noether import (Expr, Generator, JetSpace, condition_residual,
                      total_derivative)
-from noether.engine import _ansatz, _monomials_upto
+from noether.engine import _ansatz
 from noether.expr import _as_rational, _exact, mono_key, rational_div
 from noether.numeric import state_variables
 
@@ -419,6 +422,19 @@ def scanning_solve_affine_many(rows, n_cols, n_rhs):
     return solutions
 
 
+def monomials_upto(space, jet_order, degree, include_constant=True):
+    """All monomials of total degree <= degree, ascending, over the
+    independents and the jets up to ``jet_order``, as tuples: the
+    enumerator from before the packed monomials, without its bound."""
+    vars = list(space.independents) + space.jet_vars(max_order=jet_order)
+    # ``vars`` ascend by sort index, and so does each combination.
+    monos = [tuple((v, combo.count(v)) for v in dict.fromkeys(combo))
+             for d in range(0 if include_constant else 1, degree + 1)
+             for combo in itertools.combinations_with_replacement(vars, d)]
+    monos.sort(key=mono_key)
+    return monos
+
+
 def scanning_fill(template, values):
     """A template at the unknowns' values; a missing unknown is zero.
 
@@ -470,7 +486,7 @@ def template_gauge_systems(L, generators, degree=4, jet_order=None):
         groups.setdefault(order, []).append(k)
     systems = []
     for order, members in groups.items():
-        monos = _monomials_upto(space, order, degree, include_constant=False)
+        monos = monomials_upto(space, order, degree, include_constant=False)
         unknowns, templates = _ansatz(space, [monos] * len(space.independents))
         divergence = condition_residual(L, Generator(), templates)
         system = {mono: (row, {})
