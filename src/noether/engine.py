@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .expr import (INDEPENDENT, PARAMETER, Expr, Monomial, Rational, Record,
-                   VarId, mono_degree, mono_key, rational_div)
+                   VarId, mono_degree, rational_div)
 from .jets import (Generator, JetSpace, _characteristics, _peel, _prolong,
                    multi_derivative, total_derivative)
 from .linalg import Row, nullspace, solve_affine_many
@@ -45,10 +45,13 @@ class Ansatz:
 
     ``coeff_jet_order`` 0 searches point symmetries; raising it admits
     generalized symmetries whose coefficients depend on derivatives (never
-    beyond the Lagrangian order).  ``gauge_jet_order`` defaults to one less
-    than the Lagrangian order, or to the Lagrangian order when the search is
-    restricted to evolutionary form (``suppress_xi``), where the gauge must
-    absorb the derivative dependence the characteristics pick up.
+    beyond the Lagrangian order).  The search defaults ``gauge_jet_order``
+    to one less than the Lagrangian order, or to the Lagrangian order in
+    evolutionary form (``suppress_xi``), where the gauge must absorb the
+    derivative dependence the characteristics pick up.  The ``verify``
+    command reads only the two gauge fields.  Its default jet order is one
+    less than the Lagrangian order raised to each candidate's derivative
+    dependence (0 for field problems); ``suppress_xi`` does not change it.
     """
 
     coeff_degree: int = 4
@@ -340,33 +343,36 @@ class _Packing:
                       for c in itertools.combinations_with_replacement(units, d))
 
 
-def _ansatz(space: JetSpace, slots: Sequence[Sequence[Monomial]]
-            ) -> Tuple[List[VarId], List[Expr]]:
-    """Fresh unknowns ``c0``, ``c1``, ... and one template per slot, each
-    monomial of the slot times its own unknown.  An unknown orders after
-    every variable of the space, so it is its term's last factor, and is
-    never registered there, so it cannot clash with a problem's names.
+def _ansatz(space: JetSpace, columns: Sequence[Tuple[int, Monomial]],
+            n_slots: int) -> Tuple[List[VarId], List[Expr]]:
+    """Fresh unknowns ``c0``, ``c1``, ..., one per column, and one template
+    per slot: each monomial of the slot times its column's unknown.  An
+    unknown orders after every variable of the space, so it is its term's
+    last factor, and is never registered there, so it cannot clash with a
+    problem's names.
     """
-    unknowns: List[VarId] = []
-    templates = []
-    for monos in slots:
-        new = [VarId(PARAMETER, f"c{k}", space.variable_count + k)
-               for k in range(len(unknowns), len(unknowns) + len(monos))]
-        unknowns += new
-        templates.append(Expr({m + ((c, 1),): 1 for m, c in zip(monos, new)}))
-    return unknowns, templates
+    unknowns = [VarId(PARAMETER, f"c{k}", space.variable_count + k)
+                for k in range(len(columns))]
+    terms: List[Dict[Monomial, Rational]] = [{} for _ in range(n_slots)]
+    for c, (s, mono) in zip(unknowns, columns):
+        terms[s][mono + ((c, 1),)] = 1
+    return unknowns, [Expr(t) for t in terms]
 
 
 def _assemble(L: Lagrangian, packing: _Packing,
-              slots: Sequence[Tuple[str, int, List[int]]]) -> Dict[int, Row]:
+              slots: Sequence[Tuple[str, int, List[int]]],
+              constants: Sequence[Dict[Monomial, Rational]] = ()
+              ) -> Tuple[List[Row], List[Tuple[int, Monomial]]]:
     """Rows of the invariance residual by packed monomial, ascending, built
-    column by column: column k is the residual of the k-th packed monomial
-    m over the slots, ("xi" | "gauge", independent, monomials) or ("eta",
-    dependent, monomials).  It is the sum over nu of D^nu(m), memoised for
-    every slot, times the slot's factors: dL/du_i,mu for eta_i; -1 at nu =
-    e_j for gauge component j; for xi_j, dL/dx_j, L and the characteristic
-    form's D^mu(-m*u_i,j) + m*u_i,mu+j, expanded by Leibniz so that its
-    nu = 0 term cancels.
+    column by column, and each column's (slot, unpacked monomial).  Column
+    k is the residual of the k-th packed monomial m over the slots, ("xi" |
+    "gauge", independent, monomials) or ("eta", dependent, monomials).  It
+    is the sum over nu of D^nu(m), memoised for every slot, times the
+    slot's factors: dL/du_i,mu for eta_i; -1 at nu = e_j for gauge
+    component j; for xi_j, dL/dx_j, L and the characteristic form's
+    D^mu(-m*u_i,j) + m*u_i,mu+j, expanded by Leibniz so that its nu = 0
+    term cancels.  Past the n columns, constant k, a residual's term map,
+    is column n + k; monomials that only constants hold add rows last.
     """
     space, n = L.space, len(L.space.independents)
     unit = packing.unit
@@ -425,7 +431,15 @@ def _assemble(L: Lagrangian, packing: _Packing,
                 if c:
                     rows.setdefault(key, {})[k] = rational_div(c, q)
             k += 1
-    return dict(sorted(rows.items()))
+    rows = dict(sorted(rows.items()))
+    for i, terms in enumerate(constants):
+        packed = packing.pack(terms)
+        for key in sorted(packed):
+            rows.setdefault(key, {})[k + i] = packed[key]
+    unpacked = {p: tuple(packing.factors(p))
+                for p in {p for *_, monos in slots for p in monos}}
+    return list(rows.values()), [(s, unpacked[p]) for s, (*_, monos)
+                                 in enumerate(slots) for p in monos]
 
 
 def _slot_values(vec: Row, columns: Sequence[Tuple[int, Monomial]],
@@ -442,12 +456,13 @@ def _slot_values(vec: Row, columns: Sequence[Tuple[int, Monomial]],
 
 
 def _system(L: Lagrangian, ansatz: Ansatz
-            ) -> Tuple[List[Row], Sequence[VarId], List[List[Monomial]]]:
-    """The determining system's rows, ascending by ``mono_key``, the
-    independents with a xi slot, and the unpacked monomials of each slot:
-    xi, then one eta per dependent and one gauge per independent.  Column
-    k is the k-th monomial over the slots.  Constant gauge monomials, which
-    would only add additive-constant directions, are never instantiated.
+            ) -> Tuple[List[Row], List[Tuple[int, Monomial]],
+                       Sequence[VarId], int]:
+    """The determining system's rows, ascending by ``mono_key``, its column
+    map, the independents with a xi slot, and the number of slots: xi,
+    then one eta per dependent and one gauge per independent.  Constant
+    gauge monomials, which would only add additive-constant directions,
+    are never instantiated.
     """
     space = L.space
     if not space.is_ode and (len(space.independents), len(space.dependents),
@@ -469,18 +484,15 @@ def _system(L: Lagrangian, ansatz: Ansatz
     slots = ([("xi", j, coeff) for j in range(len(xs))]
              + [("eta", i, coeff) for i in range(len(space.dependents))]
              + [("gauge", j, gauge) for j in range(len(space.independents))])
-    rows = _assemble(L, packing, slots)
-    unpacked = {p: tuple(packing.factors(p)) for p in {*coeff, *gauge}}
-    return (list(rows.values()), xs,
-            [[unpacked[p] for p in monos] for *_, monos in slots])
+    return (*_assemble(L, packing, slots), xs, len(slots))
 
 
 def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
     """Instantiate the ansatz and collect the invariance condition: each
     coefficient of the residual, by monomial in the problem's variables, is
     one homogeneous linear row over fresh parameters, one per column."""
-    rows, xs, slots = _system(L, ansatz)
-    unknowns, templates = _ansatz(L.space, slots)
+    rows, columns, xs, n_slots = _system(L, ansatz)
+    unknowns, templates = _ansatz(L.space, columns, n_slots)
     n = len(xs) + len(L.space.dependents)   # the xi and eta slots
     return DeterminingSystem(
         unknowns=unknowns, rows=rows, xi_templates=dict(zip(xs, templates)),
@@ -515,12 +527,11 @@ def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
     gauge.  Directions with a zero generator, divergence-free gauge fields
     with no symmetry content, are dropped before a law is built.  The law
     builders re-check the invariance condition exactly."""
-    rows, xs, slots = _system(L, ansatz)
+    rows, columns, xs, n_slots = _system(L, ansatz)
     us = L.space.dependents
-    columns = [(s, m) for s, monos in enumerate(slots) for m in monos]
     out = []
     for vec in nullspace(rows, len(columns)):
-        values = _slot_values(vec, columns, len(slots))
+        values = _slot_values(vec, columns, n_slots)
         g = Generator(
             xi={x: e for x, e in zip(xs, values) if not e.is_zero},
             eta={u: e for u, e in zip(us, values[len(xs):]) if not e.is_zero})
@@ -555,7 +566,7 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
     the candidate.  So the candidates are grouped by gauge jet order (by
     default the Lagrangian order less one, raised to a time-like
     candidate's own derivative dependence), and each group assembles its
-    gauge columns once and eliminates them once, with one right-hand side
+    gauge columns once and eliminates them once, with one constant column
     per candidate: its residual, packed like the columns.
     """
     space = L.space
@@ -576,16 +587,9 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
         packing = _Packing(L, max([degree, *map(
             mono_degree, itertools.chain(*residuals))]))
         monos = packing.monomials(order, degree, include_constant=False)
-        rows = _assemble(L, packing, [("gauge", j, monos) for j in range(n)])
-        system = {key: (row, {}) for key, row in rows.items()}
-        for k, terms in enumerate(residuals):
-            rhs = packing.pack(terms)
-            for key in sorted(rhs):
-                system.setdefault(key, ({}, {}))[1][k] = -rhs[key]
-        solutions = solve_affine_many(list(system.values()), n * len(monos),
-                                      len(members))
-        unpacked = [tuple(packing.factors(p)) for p in monos]
-        columns = [(j, m) for j in range(n) for m in unpacked]
+        rows, columns = _assemble(
+            L, packing, [("gauge", j, monos) for j in range(n)], residuals)
+        solutions = solve_affine_many(rows, len(columns), len(members))
         for member, sol in zip(members, solutions):
             if sol is not None:
                 gauges[member] = tuple(_slot_values(sol, columns, n))
@@ -639,18 +643,15 @@ def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
         return ([g.eta_of(u) for u in space.dependents]
                 + [g.xi_of(x) for x in space.independents])
 
-    parts = [slots(sol.generator) for sol in solutions]
-    system: List[Tuple[Row, Dict[int, Rational]]] = []
-    for s, goal in enumerate(slots(target)):
-        rhs = goal.term_map()
-        rows: Dict[Monomial, Row] = {m: {} for m in rhs}
-        for k, part in enumerate(parts):
-            for mono, coeff in part[s].term_map().items():
-                rows.setdefault(mono, {})[k] = coeff
-        system += [(rows[m], {0: rhs.get(m, 0)})
-                   for m in sorted(rows, key=mono_key)]
-    weights = solve_affine_many(system, len(solutions), 1)[0]
+    # Column k weighs solution k; the negated target is the constant.
+    n = len(solutions)
+    rows: Dict[Tuple[int, Monomial], Row] = {}
+    for k, g in enumerate([*(sol.generator for sol in solutions), target]):
+        for s, e in enumerate(slots(g)):
+            for mono, coeff in e.term_map().items():
+                rows.setdefault((s, mono), {})[k] = -coeff if k == n else coeff
+    weights = solve_affine_many(list(rows.values()), n, 1)[0]
     if weights is None:
         return None
     return combine_solutions(
-        L, solutions, [weights.get(k, 0) for k in range(len(solutions))])
+        L, solutions, [weights.get(k, 0) for k in range(n)])

@@ -5,7 +5,9 @@ Rows are dictionaries mapping column index to a nonzero exact number: an
 result keeps that form, and every division goes through ``rational_div``,
 since ``int / int`` is a float.  The elimination order is fixed by the input
 row order and by always pivoting on the leftmost column, so results are
-deterministic.
+deterministic.  A system is one list of rows over n unknown columns, and
+its right-hand side k is the constant column n + k: each row reads
+A x + c_k = 0.
 
 One elimination keeps a column index: ``holders[c]`` is the set of pivot
 columns whose rows hold an entry in column ``c``.  It is updated wherever a
@@ -13,7 +15,7 @@ pivot row changes, an entry added when a column appears in the row and
 removed when it cancels, and a new pivot row's columns are registered when
 it is stored.  Back-elimination then visits only the rows holding the new
 pivot column, and the read-outs of ``nullspace`` and ``solve_affine_many``
-only the rows holding a free or right-hand-side column.  The visiting order
+only the rows holding a free or constant column.  The visiting order
 of the set cannot change a result: each pivot-row update reads only the new
 row, the visited rows are exactly those holding the column, and a row's own
 key order depends only on that row's own updates.  The incoming row is
@@ -39,13 +41,16 @@ def _axpy(target: Row, factor: Rational, source: Row) -> None:
             target.pop(col, None)
 
 
-def _eliminate(rows: List[Row], limit: Optional[int] = None,
-               stuck: Optional[List[Row]] = None
-               ) -> Tuple[Dict[int, Row], Dict[int, set[int]]]:
-    """``rref``'s pivots, with the column index: column -> pivot columns
-    whose rows hold it."""
+def _eliminate(rows: List[Row], limit: Optional[int] = None
+               ) -> Tuple[Dict[int, Row], Dict[int, set[int]], List[Row]]:
+    """Reduced row echelon form, pivot column -> row with 1 there and no
+    other pivot column; the column index, column -> pivot columns whose
+    rows hold it; and the stuck rows.  Columns at or past ``limit`` are
+    carried along but never pivoted on: a row that reduces to entries
+    there alone is stuck."""
     pivots: Dict[int, Row] = {}
     holders: Dict[int, set[int]] = {}
+    stuck: List[Row] = []
     for row in rows:
         r = {c: _as_rational(v) for c, v in row.items()}
         # Existing pivot rows hold no pivot columns besides their own, so a
@@ -78,19 +83,7 @@ def _eliminate(rows: List[Row], limit: Optional[int] = None,
                     del prow[col]
                     holders[col].discard(p)
         pivots[lead] = r
-    return pivots, holders
-
-
-def rref(rows: List[Row], limit: Optional[int] = None,
-         stuck: Optional[List[Row]] = None) -> Dict[int, Row]:
-    """Reduced row echelon form; returns pivot column -> normalized row.
-
-    Every returned row has coefficient 1 in its pivot column and contains no
-    other pivot column, so back-substitution can read answers directly.
-    Columns at or past ``limit`` are carried along but never pivoted on: a
-    row that reduces to entries there alone is appended to ``stuck``.
-    """
-    return _eliminate(rows, limit, stuck)[0]
+    return pivots, holders, stuck
 
 
 def nullspace(rows: List[Row], n_cols: int) -> List[Row]:
@@ -100,7 +93,7 @@ def nullspace(rows: List[Row], n_cols: int) -> List[Row]:
     with its entries in ascending column order and normalized so that its
     first entry is 1.
     """
-    pivots, holders = _eliminate(rows)
+    pivots, holders, _ = _eliminate(rows)
     basis = []
     for free in range(n_cols):
         if free in pivots:
@@ -116,29 +109,19 @@ def nullspace(rows: List[Row], n_cols: int) -> List[Row]:
     return basis
 
 
-def solve_affine_many(rows: List[Tuple[Row, Dict[int, Rational]]],
-                      n_cols: int, n_rhs: int) -> List[Optional[Row]]:
-    """One exact solution of A x = b_k for each right-hand side k in
-    0 .. n_rhs-1, all in one elimination.
+def solve_affine_many(rows: List[Row], n_cols: int,
+                      n_rhs: int) -> List[Optional[Row]]:
+    """One exact solution of A x + c_k = 0 for each constant column
+    n_cols + k, k in 0 .. n_rhs-1, all in one elimination.
 
-    Each row carries its right-hand sides sparsely, as {k: b_k}.  They ride
-    along as columns past the unknowns, so pivots depend on A alone and
+    The constants are never pivoted on, so pivots depend on A alone and
     every consistent right-hand side gets exactly the solution it would
     get alone: free variables set to zero, the canonical particular
     solution of the reduced system.  It is sparse like a ``nullspace``
     vector: its nonzero values in ascending column order.  Right-hand side
-    k is None when a row whose unknown part reduced to zero still has a
-    nonzero entry k.
-    """
-    combined = []
-    for row, rhs in rows:
-        r = dict(row)
-        for k, b in rhs.items():
-            if b:
-                r[n_cols + k] = -b
-        combined.append(r)
-    stuck: List[Row] = []
-    pivots, holders = _eliminate(combined, n_cols, stuck)
+    k is None when a row whose unknown part reduced to zero still holds
+    column n_cols + k."""
+    pivots, holders, stuck = _eliminate(rows, n_cols)
     inconsistent = {c for r in stuck for c in r}
     return [None if rhs_col in inconsistent else
             {p: -pivots[p][rhs_col] for p in sorted(holders.get(rhs_col, ()))}

@@ -1,5 +1,7 @@
 """The README and the docstrings stay in step with the code."""
 
+import importlib
+import inspect
 import re
 import textwrap
 from pathlib import Path
@@ -13,11 +15,30 @@ from noether import load_problem
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_library_tour_names_every_public_name():
+def _library_tour():
     text = README.read_text(encoding="utf-8")
-    tour = text.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    return text.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+
+
+def test_library_tour_names_every_public_name():
+    tour = _library_tour()
     missing = [name for name in noether.__all__ if f"`{name}`" not in tour]
     assert not missing, f"README library tour misses {missing}"
+
+
+# ``expr`` and ``cli`` are left out: their public helpers are plumbing.
+@pytest.mark.parametrize("module", ["jets", "variational", "linalg", "engine",
+                                    "numeric", "problem"])
+def test_library_tour_row_names_its_module(module):
+    """A module's row names every public function and class it defines."""
+    mod = importlib.import_module(f"noether.{module}")
+    row, = [line for line in _library_tour().splitlines()
+            if line.startswith(f"| `noether.{module}`")]
+    missing = [name for name, obj in vars(mod).items()
+               if not name.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == mod.__name__ and f"`{name}`" not in row]
+    assert not missing, f"README row of noether.{module} misses {missing}"
 
 
 def _readme_example():

@@ -15,9 +15,9 @@ from noether import (Ansatz, Expr, Generator, JetSpace, Lagrangian,
                      verify_candidate)
 from noether.engine import _ansatz, _Packing
 
-from util import (first_integral_closed_form, is_canonical, monomials_upto,
-                  on_shell_zero, rand_expr, scanning_fill, split_rows,
-                  template_gauge_systems, template_rows)
+from util import (constant_columns, first_integral_closed_form, is_canonical,
+                  monomials_upto, on_shell_zero, rand_expr, scanning_fill,
+                  split_rows, template_gauge_systems, template_rows)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -218,7 +218,7 @@ def test_command_paths_make_no_solver_unknowns(monkeypatch, capsys):
 
 
 def test_rows_refuse_what_is_not_linear_homogeneous(ode):
-    (c0, c1), _ = _ansatz(ode, [[()], [()]])
+    (c0, c1), _ = _ansatz(ode, [(0, ()), (1, ())], 2)
     y = Expr.variable(ode.lookup("y"))
     a, b = Expr.variable(c0), Expr.variable(c1)
     assert split_rows(y * a + b * 2 + y * b, [c0, c1]) == \
@@ -293,12 +293,13 @@ def test_assembly_matches_template_rows(rng):
 
 def test_gauge_systems_match_template_path(monkeypatch):
     """``find_gauges`` eliminates, row for row, the systems split from the
-    gauge templates' divergence and the candidates' residuals."""
+    gauge templates' divergence and the candidates' residuals, each
+    candidate's residual in its own constant column."""
     import noether.engine as engine
     eliminate, seen = engine.solve_affine_many, []
     monkeypatch.setattr(engine, "solve_affine_many",
-                        lambda rows, *n: seen.append(rows) or eliminate(
-                            rows, *n))
+                        lambda rows, n_cols, n_rhs: seen.append(
+                            (rows, n_cols)) or eliminate(rows, n_cols, n_rhs))
     cases = []
     for path in LOADABLE:
         problem = load_problem(str(ROOT / path))
@@ -315,12 +316,13 @@ def test_gauge_systems_match_template_path(monkeypatch):
     for L, gens, degree in cases:
         seen.clear()
         find_gauges(L, gens, degree=degree)
-        want = template_gauge_systems(L, gens, degree)
+        want = [(constant_columns(system, n_cols), n_cols) for system, n_cols
+                in template_gauge_systems(L, gens, degree)]
         assert seen == want
-        assert [[{c: type(v) for c, v in part.items()} for part in row]
-                for rows in seen for row in rows] == \
-            [[{c: type(v) for c, v in part.items()} for part in row]
-             for rows in want for row in rows]
+        assert [{c: type(v) for c, v in row.items()}
+                for rows, _ in seen for row in rows] == \
+            [{c: type(v) for c, v in row.items()}
+             for rows, _ in want for row in rows]
     assert len(cases) >= 4
 
 
@@ -740,14 +742,11 @@ def test_evolutionary_search_spans_point_laws(free_particle, ode):
         monos = sorted(monos, key=mono_key)
         index = {m: i for i, m in enumerate(monos)}
         rows = [dict() for _ in monos]
-        rhs = [Fraction(0)] * len(monos)
-        for col, r in enumerate(reduced):
+        # The last column, the negated target, is the constant.
+        for col, r in enumerate([*reduced, -target]):
             for m, c in r.term_map().items():
                 rows[index[m]][col] = c
-        for m, c in target.term_map().items():
-            rhs[index[m]] = c
-        system = [(row, {0: b}) for row, b in zip(rows, rhs)]
-        return solve_affine_many(system, len(reduced), 1)[0] is not None
+        return solve_affine_many(rows, len(reduced), 1)[0] is not None
 
     for sol in point_sols:
         assert in_span(sol.law.components[0])

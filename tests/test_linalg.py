@@ -1,16 +1,23 @@
 """Exact sparse elimination: the multi-right-hand-side solve against the
 single-right-hand-side reference, int-or-Fraction entries against the
 Fraction-only reference, and the column-indexed elimination against the
-scanning one, on seeded random rational systems."""
+scanning one, on seeded random rational systems.  The oracles take
+(row, right-hand sides) pairs, and ``constant_columns`` turns each system
+into the solver's rows with constant columns."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from noether.linalg import nullspace, rref, solve_affine_many
+import noether.engine as engine
+from noether import Ansatz, determining_system, find_gauges, load_problem
+from noether.linalg import _eliminate, nullspace, solve_affine_many
 
-from util import (SEED, deadline, is_canonical, reference_nullspace,
-                  reference_solve_affine, scanning_nullspace, scanning_rref,
-                  scanning_solve_affine_many)
+from util import (SEED, constant_columns, deadline, is_canonical,
+                  reference_nullspace, reference_solve_affine,
+                  scanning_nullspace, scanning_rref, scanning_solve_affine_many)
 
 
 def _fraction_entry(rng):
@@ -81,8 +88,8 @@ def test_multi_rhs_solve_matches_reference():
     seen = {"none": 0, "solved": 0, "rank_deficient": 0}
     for _ in range(200):
         rows, rhs, n_cols, n_rhs = _random_system(rng)
-        got = _dense(solve_affine_many(list(zip(rows, rhs)), n_cols, n_rhs),
-                     n_cols)
+        got = _dense(solve_affine_many(
+            constant_columns(zip(rows, rhs), n_cols), n_cols, n_rhs), n_cols)
         assert len(got) == n_rhs
         rank = n_cols - len(nullspace(rows, n_cols))
         if rank < min(len(rows), n_cols):
@@ -93,8 +100,8 @@ def test_multi_rhs_solve_matches_reference():
             want = reference_solve_affine(single, n_cols)
             assert got[k] == want
             alone = [(row, {0: b}) for row, b in single]
-            assert _dense(solve_affine_many(alone, n_cols, 1), n_cols) == \
-                [want]
+            assert _dense(solve_affine_many(
+                constant_columns(alone, n_cols), n_cols, 1), n_cols) == [want]
             seen["none" if want is None else "solved"] += 1
     assert min(seen.values()) >= 20, seen
 
@@ -105,13 +112,14 @@ def test_multi_rhs_inconsistency_is_per_right_hand_side():
     rows = [({0: one, 1: one}, {0: one, 1: one}),
             ({0: two, 1: two}, {0: two, 1: three}),
             ({}, {2: Fraction(5)})]
-    assert _dense(solve_affine_many(rows, 2, 4), 2) == [
+    assert _dense(solve_affine_many(constant_columns(rows, 2), 2, 4), 2) == [
         [Fraction(1), Fraction(0)], None, None, [Fraction(0), Fraction(0)]]
 
 
 def test_multi_rhs_without_unknowns():
     rows = [({}, {0: Fraction(0), 1: Fraction(1)})]
-    assert _dense(solve_affine_many(rows, 0, 3), 0) == [[], None, []]
+    assert _dense(solve_affine_many(constant_columns(rows, 0), 0, 3), 0) == \
+        [[], None, []]
     assert solve_affine_many([], 2, 0) == []
 
 
@@ -130,15 +138,16 @@ def test_mixed_entries_match_fraction_reference():
                    for vec in basis)
         assert ([[vec.get(c, 0) for c in range(n_cols)] for vec in basis]
                 == reference_nullspace(exact, n_cols))
-        got = _dense(solve_affine_many(list(zip(rows, rhs)), n_cols, n_rhs),
-                     n_cols)
+        got = _dense(solve_affine_many(
+            constant_columns(zip(rows, rhs), n_cols), n_cols, n_rhs), n_cols)
         for k in range(n_rhs):
             single = [(row, Fraction(b.get(k, 0)))
                       for row, b in zip(exact, rhs)]
             assert got[k] == reference_solve_affine(single, n_cols)
         entries = [v for vec in basis for v in vec.values()]
         entries += [v for sol in got if sol is not None for v in sol]
-        entries += [v for prow in rref(rows).values() for v in prow.values()]
+        entries += [v for prow in _eliminate(rows)[0].values()
+                    for v in prow.values()]
         assert all(is_canonical(v) for v in entries), entries
         types.update(type(v) for v in entries)
     assert types == {int, Fraction}
@@ -183,8 +192,10 @@ def _sparse_system(rng):
 
 
 def _ordered(rows):
-    """Each row's entries in stored key order, with their types."""
-    return [[(c, type(v), v) for c, v in row.items()] for row in rows]
+    """Each row's entries in stored key order, with their types; None
+    stays None."""
+    return [None if row is None else [(c, type(v), v) for c, v in row.items()]
+            for row in rows]
 
 
 def _typed(solutions):
@@ -198,8 +209,8 @@ def test_indexed_elimination_matches_scanning_oracle():
     for _ in range(150):
         rows, rhs, n_cols, n_rhs = _sparse_system(rng)
         limit = rng.choice([None, rng.randint(0, n_cols)])
-        stuck, want_stuck = [], []
-        got = rref(rows, limit, stuck)
+        want_stuck = []
+        got, _, stuck = _eliminate(rows, limit)
         want = scanning_rref(rows, limit, want_stuck)
         assert list(got) == list(want)
         assert _ordered(got.values()) == _ordered(want.values())
@@ -207,7 +218,8 @@ def test_indexed_elimination_matches_scanning_oracle():
         basis = nullspace(rows, n_cols)
         assert _ordered(basis) == _ordered(scanning_nullspace(rows, n_cols))
         system = list(zip(rows, rhs))
-        solutions = solve_affine_many(system, n_cols, n_rhs)
+        solutions = solve_affine_many(constant_columns(system, n_cols),
+                                      n_cols, n_rhs)
         assert (_typed(_dense(solutions, n_cols))
                 == _typed(scanning_solve_affine_many(system, n_cols, n_rhs)))
         rank = n_cols - len(basis)
@@ -226,9 +238,77 @@ def test_elimination_scales_with_the_rows_holding_a_column():
     rows = [{i: 1, n + i: 2} for i in range(n)]
     with deadline(1):
         basis = nullspace(rows, 2 * n)
-        solutions = solve_affine_many([(row, {0: 1}) for row in rows],
-                                      2 * n, 1)
+        solutions = solve_affine_many(
+            constant_columns([(row, {0: 1}) for row in rows], 2 * n), 2 * n, 1)
     assert len(basis) == n
     assert basis[0] == {0: 1, n: Fraction(-1, 2)}
     assert basis[-1] == {n - 1: 1, 2 * n - 1: Fraction(-1, 2)}
     assert _dense(solutions, 2 * n) == [[1] * n + [0] * n]
+
+
+def _assert_row_order_is_free(rng, rows, n_cols, n_rhs, shuffles=3):
+    """``nullspace`` of the unknown columns and ``solve_affine_many`` of the
+    whole rows give the same vectors, with the same values, entry types
+    and key order, however the rows are ordered.  Returns the solutions."""
+    homogeneous = [{c: v for c, v in row.items() if c < n_cols}
+                   for row in rows]
+
+    def solve(order):
+        return (_ordered(nullspace([homogeneous[i] for i in order], n_cols)),
+                _ordered(solve_affine_many([rows[i] for i in order],
+                                           n_cols, n_rhs)))
+    want = solve(range(len(rows)))
+    for _ in range(shuffles):
+        assert solve(rng.sample(range(len(rows)), len(rows))) == want
+    return want[1]
+
+
+def _generated_verify_file(tmp_path, monkeypatch):
+    """The benchmark's generated ``free_particle_3d`` verify file, seed 1,
+    full size, written by ``bench/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while they are created.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    jobs = workloads.prepare("verify", 1, "full", tmp_path, tmp_path / "work")
+    job, = [job for job in jobs if job.name == "free_particle_3d"]
+    return tmp_path / job.path
+
+
+def test_row_order_cannot_change_a_solve(planar, monkeypatch, tmp_path):
+    """The reduced row echelon form is unique for a fixed column order, so
+    shuffling the rows changes no solution: on seeded sparse systems, on
+    planar's determining rows (its gauge columns taken as constants) and
+    on the gauge systems of a generated verify file."""
+    rng = random.Random(SEED)
+    seen = {"inconsistent": 0, "solved": 0}
+    for _ in range(100):
+        rows, rhs, n_cols, n_rhs = _sparse_system(rng)
+        solutions = _assert_row_order_is_free(
+            rng, constant_columns(zip(rows, rhs), n_cols), n_cols, n_rhs)
+        seen["inconsistent"] += None in solutions
+        seen["solved"] += any(sol is not None for sol in solutions)
+    assert min(seen.values()) >= 20, seen
+
+    ansatz = Ansatz(coeff_degree=3, coeff_jet_order=1, gauge_degree=3)
+    ds = determining_system(planar, ansatz)
+    n_gauge = sum(len(t.term_map()) for t in ds.gauge_templates)
+    solutions = _assert_row_order_is_free(
+        rng, ds.rows, len(ds.unknowns) - n_gauge, n_gauge)
+    assert None in solutions and any(solutions)
+
+    systems = []
+    monkeypatch.setattr(engine, "solve_affine_many",
+                        lambda *system: systems.append(system)
+                        or solve_affine_many(*system))
+    problem = load_problem(str(_generated_verify_file(tmp_path, monkeypatch)))
+    gauges = find_gauges(problem.lagrangian, [g for _, g in problem.candidates],
+                         degree=problem.ansatz.gauge_degree,
+                         jet_order=problem.ansatz.gauge_jet_order)
+    assert [gauge is not None for gauge in gauges] == \
+        [True, True, False, False]
+    assert len(systems) == 1
+    solutions = _assert_row_order_is_free(rng, *systems[0])
+    assert [sol is not None for sol in solutions] == [True, True, False, False]

@@ -14,6 +14,12 @@ the template rows split the invariance residual of the whole ansatz by
 unknown where ``noether.engine`` assembles them column by column, and the
 tuple enumerator sorts monomials by ``mono_key`` where ``noether.engine``
 sorts packed ints.
+
+The solve oracles keep the shape the solver had before right-hand sides
+became columns: a list of ``(row, {k: b_k})`` pairs for A x = b_k.
+``constant_columns`` turns such a system into the solver's rows, with
+constant column n + k holding -b_k so that each row reads A x + c_k = 0;
+the sign is written here once, apart from ``noether``.
 """
 
 from __future__ import annotations
@@ -349,9 +355,16 @@ def _scanning_axpy(target, factor, source):
             target.pop(col, None)
 
 
+def constant_columns(system, n_cols):
+    """(row, right-hand sides) pairs as rows over n_cols unknowns whose
+    constant column n_cols + k holds -b_k; zero right-hand sides drop."""
+    return [{**row, **{n_cols + k: -b for k, b in rhs.items() if b}}
+            for row, rhs in system]
+
+
 def scanning_rref(rows, limit=None, stuck=None):
-    """``noether.linalg.rref`` as it stood before the column index: each
-    new pivot scans every pivot row for its column."""
+    """The pivots of ``noether.linalg._eliminate`` as they stood before the
+    column index: each new pivot scans every pivot row for its column."""
     pivots = {}
     for row in rows:
         r = {c: _as_rational(v) for c, v in row.items()}
@@ -472,10 +485,11 @@ def template_rows(L, ds):
 
 
 def template_gauge_systems(L, generators, degree=4, jet_order=None):
-    """The (row, right-hand sides) systems ``find_gauges`` eliminates, one
-    per gauge jet order in order of first use, as they were built before
-    column assembly: the rows split from the gauge templates' divergence,
-    ascending, then each candidate's new residual monomials, ascending."""
+    """The systems ``find_gauges`` eliminates, one per gauge jet order in
+    order of first use, as they were built before column assembly: the
+    rows split from the gauge templates' divergence, ascending, then each
+    candidate's new residual monomials, ascending.  Each is a list of
+    (row, right-hand sides) pairs, with its number of unknowns."""
     space = L.space
     groups = {}
     for k, g in enumerate(generators):
@@ -487,7 +501,9 @@ def template_gauge_systems(L, generators, degree=4, jet_order=None):
     systems = []
     for order, members in groups.items():
         monos = monomials_upto(space, order, degree, include_constant=False)
-        unknowns, templates = _ansatz(space, [monos] * len(space.independents))
+        n = len(space.independents)
+        unknowns, templates = _ansatz(
+            space, [(j, m) for j in range(n) for m in monos], n)
         divergence = condition_residual(L, Generator(), templates)
         system = {mono: (row, {})
                   for mono, row in split_rows(divergence, unknowns).items()}
@@ -495,5 +511,5 @@ def template_gauge_systems(L, generators, degree=4, jet_order=None):
             terms = condition_residual(L, generators[member]).term_map()
             for mono in sorted(terms, key=mono_key):
                 system.setdefault(mono, ({}, {}))[1][k] = -terms[mono]
-        systems.append(list(system.values()))
+        systems.append((list(system.values()), len(unknowns)))
     return systems
