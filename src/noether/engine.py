@@ -240,12 +240,18 @@ def conservation_vector(L: Lagrangian, g: Generator,
     """
     if L.space.is_ode:
         raise ValueError("conservation_vector applies to PDE problems")
+    return _flux_vector(L, g, F)[0]
+
+
+def _flux_vector(L: Lagrangian, g: Generator, F: Sequence[Expr]
+                 ) -> Tuple[ConservationLaw, VerificationReport]:
+    """``conservation_vector``'s law with the report of its check."""
     law = _law(L, g, F, "flux-vector")
     report = verify(law, euler_lagrange(L), L.space)
     if report.ok is False:
         raise AssertionError(
             f"internal error: synthesized law fails verification: {report.residual}")
-    return law
+    return law, report
 
 
 def verify(law: ConservationLaw, el: ELSystem, space: JetSpace) -> VerificationReport:
@@ -510,14 +516,19 @@ def solve(ds: DeterminingSystem) -> List[Dict[VarId, Rational]]:
     return [{ds.unknowns[c]: v for c, v in vec.items()} for vec in basis]
 
 
-def _solution(L: Lagrangian, g: Generator,
-              gauge: Tuple[Expr, ...]) -> NoetherSolution:
-    """The solution with its law; NonSymmetryError unless it is a symmetry."""
+def _solution(L: Lagrangian, g: Generator, gauge: Tuple[Expr, ...]
+              ) -> Tuple[NoetherSolution, Optional[VerificationReport]]:
+    """The solution with its law; NonSymmetryError unless it is a symmetry.
+
+    A flux vector's divergence is checked while it is built, and that
+    report comes with it; a first integral's is not, and its report is
+    None.
+    """
     if L.space.is_ode:
-        law = first_integral(L, g, gauge[0])
+        law, report = first_integral(L, g, gauge[0]), None
     else:
-        law = conservation_vector(L, g, gauge)
-    return NoetherSolution(generator=g, gauge=gauge, law=law)
+        law, report = _flux_vector(L, g, gauge)
+    return NoetherSolution(generator=g, gauge=gauge, law=law), report
 
 
 def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
@@ -536,7 +547,8 @@ def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
             xi={x: e for x, e in zip(xs, values) if not e.is_zero},
             eta={u: e for u, e in zip(us, values[len(xs):]) if not e.is_zero})
         if not g.is_zero:
-            out.append(_solution(L, g, tuple(values[len(xs) + len(us):])))
+            out.append(
+                _solution(L, g, tuple(values[len(xs) + len(us):]))[0])
     return out
 
 
@@ -603,7 +615,7 @@ def verify_candidate(L: Lagrangian, g: Generator, degree: int = 4,
     gauge = find_gauge(L, g, degree=degree, jet_order=jet_order)
     if gauge is None:
         return None
-    return _solution(L, g, gauge)
+    return _solution(L, g, gauge)[0]
 
 
 # -- helpers for working with solution spaces ---------------------------------
@@ -625,7 +637,7 @@ def combine_solutions(L: Lagrangian, solutions: Sequence[NoetherSolution],
             gauge[j] = gauge[j] + sol.gauge[j] * w
     g = Generator(xi={x: e for x, e in xi.items() if not e.is_zero},
                   eta={u: e for u, e in eta.items() if not e.is_zero})
-    return _solution(L, g, tuple(gauge))
+    return _solution(L, g, tuple(gauge))[0]
 
 
 def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],

@@ -17,20 +17,36 @@ straight-line, then a finiteness test of the new row.  ``check_integrals``
 keeps no rows; ``integrate_el`` has no integrals and keeps every row in a
 ``Trajectory``.  ``drift_report`` passes a kept trajectory's rows after the
 first.  The source names only internal locals (``t``, ``s0``, ``a0``,
-``k1_0``, ``acc``, ``first0``, ...) and float literals (``repr`` of
-floats); no user-supplied identifier reaches it.
+``k1_0``, ``acc``, ``s0_2``, ``first0``, ``hi0``, ...) and float literals
+(``repr`` of floats); no user-supplied identifier reaches it.
 
 Operation-order rule: the generated code performs the floating-point
-operations of a direct evaluation in the same order, so its results are
-identical bit for bit.
-- A polynomial is ``acc = 0.0`` followed by one ``acc += term`` statement
-  per term, in ``Expr.term_map()`` order.  One flat statement per term
+operations of a direct evaluation in the same order, or rewrites them in
+ways that are exact, so its results are identical bit for bit.
+- A polynomial is ``acc = 0.0 + term`` followed by one ``acc += term``
+  statement per further term, in ``Expr.term_map()`` order: the first
+  statement is the addition that ``acc = 0.0`` then ``acc += term`` makes
+  (and like it turns a -0.0 term into +0.0).  One flat statement per term
   also keeps large integrals compilable: a single expression nests too
   deeply.
 - A term is its coefficient times its factors, left to right, each factor
   ``x ** k``.  ``** 1`` and a coefficient of 1.0 are left out, which is
   exact; ``x ** k`` is never rewritten as ``x * x``, which can round
-  differently.
+  differently.  A coefficient of -1.0 is left out too, and its term
+  subtracted (``acc -= term``): x + (-y) is x - y, and (-1 * a) * b is
+  -(a * b), under round-to-nearest.
+- In the drift fold, each distinct ``x ** k`` of the integrals is
+  evaluated once per row into a local, which every term then reads: the
+  same operation gives the same float.  Only ``**`` can raise there (float
+  ``*`` and ``+`` never do), so each power has its own ``try``; an
+  ``OverflowError`` sets it to ``inf`` and marks every integral holding it
+  ``bad``, for good, as an overflow inside the integral's own sum would.
+- The fold keeps each integral's first value and its running extremes
+  ``hi`` and ``lo``, moved only by a strictly greater or smaller value, so
+  a NaN row is skipped.  The largest deviation is ``max(hi - first, first
+  - lo)``, taken once at the end: subtracting a fixed ``first`` rounds
+  monotonically and x - y = -(y - x), so it is the largest ``|acc -
+  first|`` over the rows, the same float.
 - The stages are written ``s + 0.5 * h * k1``, ``t + 0.5 * h``,
   ``s + h * k3`` and ``s + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)``, with
   the step ``h`` as a float literal; the compiler folds ``0.5 * h`` and
@@ -42,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .expr import INDEPENDENT, Expr, Record, VarId
 # Configuration is part of a problem; both names are re-exported here.
@@ -50,31 +66,38 @@ from .problem import MAX_STEPS, NumericConfig  # noqa: F401
 from .variational import ELSystem
 
 
-def _term(coeff, mono, names: Dict[VarId, str]) -> str:
-    """Coefficient times factors, multiplied left to right.
+def _term(coeff, factors: List[str]) -> Tuple[str, str]:
+    """The sign with which a term is added, ``+`` or ``-``, and its text:
+    the coefficient times ``factors``, multiplied left to right.
 
-    A factor is ``x ** k``, or ``x`` when k is 1; a coefficient of 1.0 is
-    left out.  Both omissions are exact, so the term rounds exactly as
-    ``coeff * x1 ** k1 * x2 ** k2 ...`` does.
+    A coefficient of 1.0 is left out, which is exact.  One of -1.0 is left
+    out too and the term subtracted, which is exact because (-1 * a) * b
+    is -(a * b) and x + (-y) is x - y under round-to-nearest.
     """
-    factors = [names[v] if k == 1 else f"{names[v]} ** {k}" for v, k in mono]
     c = float(coeff)
-    if c != 1.0 or not factors:
-        factors.insert(0, repr(c))
-    return " * ".join(factors)
+    sign = "-" if c == -1.0 else "+"
+    if abs(c) != 1.0 or not factors:
+        factors = [repr(-c if sign == "-" else c), *factors]
+    return sign, " * ".join(factors)
 
 
-def _sum(e: Expr, names: Dict[VarId, str], indent: str) -> List[str]:
+def _sum(e: Expr, factor: Callable[[VarId, int], str],
+         indent: str) -> List[str]:
     """Statements that leave the float value of ``e`` in ``acc``.
 
-    One ``acc += term`` per term, in ``term_map()`` order, from
-    ``acc = 0.0``.  A single expression would nest too deeply to compile
-    for large integrals.
+    One statement per term, in ``term_map()`` order: ``acc = 0.0 + term``
+    (``0.0 - term``), then ``acc += term`` (``-=``), with the terms of
+    ``_term`` over the factors ``factor(v, k)``, ``x ** k`` or a local
+    holding it.  So the statements round exactly as ``0.0 + coeff * x1 **
+    k1 * ...`` summed term by term does.  A single expression would nest
+    too deeply to compile for large integrals.
     """
-    lines = [f"{indent}acc = 0.0"]
-    lines += [f"{indent}acc += {_term(c, m, names)}"
-              for m, c in e.term_map().items()]
-    return lines
+    lines = []
+    for mono, coeff in e.term_map().items():
+        sign, term = _term(coeff, [factor(v, k) for v, k in mono])
+        lines.append(f"{indent}acc {sign}= {term}" if lines
+                     else f"{indent}acc = 0.0 {sign} {term}")
+    return lines or [f"{indent}acc = 0.0"]
 
 
 @functools.lru_cache(maxsize=128)
@@ -188,32 +211,47 @@ def _integral(law) -> Expr:
 
 def _drift_lines(integrals: Sequence[Expr], names: Dict[VarId, str],
                  indent: str, first_row: bool) -> List[str]:
-    """Statements that fold one row into each integral's ``first<i>`` and
-    ``worst<i>``.
+    """Statements that fold one row into each integral's ``first<i>``,
+    ``hi<i>``, ``lo<i>`` and ``bad<i>``.
 
-    On the first row they set ``first<i>`` to the value and ``worst<i>``
-    to ``|value - first<i>|``; on every later row ``worst<i>`` is replaced
-    where the row's deviation is greater, like ``max()``, so a NaN
-    deviation is skipped.  An ``OverflowError`` sets ``worst<i>`` to
-    ``inf`` for that integral alone, and it stays there: no deviation
-    compares greater than ``inf``.
+    Each distinct ``x ** k`` (k > 1) of the integrals is evaluated once,
+    into the local ``x_k``, in its own ``try``: an ``OverflowError`` sets
+    the local to ``inf`` and ``bad<i>`` of every integral holding the power,
+    and ``bad<i>`` never goes back.  Then each integral is summed from the
+    locals.  On the first row the sum sets ``first<i>``, ``hi<i>`` and
+    ``lo<i>``, after every ``bad<i>`` starts false; on every later row it
+    replaces ``hi<i>`` only when greater and ``lo<i>`` only when smaller,
+    so a NaN is skipped.
     """
-    inner = indent + "    "
-    lines = []
+    holders: Dict[Tuple[VarId, int], List[int]] = {}
     for i, e in enumerate(integrals):
-        lines.append(f"{indent}try:")
-        lines += _sum(e, names, inner)
+        for power in dict.fromkeys(f for mono in e.term_map()
+                                   for f in mono if f[1] > 1):
+            holders.setdefault(power, []).append(i)
+
+    def factor(v: VarId, k: int) -> str:
+        return names[v] if k == 1 else f"{names[v]}_{k}"
+
+    lines = []
+    if first_row and integrals:
+        lines.append(indent + " = ".join(
+            f"bad{i}" for i in range(len(integrals))) + " = False")
+    for (v, k), held in holders.items():
+        lines += [f"{indent}try:",
+                  f"{indent}    {factor(v, k)} = {names[v]} ** {k}",
+                  f"{indent}except OverflowError:",
+                  f"{indent}    {factor(v, k)} = inf",
+                  f"{indent}    " + " = ".join(f"bad{i}" for i in held)
+                  + " = True"]
+    for i, e in enumerate(integrals):
+        lines += _sum(e, factor, indent)
         if first_row:
-            lines += [f"{inner}first{i} = acc",
-                      f"{inner}worst{i} = abs(acc - first{i})",
-                      f"{indent}except OverflowError:",
-                      f"{inner}first{i} = 0.0"]
+            lines.append(f"{indent}first{i} = hi{i} = lo{i} = acc")
         else:
-            lines += [f"{inner}d = abs(acc - first{i})",
-                      f"{inner}if d > worst{i}:",
-                      f"{inner}    worst{i} = d",
-                      f"{indent}except OverflowError:"]
-        lines.append(f"{inner}worst{i} = inf")
+            lines += [f"{indent}if acc > hi{i}:",
+                      f"{indent}    hi{i} = acc",
+                      f"{indent}elif acc < lo{i}:",
+                      f"{indent}    lo{i} = acc"]
     return lines
 
 
@@ -225,7 +263,7 @@ def run(source, {row}):
     truncated = False
     for {target} in source:
 {step}{append}{fold}
-    return truncated, rows, ({pairs})"""
+    return truncated, rows, ({extremes})"""
 
 
 def _rk4_lines(t_var: VarId, states: List[VarId], slopes: List,
@@ -257,7 +295,8 @@ def _rk4_lines(t_var: VarId, states: List[VarId], slopes: List,
             if isinstance(slope, int):
                 lines.append(f"{indent}k{k}_{j} = {prefix}{slope}")
             else:
-                lines += _sum(slope, stage, indent)
+                lines += _sum(slope, lambda v, k: stage[v] if k == 1
+                              else f"{stage[v]} ** {k}", indent)
                 lines.append(f"{indent}k{k}_{j} = acc")
     lines += ["        except (OverflowError, ValueError):",
               "            truncated = True",
@@ -285,7 +324,8 @@ def _run_function(variables: Sequence[VarId], integrals: Sequence[Expr],
     ``source`` is ``range(steps)``; without, an item is the row itself.
     Each accepted row is appended to ``rows`` when ``keep_rows`` is set,
     and folded into each integral's drift (``_drift_lines``).  The
-    function returns ``(truncated, rows or None, ((first, worst), ...))``.
+    function returns ``(truncated, rows or None, ((first, hi, lo, bad),
+    ...))``.
     """
     entries = ["t", *(f"s{j}" for j in range(len(variables) - 1))]
     row = ", ".join(entries)
@@ -297,14 +337,15 @@ def _run_function(variables: Sequence[VarId], integrals: Sequence[Expr],
         step="".join(line + "\n" for line in step),
         append=f"        rows.append(({row}))\n" if keep_rows else "",
         fold="\n".join(_drift_lines(integrals, names, "        ", False)),
-        pairs="".join(f"(first{i}, worst{i}), "
-                      for i in range(len(integrals)))))
+        extremes="".join(f"(first{i}, hi{i}, lo{i}, bad{i}), "
+                         for i in range(len(integrals)))))
 
 
 def _run(el: ELSystem, cfg: NumericConfig, ic: Dict[VarId, float],
          integrals: Sequence[Expr], keep_rows: bool):
     """Validate, then run the generated RK4 loop from ``ic`` at t = 0:
-    ``(row variables, truncated, rows or None, ((first, worst), ...))``."""
+    ``(row variables, truncated, rows or None, ((first, hi, lo, bad),
+    ...))``."""
     t_var, states, slopes = _slopes(el, ic)
     variables = (t_var, *states)
     run = _run_function(variables, integrals, keep_rows,
@@ -329,11 +370,13 @@ def integrate_el(el: ELSystem, cfg: NumericConfig,
     return Trajectory(variables=variables, rows=rows, truncated=truncated)
 
 
-def _report(pairs, cfg: NumericConfig, truncated: bool) -> NumericReport:
-    """The report of each integral's ``(first, worst)``: drift
-    ``worst / max(1, |first|)``, and inf where that is not finite."""
+def _report(extremes, cfg: NumericConfig, truncated: bool) -> NumericReport:
+    """The report of each integral's ``(first, hi, lo, bad)``: the largest
+    deviation ``max(hi - first, first - lo)``, or inf when ``bad``, and
+    drift ``deviation / max(1, |first|)``, inf where that is not finite."""
     drifts = []
-    for first, worst in pairs:
+    for first, hi, lo, bad in extremes:
+        worst = math.inf if bad else max(hi - first, first - lo)
         drift = worst / max(1.0, abs(first))
         drifts.append(drift if math.isfinite(drift) else math.inf)
     return NumericReport(drifts=drifts,
@@ -350,9 +393,9 @@ def check_integrals(laws: Sequence, el: ELSystem, cfg: NumericConfig,
     no rows: memory does not grow with the step count.  ``truncated`` on
     the report is the trajectory's.
     """
-    _, truncated, _, pairs = _run(el, cfg, ic, [_integral(l) for l in laws],
-                                  False)
-    return _report(pairs, cfg, truncated)
+    _, truncated, _, extremes = _run(el, cfg, ic,
+                                     [_integral(l) for l in laws], False)
+    return _report(extremes, cfg, truncated)
 
 
 def drift_report(laws: Sequence, traj: Trajectory,
@@ -365,9 +408,9 @@ def drift_report(laws: Sequence, traj: Trajectory,
     overflows on the trajectory has infinite drift, and so fails.
     """
     integrals = [_integral(l) for l in laws]
-    pairs = (_run_function(traj.variables, integrals)(
+    extremes = (_run_function(traj.variables, integrals)(
         traj.rows[1:], *traj.rows[0])[2] if integrals else ())
-    return _report(pairs, cfg, traj.truncated)
+    return _report(extremes, cfg, traj.truncated)
 
 
 def seeded_initial_conditions(el: ELSystem, seed: int,

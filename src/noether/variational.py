@@ -24,11 +24,12 @@ class Lagrangian(Record):
 
     ``partials`` holds each nonzero jet partial once, as (dependent index,
     jet v, dL/dv), dependent by dependent and then in registration order.
-    It is derived from the other fields, so ``==`` and ``repr`` leave it
-    out.
+    ``_el`` holds the Euler-Lagrange system once ``euler_lagrange`` has
+    derived it.  Both are derived from the other fields, so ``==`` and
+    ``repr`` leave them out.
     """
 
-    __slots__ = ("space", "order", "body", "partials")
+    __slots__ = ("space", "order", "body", "partials", "_el")
     _fields = ("space", "order", "body")
 
     def __init__(self, space: JetSpace, order: int, body: Expr):
@@ -50,6 +51,7 @@ class Lagrangian(Record):
             for i in range(len(space.dependents))
             for v in space.jet_vars(i, order)
             if v in present]
+        self._el: Optional[ELSystem] = None
 
 
 class ELSystem(Record):
@@ -84,15 +86,19 @@ def euler_lagrange(L: Lagrangian) -> ELSystem:
     """The Euler-Lagrange equations of a Lagrangian.
 
     For each dependent variable: sum over jet coordinates of
-    (-1)^order * D^multi (dL/du_multi), in canonical form.
+    (-1)^order * D^multi (dL/du_multi), in canonical form.  The system is
+    derived once per Lagrangian; every later call returns the same record,
+    which callers must not change.
     """
-    space = L.space
-    equations = [Expr.zero() for _ in space.dependents]
-    for i, v, p in L.partials:
-        sign = -1 if v.order % 2 else 1
-        equations[i] = equations[i] + multi_derivative(
-            p, v.multi_index, space) * sign
-    return _normalize(space, equations)
+    if L._el is None:
+        space = L.space
+        equations = [Expr.zero() for _ in space.dependents]
+        for i, v, p in L.partials:
+            sign = -1 if v.order % 2 else 1
+            equations[i] = equations[i] + multi_derivative(
+                p, v.multi_index, space) * sign
+        L._el = _normalize(space, equations)
+    return L._el
 
 
 def _normalize(space: JetSpace, equations: List[Expr]) -> ELSystem:

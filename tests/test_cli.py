@@ -53,6 +53,28 @@ def test_verify_field_candidates(capsys):
     assert "gauge (u, 0)" in out
 
 
+def test_verify_derives_el_once_and_reduces_each_law_once(monkeypatch,
+                                                          capsys):
+    """quartic_field admits four flux laws: the file's Euler-Lagrange
+    system is derived once, and each law's divergence reduced once."""
+    from noether import engine, variational
+
+    calls = {"_normalize": 0, "reduce_mod_el": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    count(variational, "_normalize")
+    count(engine, "reduce_mod_el")
+    run(capsys, "verify", FIELD)
+    assert calls == {"_normalize": 1, "reduce_mod_el": 4}
+
+
 def test_verify_law_section(capsys):
     code, out = run(capsys, "verify", FREE)
     assert "law I3: ok" in out

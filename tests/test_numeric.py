@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,13 @@ from util import (SEED, rand_expr, rand_nonzero_expr, reference_drift,
                   reference_integrate)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def _same_floats(xs, ys) -> bool:
+    """Equal bit for bit, or both NaN: ``==`` would let -0.0 match 0.0."""
+    return len(xs) == len(ys) and all(
+        struct.pack("<d", x) == struct.pack("<d", y)
+        or (math.isnan(x) and math.isnan(y)) for x, y in zip(xs, ys))
 
 
 def _two_row_drift(e, variables, point):
@@ -187,14 +196,15 @@ def _assert_matches_reference(el, cfg, ic, integrals):
     traj = integrate_el(el, cfg, ic)
     samples, truncated = reference_integrate(el, cfg, ic)
     assert traj.truncated == truncated
-    assert traj.rows == [tuple(env[v] for v in traj.variables)
-                         for env in samples]
+    assert len(traj.rows) == len(samples)
+    assert all(_same_floats(row, [env[v] for v in traj.variables])
+               for row, env in zip(traj.rows, samples))
     drifts = [reference_drift(e, samples) for e in integrals]
     report = drift_report(integrals, traj, cfg)
-    assert report.drifts == drifts
+    assert _same_floats(report.drifts, drifts), (report.drifts, drifts)
     assert report.truncated == truncated
     fused = check_integrals(integrals, el, cfg, ic)
-    assert fused.drifts == drifts
+    assert _same_floats(fused.drifts, drifts), (fused.drifts, drifts)
     assert fused.passes == report.passes
     assert fused.truncated == truncated
     return traj
@@ -366,6 +376,155 @@ def test_overflow_gives_that_law_alone_infinite_drift(y0, free_particle, ode):
     assert report.drifts == [math.inf, 0.0]
     assert report.passes == [False, True]
     assert not report.truncated
+
+
+NAN, INF = math.nan, math.inf
+
+
+def _edge_drifts(ode, laws, rows):
+    """drift_report of ``laws`` (parsed over x, y, y') on the given rows,
+    checked bit for bit against ``reference_drift`` on the same rows."""
+    variables = (ode.lookup("x"), ode.lookup("y"), ode.lookup("y'"))
+    integrals = [parse(law, ode) for law in laws]
+    drifts = drift_report(integrals, Trajectory(variables, rows),
+                          NumericConfig()).drifts
+    samples = [dict(zip(variables, row)) for row in rows]
+    expected = [reference_drift(e, samples) for e in integrals]
+    assert _same_floats(drifts, expected), (drifts, expected)
+    return drifts
+
+
+def test_drift_skips_nan_rows(ode):
+    rows = [(0.0, 1.0, 2.0), (0.1, NAN, 2.5), (0.2, 1.5, NAN),
+            (0.3, 0.5, 2.0)]
+    drifts = _edge_drifts(ode, ["y", "y^2 - y'", "y*y'", "3"], rows)
+    assert drifts[0] == 0.5 and drifts[3] == 0.0
+
+
+def test_drift_of_infinite_rows(ode):
+    rows = [(0.0, 1.0, 2.0), (0.1, INF, 2.0), (0.2, -INF, 2.0)]
+    drifts = _edge_drifts(ode, ["y", "y'", "y^2", "-y^3 + y'"], rows)
+    assert drifts == [INF, 0.0, INF, INF]
+
+
+@pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)],
+                         ids=["negative-first", "positive-first"])
+def test_drift_of_signed_zeros_is_positive_zero(zeros, ode):
+    a, b = zeros
+    rows = [(0.0, a, b), (0.1, b, a), (0.2, a, a), (0.3, b, b)]
+    drifts = _edge_drifts(
+        ode, ["y", "-y", "y'", "y - y'", "-y^3", "y^2*y' - y'"], rows)
+    assert all(struct.pack("<d", d) == struct.pack("<d", 0.0)
+               for d in drifts), drifts
+
+
+@pytest.mark.parametrize("first", [INF, -INF, NAN])
+def test_drift_from_a_non_finite_first_value(first, ode):
+    rows = [(0.0, first, 1.0), (0.1, 1.0, 1.0), (0.2, 2.0, 1.0)]
+    drifts = _edge_drifts(ode, ["y", "y'", "y*y'", "y^2 - y"], rows)
+    assert drifts == [INF, 0.0, INF, INF]
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.0, 1e200, 1.0), (0.1, 1.0, 2.0), (0.2, 1.0, 3.0)],
+    # y^2 * y' is inf * 0.0 on the overflowing row: NaN, yet still inf.
+    [(0.0, 1.0, 1.0), (0.1, 1e200, 0.0), (0.2, 2.0, 3.0)]],
+    ids=["row0", "later"])
+def test_shared_overflowing_power_fails_only_its_laws(rows, ode):
+    """y^2 overflows; both laws holding it get infinite drift, and y'
+    keeps folding finite values."""
+    assert _edge_drifts(ode, ["y^2*y' + y", "y^2", "y'"], rows) == [
+        INF, INF, 2.0]
+
+
+def _random_integrals(rng, variables):
+    """1-4 polynomials whose terms come from one shared pool of monomials,
+    so that integrals share powers, with coefficients drawn from 1, -1,
+    1/2, -1/2, 2 and random rationals."""
+    pool = {()}
+    while len(pool) < 7:
+        chosen = sorted(rng.sample(variables, rng.randint(1, len(variables))),
+                        key=lambda v: v.sort_index)
+        pool.add(tuple((v, rng.randint(1, 4)) for v in chosen))
+    pool = sorted(pool, key=str)
+    coeffs = [1, -1, Fraction(1, 2), Fraction(-1, 2), 2]
+    return [Expr({m: rng.choice(coeffs + [Fraction(rng.randint(1, 99)
+                                                    * rng.choice((-1, 1)),
+                                                    rng.randint(1, 99))])
+                  for m in rng.sample(pool, rng.randint(1, len(pool)))})
+            for _ in range(rng.randint(1, 4))]
+
+
+def _random_magnitude(rng):
+    """0.0 now and then, else a float of either sign, mostly within 1e3 of
+    1 and otherwise up to about 1e160: x ** 2 overflows past about
+    1.34e154, x ** 4 past 1.16e77."""
+    draw = rng.random()
+    if draw < 0.1:
+        return 0.0
+    exponent = (rng.uniform(-3.0, 3.0) if draw < 0.7
+                else rng.uniform(3.0, 160.0))
+    return rng.choice((-1.0, 1.0)) * 10.0 ** exponent
+
+
+def test_random_integrals_drift_like_reference_bit_for_bit(free_particle, ode):
+    """Seeded: drift_report on random rows, and check_integrals from random
+    initial conditions, equal reference_drift bit for bit, overflowing
+    powers included."""
+    rng = random.Random(SEED)
+    variables = [ode.lookup("x"), ode.lookup("y"), ode.lookup("y'")]
+    overflowed = finite = 0
+    for _ in range(60):
+        integrals = _random_integrals(rng, variables)
+        rows = [tuple(_random_magnitude(rng) for _ in variables)
+                for _ in range(rng.randint(1, 8))]
+        drifts = drift_report(integrals, Trajectory(tuple(variables), rows),
+                              NumericConfig()).drifts
+        samples = [dict(zip(variables, row)) for row in rows]
+        expected = [reference_drift(e, samples) for e in integrals]
+        assert _same_floats(drifts, expected), (integrals, rows)
+        overflowed += math.inf in drifts
+        finite += any(0.0 < d < math.inf for d in drifts)
+    el = euler_lagrange(free_particle)
+    cfg = NumericConfig(horizon=0.05)
+    for _ in range(8):
+        ic = {v: _random_magnitude(rng) for v in variables[1:]}
+        _assert_matches_reference(el, cfg, ic,
+                                  _random_integrals(rng, variables))
+    assert overflowed > 10 and finite > 10, (overflowed, finite)
+
+
+def test_fold_has_no_abs_and_each_power_once_per_row(monkeypatch,
+                                                     free_particle, ode):
+    """The generated fold keeps running extremes instead of ``abs(acc -
+    first)``, and evaluates each distinct ``x ** k`` that its integrals
+    share once for the first row and once per row in the loop."""
+    import builtins
+
+    from noether import numeric
+
+    sources = []
+
+    def recording_compile(source, *args, **kwargs):
+        sources.append(source)
+        return builtins.compile(source, *args, **kwargs)
+
+    numeric._define.cache_clear()
+    monkeypatch.setattr(numeric, "compile", recording_compile, raising=False)
+    laws = [parse(law, ode) for law in
+            ("y^2 + x^3*y'^2", "y^2*y' - x^3", "y'^2 - y", "-y")]
+    el = euler_lagrange(free_particle)
+    cfg = NumericConfig(horizon=0.1)
+    ic = {ode.dependents[0]: 0.3, ode.lookup("y'"): 0.7}
+    traj = integrate_el(el, cfg, ic)
+    drift_report(laws, traj, cfg)
+    check_integrals(laws, el, cfg, ic)
+    assert len(sources) == 3
+    for source in sources[1:]:   # the first is integrate_el's: no integrals
+        assert "abs(" not in source
+        for part in source.split("\n    for ", 1):
+            powers = re.findall(r"\w+ \*\* \d+", part)
+            assert sorted(powers) == ["s0 ** 2", "s1 ** 2", "t ** 3"], part
 
 
 def test_check_memory_does_not_grow_with_steps(free_particle, ode):
