@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .expr import (INDEPENDENT, PARAMETER, Expr, Monomial, Rational, Record,
                    VarId, mono_degree, rational_div)
-from .jets import (Generator, JetSpace, _characteristics, _peel, _prolong,
+from .jets import (Generator, JetSpace, _characteristics, _peel,
                    multi_derivative, total_derivative)
 from .linalg import Row, nullspace, solve_affine_many
 from .variational import (ELSystem, Lagrangian, ReductionError,
@@ -145,9 +145,15 @@ def condition_residual(L: Lagrangian, g: Generator,
 
     Zero exactly when the pair is a Noether symmetry.  The sign convention
     is (symmetry side) - (gauge divergence), so a pure scaling candidate on
-    a quadratic Lagrangian leaves a positive residual.  The determining
-    systems are assembled without it (``_assemble``), so the re-check of
-    every law in ``_law`` is independent of the solver.
+    a quadratic Lagrangian leaves a positive residual.  By the general
+    prolongation formula (``prolong_pde``) it is the sum of D^mu(Q_i) *
+    dL/du_i,mu over the Lagrangian's partials plus the sum over j of
+    D_j(xi_j L - F_j), Q_i the characteristics.  The determining system is
+    assembled without it (``_assemble``), so the re-check of each found
+    law in ``_law`` is independent of the solver.  ``find_gauges`` packs
+    it as each candidate's constant column, so for a gauge found there the
+    re-check shares it with the gauge solve, and the independent identity
+    is ``verify``'s divergence reduction.
     """
     space = L.space
     n = len(space.independents)
@@ -156,22 +162,16 @@ def condition_residual(L: Lagrangian, g: Generator,
     if len(gauge) != n:
         raise ValueError(
             f"gauge term needs {n} component(s), got {len(gauge)}")
+    qs = _characteristics(g, space)
+    memos: List[Dict[Tuple[int, ...], Expr]] = [{} for _ in qs]
     residual = Expr.zero()
-    div_xi = Expr.zero()
-    for j, x in enumerate(space.independents):
-        xi_j = g.xi_of(x)
-        if not xi_j.is_zero:
-            div_xi = div_xi + total_derivative(xi_j, x, space)
-            residual = residual + xi_j * L.body.partial(x)
-    if not div_xi.is_zero:
-        residual = residual + L.body * div_xi
-    memo: Dict[Tuple[int, Tuple[int, ...]], Expr] = {}
     for i, v, p in L.partials:
-        residual = residual + _prolong(g, i, v.multi_index, space, memo) * p
+        residual = residual + multi_derivative(
+            qs[i], v.multi_index, space, memos[i]) * p
     for j, x in enumerate(space.independents):
-        f_j = gauge[j]
-        if not f_j.is_zero:
-            residual = residual - total_derivative(f_j, x, space)
+        flux = g.xi_of(x) * L.body - gauge[j]
+        if not flux.is_zero:
+            residual = residual + total_derivative(flux, x, space)
     return residual
 
 

@@ -10,6 +10,11 @@ runs are deterministic.
 The working order is chosen at problem load with enough headroom for the
 prolongations and reductions the problem needs; raising a derivative past
 it raises ``HeadroomError`` instead of growing the registry.
+
+A generator is differentiated only through its characteristics
+Q_i = eta_i - sum_j xi_j * u_i,j: its prolongation at the jet (i, mu) is
+D^mu Q_i plus sum_l xi_l * u_i,mu+l, with D^mu from ``multi_derivative``,
+as in the engine's invariance residual and boundary terms.
 """
 
 from __future__ import annotations
@@ -218,41 +223,23 @@ def multi_derivative(e: Expr, multi: Tuple[int, ...], space: JetSpace,
     return memo[multi]
 
 
-def _prolong(g: Generator, dep_index: int, multi: Tuple[int, ...],
-             space: JetSpace,
-             memo: Dict[Tuple[int, Tuple[int, ...]], Expr]) -> Expr:
-    """Prolongation coefficient of ``g`` at the jet (dep_index, multi).
-
-    Computed by the usual recursion: peel one derivative off the end,
-    take the total derivative of the lower coefficient, and correct with
-    the transported jet terms.  The result does not depend on which
-    derivative is peeled.
-    """
-    key = (dep_index, multi)
-    if key in memo:
-        return memo[key]
-    if sum(multi) == 0:
-        result = g.eta_of(space.dependents[dep_index])
-    else:
-        j, lower_t = _peel(multi)
-        x_j = space.independents[j]
-        result = total_derivative(
-            _prolong(g, dep_index, lower_t, space, memo), x_j, space)
-        for l, x_l in enumerate(space.independents):
-            xi_l = g.xi_of(x_l)
-            if xi_l.is_zero:
-                continue
-            u_jl = space.derivative(space.jet(dep_index, lower_t), l)
-            result = result - Expr.variable(u_jl) * total_derivative(xi_l, x_j, space)
-    memo[key] = result
-    return result
-
-
 def prolong_pde(g: Generator, target: VarId, space: JetSpace) -> Expr:
-    """Extension coefficient of a generator at a jet coordinate."""
+    """Extension coefficient of a generator at a jet coordinate.
+
+    The general prolongation formula (Olver, Thm 2.36): D^mu Q_i plus
+    sum_l xi_l * u_i,mu+l, where Q_i is the characteristic and (i, mu) the
+    target.  Where some xi_l is nonzero this needs the jets one order above
+    the target, so at the space's top order it raises ``HeadroomError``.
+    """
     if target.kind not in (DEPENDENT, JET):
         raise ValueError(f"{target.name!r} is not a jet coordinate")
-    return _prolong(g, target.dep_index, target.multi_index, space, {})
+    i, multi = target.dep_index, target.multi_index
+    result = multi_derivative(_characteristics(g, space)[i], multi, space)
+    for l, x in enumerate(space.independents):
+        xi_l = g.xi_of(x)
+        if not xi_l.is_zero:
+            result = result + xi_l * Expr.variable(space.derivative(target, l))
+    return result
 
 
 def evolutionary_form(g: Generator, space: JetSpace) -> Generator:

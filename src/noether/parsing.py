@@ -179,23 +179,30 @@ def _derivative_index(space: JetSpace, name: str, position: int
 def _decompose_suffix(space: JetSpace, suffix: str) -> Tuple[int, ...] | None:
     """Split a derivative suffix into independent-variable names.
 
-    Backtracking longest-match, so multi-letter independents work too.
+    At each position the longest name that leaves a splittable rest is
+    taken, so multi-letter independents work too.  The choices are found
+    right to left, one position at a time, so a long suffix takes linear
+    time and no recursion.
     """
-    names = sorted((v.name for v in space.independents), key=len, reverse=True)
-
-    def walk(rest: str, counts):
-        if not rest:
-            return counts
-        for n in names:
-            if rest.startswith(n):
-                nxt = list(counts)
-                nxt[[v.name for v in space.independents].index(n)] += 1
-                got = walk(rest[len(n):], tuple(nxt))
-                if got is not None:
-                    return got
+    names = sorted(enumerate(v.name for v in space.independents),
+                   key=lambda jn: len(jn[1]), reverse=True)
+    # choice[p]: (independent, name length) taken at p; a position whose
+    # rest cannot be split has none.
+    choice = {len(suffix): (-1, 0)}
+    for p in range(len(suffix) - 1, -1, -1):
+        for j, name in names:
+            if suffix.startswith(name, p) and p + len(name) in choice:
+                choice[p] = j, len(name)
+                break
+    if 0 not in choice:
         return None
-
-    return walk(suffix, (0,) * len(space.independents))
+    counts = [0] * len(names)
+    p = 0
+    while p < len(suffix):
+        j, step = choice[p]
+        counts[j] += 1
+        p += step
+    return tuple(counts)
 
 
 class _Parser:

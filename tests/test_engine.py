@@ -5,19 +5,21 @@ from pathlib import Path
 
 import pytest
 
-from noether import (Ansatz, Expr, Generator, JetSpace, Lagrangian,
-                     NonSymmetryError, UnsupportedProblem, combine_solutions,
-                     condition_residual, conservation_vector,
-                     determining_system, euler_lagrange, evolutionary_form,
-                     find_gauge, find_gauges, first_integral,
-                     hessian_relation_check, load_problem, match_generator,
-                     parse, reduce_mod_el, solve, solve_noether, verify,
-                     verify_candidate)
+from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
+                     Lagrangian, NonSymmetryError, UnsupportedProblem,
+                     combine_solutions, condition_residual,
+                     conservation_vector, determining_system, euler_lagrange,
+                     evolutionary_form, find_gauge, find_gauges,
+                     first_integral, hessian_relation_check, load_problem,
+                     match_generator, parse, prolong_pde, reduce_mod_el,
+                     solve, solve_noether, verify, verify_candidate)
 from noether.engine import _ansatz, _Packing
 
 from util import (constant_columns, first_integral_closed_form, is_canonical,
-                  monomials_upto, on_shell_zero, rand_expr, scanning_fill,
-                  split_rows, template_gauge_systems, template_rows)
+                  monomials_upto, on_shell_zero, prolongation_residual,
+                  rand_expr, rand_nonzero_expr, recursive_prolong,
+                  scanning_fill, split_rows, template_gauge_systems,
+                  template_rows)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +53,46 @@ def test_residual_gauge_dimension_checked(free_particle, ode):
     with pytest.raises(ValueError, match="component"):
         condition_residual(free_particle, gen(ode, xi={"x": "1"}),
                            [Expr.zero(), Expr.zero()])
+
+
+def test_prolongation_matches_the_recursion(rng):
+    """``prolong_pde`` at every jet below the top order and
+    ``condition_residual`` with a random gauge equal the recursion that
+    they replaced, for random point and jet-order-1 generators on random
+    Lagrangians, in the working order ``load_problem`` gives them.  At the
+    top order, a nonzero xi needs a jet one order higher."""
+    cases = [(["t"], ["q"], 1), (["t"], ["q"], 2), (["t"], ["x", "y"], 1),
+             (["t"], ["x", "y"], 2), (["t", "x"], ["u"], 1)]
+    for independents, dependents, order in cases:
+        space = JetSpace(independents, dependents, max_order=2 * order + 2)
+        n = len(space.independents)
+        lower = list(space.independents) + space.jet_vars(max_order=order)
+        body = rand_nonzero_expr(rng, lower) + \
+            Expr.variable(space.jet(0, (order,) + (0,) * (n - 1))) ** 2
+        L = Lagrangian(space, order, body)
+        for jet_order in (0, 1):
+            vars = list(space.independents) + \
+                space.jet_vars(max_order=jet_order)
+            for _ in range(4):
+                g = Generator(
+                    xi={x: rand_expr(rng, vars) for x in space.independents},
+                    eta={u: rand_expr(rng, vars) for u in space.dependents})
+                gauge = [rand_expr(rng, lower) for _ in range(n)]
+                assert condition_residual(L, g, gauge) == \
+                    prolongation_residual(L, g, gauge)
+                memo = {}
+                for v in space.jet_vars(max_order=space.max_order - 1):
+                    assert prolong_pde(g, v, space) == recursive_prolong(
+                        g, v.dep_index, v.multi_index, space, memo)
+        top = space.jet(0, (space.max_order,) + (0,) * (n - 1))
+        u = space.dependents[0]
+        stretch = Generator(eta={u: Expr.variable(u)})
+        assert prolong_pde(stretch, top, space) == Expr.variable(top)
+        translation = Generator(xi={space.independents[0]: Expr.one()})
+        assert recursive_prolong(translation, 0, top.multi_index,
+                                 space).is_zero
+        with pytest.raises(HeadroomError):
+            prolong_pde(translation, top, space)
 
 
 # -- determining systems -------------------------------------------------------

@@ -78,7 +78,8 @@ def test_multi_derivative_matches_nested_total_derivatives(rng):
 
 
 def zeta(g, j, ode):
-    """Order-j prolongation coefficient of y, by the general recursion."""
+    """Order-j prolongation coefficient of y: D^j of the characteristic
+    plus xi y^(j+1), by the general prolongation formula."""
     return prolong_pde(g, ode.jet(0, (j,)), ode)
 
 

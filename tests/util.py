@@ -11,9 +11,11 @@ elimination visits every pivot row where ``noether.linalg`` reads its
 column index, the scanning fill reads every template term for every
 assignment where ``noether.engine`` reads only the solution's entries,
 the template rows split the invariance residual of the whole ansatz by
-unknown where ``noether.engine`` assembles them column by column, and the
+unknown where ``noether.engine`` assembles them column by column, the
 tuple enumerator sorts monomials by ``mono_key`` where ``noether.engine``
-sorts packed ints.
+sorts packed ints, and the recursive prolongation and its residual peel
+one derivative at a time off the lower coefficient where ``noether``
+differentiates the characteristic.
 
 The solve oracles keep the shape the solver had before right-hand sides
 became columns: a list of ``(row, {k: b_k})`` pairs for A x = b_k.
@@ -121,6 +123,55 @@ def closed_form_zeta(g: Generator, j: int, space: JetSpace):
             zeta = zeta - q_jk * dt(tau, k) * math.comb(j, k)
         out[dep] = zeta
     return out
+
+
+def recursive_prolong(g: Generator, dep_index: int, multi, space: JetSpace,
+                      memo=None) -> Expr:
+    """Prolongation coefficient of ``g`` at the jet (dep_index, multi) by
+    the recursion ``noether.jets`` used before the general formula: peel
+    the last derivative off, take the total derivative of the lower
+    coefficient, and correct with the transported jet terms.  ``memo``
+    shares the lower coefficients between the jets of one generator."""
+    memo = {} if memo is None else memo
+    key = (dep_index, tuple(multi))
+    if key not in memo:
+        if not any(multi):
+            memo[key] = g.eta_of(space.dependents[dep_index])
+        else:
+            j = max(i for i, c in enumerate(multi) if c)
+            lower = tuple(c - (i == j) for i, c in enumerate(multi))
+            x_j = space.independents[j]
+            result = total_derivative(
+                recursive_prolong(g, dep_index, lower, space, memo), x_j, space)
+            for l, x_l in enumerate(space.independents):
+                xi_l = g.xi_of(x_l)
+                if not xi_l.is_zero:
+                    u = space.derivative(space.jet(dep_index, lower), l)
+                    result = result - Expr.variable(u) * total_derivative(
+                        xi_l, x_j, space)
+            memo[key] = result
+    return memo[key]
+
+
+def prolongation_residual(L, g: Generator, gauge=None) -> Expr:
+    """The invariance residual as ``condition_residual`` built it before
+    the general formula: the recursive prolongation acting on L, plus
+    xi_j dL/dx_j and L times the divergence of xi, minus that of the
+    gauge."""
+    space = L.space
+    if gauge is None:
+        gauge = [Expr.zero()] * len(space.independents)
+    residual = Expr.zero()
+    for x, f in zip(space.independents, gauge):
+        xi = g.xi_of(x)
+        residual = residual + xi * L.body.partial(x) \
+            + L.body * total_derivative(xi, x, space) \
+            - total_derivative(f, x, space)
+    memo = {}
+    for i, v, p in L.partials:
+        residual = residual + recursive_prolong(
+            g, i, v.multi_index, space, memo) * p
+    return residual
 
 
 def first_integral_closed_form(L, g, f: Expr) -> Expr:
