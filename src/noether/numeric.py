@@ -6,51 +6,45 @@ first integral is evaluated along the trajectory; a conserved quantity must
 show only roundoff-level relative drift.  Flux vectors of field problems
 are not validated numerically -- their divergence check is exact already.
 
-The work runs in generated Python source, compiled once per distinct
-source with ``compile()``, on local floats instead of environments.  One
-generator writes one function ``run(source, t, s0, ..., sn)``: its
-arguments are the first row, each item of ``source`` yields the next row,
-and each row is folded into each integral's running drift.  Callers differ
-only in where the rows come from.  ``check_integrals`` and
-``integrate_el`` pass ``range(steps)`` and the RK4 step: all four stages
-straight-line, then a finiteness test of the new row.  ``check_integrals``
-keeps no rows; ``integrate_el`` has no integrals and keeps every row in a
-``Trajectory``.  ``drift_report`` passes a kept trajectory's rows after the
-first.  The source names only internal locals (``t``, ``s0``, ``a0``,
-``k1_0``, ``acc``, ``s0_2``, ``first0``, ``hi0``, ...) and float literals
-(``repr`` of floats); no user-supplied identifier reaches it.
+The work runs in one generated function ``run(source, t, s0, ..., sn)``,
+compiled once per distinct source: its arguments are the first row, each
+item of ``source`` yields the next row, and each row is folded into each
+integral's running drift.  ``check_integrals`` and ``integrate_el`` pass
+``range(steps)`` and the RK4 step; the first keeps no rows, the second
+has no integrals and keeps every row.  ``drift_report`` passes a kept
+trajectory's rows after the first.  The source names only internal
+locals and float literals (``repr`` of floats), no user identifier.
 
 Operation-order rule: the generated code performs the floating-point
 operations of a direct evaluation in the same order, or rewrites them in
 ways that are exact, so its results are identical bit for bit.
-- A polynomial is ``acc = 0.0 + term`` followed by one ``acc += term``
-  statement per further term, in ``Expr.term_map()`` order: the first
-  statement is the addition that ``acc = 0.0`` then ``acc += term`` makes
-  (and like it turns a -0.0 term into +0.0).  One flat statement per term
-  also keeps large integrals compilable: a single expression nests too
-  deeply.
-- A term is its coefficient times its factors, left to right, each factor
-  ``x ** k``.  ``** 1`` and a coefficient of 1.0 are left out, which is
-  exact; ``x ** k`` is never rewritten as ``x * x``, which can round
-  differently.  A coefficient of -1.0 is left out too, and its term
-  subtracted (``acc -= term``): x + (-y) is x - y, and (-1 * a) * b is
-  -(a * b), under round-to-nearest.
-- In the drift fold, each distinct ``x ** k`` of the integrals is
-  evaluated once per row into a local, which every term then reads: the
-  same operation gives the same float.  Only ``**`` can raise there (float
-  ``*`` and ``+`` never do), so each power has its own ``try``; an
-  ``OverflowError`` sets it to ``inf`` and marks every integral holding it
-  ``bad``, for good, as an overflow inside the integral's own sum would.
-- The fold keeps each integral's first value and its running extremes
-  ``hi`` and ``lo``, moved only by a strictly greater or smaller value, so
-  a NaN row is skipped.  The largest deviation is ``max(hi - first, first
-  - lo)``, taken once at the end: subtracting a fixed ``first`` rounds
-  monotonically and x - y = -(y - x), so it is the largest ``|acc -
-  first|`` over the rows, the same float.
-- The stages are written ``s + 0.5 * h * k1``, ``t + 0.5 * h``,
-  ``s + h * k3`` and ``s + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)``, with
-  the step ``h`` as a float literal; the compiler folds ``0.5 * h`` and
-  ``h / 6.0`` into constants by the same float operation.
+- A polynomial is ``acc = 0.0 + term`` (which turns a -0.0 term into
+  +0.0) and one ``acc += term`` per further term, in ``Expr.term_map()``
+  order.  One flat statement per term keeps large integrals compilable.
+- A term is its coefficient times its factors ``x ** k``, left to right.
+  ``** 1`` and a coefficient of 1.0 are left out; one of -1.0 is too, and
+  the term subtracted: x + (-y) is x - y, and (-1 * a) * b is -(a * b),
+  under round-to-nearest.  ``x ** k`` is never ``x * x``, which can round
+  differently.
+- In the drift fold, each distinct ``x ** k`` is evaluated once per row
+  into a local that every term reads: the same operation gives the same
+  float.  Only ``**`` can raise (float ``*`` and ``+`` never do), so each
+  power has its own ``try``, and an ``OverflowError`` marks every
+  integral holding it ``bad`` for good.
+- The fold keeps each integral's first value and its extremes ``hi`` and
+  ``lo``, moved only by a strictly greater or smaller value, so a NaN row
+  is skipped.  ``max(hi - first, first - lo)`` at the end is the largest
+  ``|acc - first|``: subtracting a fixed ``first`` rounds monotonically.
+- The stages are ``s + 0.5 * h * k1``, ``t + 0.5 * h``, ``s + h * k3`` and
+  ``s + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)``, ``h`` a float literal;
+  the compiler folds ``0.5 * h`` and ``h / 6.0`` by the same operation.
+- Three rewrites of the step are exact, since copies do no float
+  operation, folding does the same ones, and nothing dropped can raise.
+  A slope that copies a state is the stage's state local itself.  A zero
+  solved form is the literal ``0.0``, so each of its stage values and its
+  update fold to ``s + 0.0``, which turns -0.0 into +0.0 as the direct
+  evaluation does; that value is computed once.  A stage value (``tm``
+  included) that no slope reads is not computed.
 """
 
 from __future__ import annotations
@@ -68,12 +62,8 @@ from .variational import ELSystem
 
 def _term(coeff, factors: List[str]) -> Tuple[str, str]:
     """The sign with which a term is added, ``+`` or ``-``, and its text:
-    the coefficient times ``factors``, multiplied left to right.
-
-    A coefficient of 1.0 is left out, which is exact.  One of -1.0 is left
-    out too and the term subtracted, which is exact because (-1 * a) * b
-    is -(a * b) and x + (-y) is x - y under round-to-nearest.
-    """
+    the coefficient times ``factors``, a coefficient of 1.0 or -1.0 left
+    out (module docstring)."""
     c = float(coeff)
     sign = "-" if c == -1.0 else "+"
     if abs(c) != 1.0 or not factors:
@@ -82,22 +72,21 @@ def _term(coeff, factors: List[str]) -> Tuple[str, str]:
 
 
 def _sum(e: Expr, factor: Callable[[VarId, int], str],
-         indent: str) -> List[str]:
-    """Statements that leave the float value of ``e`` in ``acc``.
+         indent: str, target: str = "acc") -> List[str]:
+    """Statements that leave the float value of ``e`` in ``target``.
 
-    One statement per term, in ``term_map()`` order: ``acc = 0.0 + term``
-    (``0.0 - term``), then ``acc += term`` (``-=``), with the terms of
-    ``_term`` over the factors ``factor(v, k)``, ``x ** k`` or a local
-    holding it.  So the statements round exactly as ``0.0 + coeff * x1 **
-    k1 * ...`` summed term by term does.  A single expression would nest
-    too deeply to compile for large integrals.
+    ``target = 0.0 + term`` (``0.0 - term``), then ``target += term``
+    (``-=``) per further term in ``term_map()`` order, with the terms of
+    ``_term`` over the factors ``factor(v, k)``: ``x ** k`` or a local
+    holding it.  They round as ``0.0 + coeff * x1 ** k1 * ...`` summed term
+    by term does.
     """
     lines = []
     for mono, coeff in e.term_map().items():
         sign, term = _term(coeff, [factor(v, k) for v, k in mono])
-        lines.append(f"{indent}acc {sign}= {term}" if lines
-                     else f"{indent}acc = 0.0 {sign} {term}")
-    return lines or [f"{indent}acc = 0.0"]
+        lines.append(f"{indent}{target} {sign}= {term}" if lines
+                     else f"{indent}{target} = 0.0 {sign} {term}")
+    return lines or [f"{indent}{target} = 0.0"]
 
 
 @functools.lru_cache(maxsize=128)
@@ -214,14 +203,12 @@ def _drift_lines(integrals: Sequence[Expr], names: Dict[VarId, str],
     """Statements that fold one row into each integral's ``first<i>``,
     ``hi<i>``, ``lo<i>`` and ``bad<i>``.
 
-    Each distinct ``x ** k`` (k > 1) of the integrals is evaluated once,
-    into the local ``x_k``, in its own ``try``: an ``OverflowError`` sets
-    the local to ``inf`` and ``bad<i>`` of every integral holding the power,
-    and ``bad<i>`` never goes back.  Then each integral is summed from the
-    locals.  On the first row the sum sets ``first<i>``, ``hi<i>`` and
-    ``lo<i>``, after every ``bad<i>`` starts false; on every later row it
-    replaces ``hi<i>`` only when greater and ``lo<i>`` only when smaller,
-    so a NaN is skipped.
+    Each distinct ``x ** k`` (k > 1) goes into the local ``x_k`` in its own
+    ``try``; an ``OverflowError`` sets it to ``inf`` and ``bad<i>`` of each
+    integral holding it.  Then each integral is summed from the locals.
+    The first row sets ``first<i>``, ``hi<i>`` and ``lo<i>``, and every
+    ``bad<i>`` false; a later row moves ``hi<i>`` only when greater and
+    ``lo<i>`` only when smaller.
     """
     holders: Dict[Tuple[VarId, int], List[int]] = {}
     for i, e in enumerate(integrals):
@@ -270,44 +257,69 @@ def _rk4_lines(t_var: VarId, states: List[VarId], slopes: List,
                h: float) -> List[str]:
     """One RK4 step from the row ``t, s0, ..., sn`` to the next.
 
-    All four stages run straight-line on locals: stage k's slopes are
-    ``k<k>_<j>``, its states ``a<j>`` at the times ``tm`` (half step) and
-    ``tn`` (full step).  An ``OverflowError`` or ``ValueError`` in a stage,
-    or a non-finite entry in the new row, ends the loop truncated.
+    Stage k's states are the locals ``s<j>``, ``a<j>``, ``b<j>`` or
+    ``c<j>``, at time ``t``, ``tm`` (half step) or ``tn`` (full step); its
+    slope j is the stage's state that ``slopes[j]`` names, ``0.0`` for a
+    zero solved form, or ``k<k>_<j>``.  Only values some slope reads are
+    computed, each distinct expression once.  An ``OverflowError`` or
+    ``ValueError`` in a stage, or a non-finite entry in the new row, ends
+    the loop truncated.
     """
-    n = len(states)
     step = repr(h)
     indent = " " * 12
-    lines = ["        try:"]
-    for k, (time, prefix, inc) in enumerate(
-            (("t", "s", None), ("tm", "a", f"0.5 * {step}"),
-             ("tm", "a", f"0.5 * {step}"), ("tn", "a", step)), start=1):
-        if k == 2:
-            lines.append(f"{indent}tm = t + 0.5 * {step}")
-        if k == 4:
-            lines.append(f"{indent}tn = t + {step}")
-        if inc is not None:
-            lines += [f"{indent}a{j} = s{j} + {inc} * k{k - 1}_{j}"
-                      for j in range(n)]
-        stage = {v: f"{prefix}{j}" for j, v in enumerate(states)}
-        stage[t_var] = time
+    body: List[str] = []
+    known: Dict[str, str] = {}
+
+    def value(text: str, name: str) -> str:
+        if text not in known:
+            known[text] = name
+            body.append(f"{indent}{name} = {text}")
+        return known[text]
+
+    reads = set()
+    for j, slope in enumerate(slopes):
+        if isinstance(slope, int):
+            # The update of s<j> reads s<j+1> before overwriting it.
+            assert slope == j + 1, (j, slope)
+            reads.add(states[slope])
+        else:
+            reads |= slope.variables()
+    ks: List[List[str]] = []
+    stage = {v: f"s{j}" for j, v in enumerate(states)}
+    stage[t_var] = "t"
+    half = f"0.5 * {step}"
+    for k, prefix, inc in ((1, "s", ""), (2, "a", half), (3, "b", half),
+                           (4, "c", step)):
+        if inc:
+            if t_var in reads:
+                stage[t_var] = value(f"t + {inc}", "tn" if k == 4 else "tm")
+            for j, v in enumerate(states):
+                if v in reads:
+                    kj = ks[-1][j]
+                    stage[v] = value(f"s{j} + 0.0" if kj == "0.0" else
+                                     f"s{j} + {inc} * {kj}", f"{prefix}{j}")
+        ks.append([])
         for j, slope in enumerate(slopes):
             if isinstance(slope, int):
-                lines.append(f"{indent}k{k}_{j} = {prefix}{slope}")
+                ks[-1].append(stage[states[slope]])
+            elif slope.is_zero:
+                ks[-1].append("0.0")
             else:
-                lines += _sum(slope, lambda v, k: stage[v] if k == 1
-                              else f"{stage[v]} ** {k}", indent)
-                lines.append(f"{indent}k{k}_{j} = acc")
-    lines += ["        except (OverflowError, ValueError):",
-              "            truncated = True",
-              "            break",
-              "        t = tn"]
-    lines += [f"        s{j} = s{j} + {step} / 6.0 * "
-              f"(k1_{j} + 2 * k2_{j} + 2 * k3_{j} + k4_{j})"
-              for j in range(n)]
+                body += _sum(slope, lambda v, e: stage[v] if e == 1
+                             else f"{stage[v]} ** {e}", indent, f"k{k}_{j}")
+                ks[-1].append(f"k{k}_{j}")
+    lines = ["        try:", *(body or [indent + "pass"]),
+             "        except (OverflowError, ValueError):",
+             "            truncated = True",
+             "            break",
+             f"        t = {known.get(f't + {step}', f't + {step}')}"]
+    for j, (k1, k2, k3, k4) in enumerate(zip(*ks)):
+        text = (f"s{j} + 0.0" if k1 == "0.0" else
+                f"s{j} + {step} / 6.0 * ({k1} + 2 * {k2} + 2 * {k3} + {k4})")
+        lines.append(f"        s{j} = {known.get(text, text)}")
     # x - x is 0.0 for a finite x and NaN otherwise, so the sum is truthy
     # exactly when some entry of the new row is not finite.
-    entries = ["t", *(f"s{j}" for j in range(n))]
+    entries = ["t", *(f"s{j}" for j in range(len(states)))]
     return lines + [
         f"        if {' + '.join(f'({x} - {x})' for x in entries)}:",
         "            truncated = True",
@@ -319,13 +331,12 @@ def _run_function(variables: Sequence[VarId], integrals: Sequence[Expr],
     """Generated ``run(source, t, s0, ..., sn)``, whose arguments are the
     first row, one float per entry of ``variables``.
 
-    Each item of ``source`` yields the next row: with ``step`` (the lines
-    of ``_rk4_lines``) an item is one RK4 step from the current row, and
-    ``source`` is ``range(steps)``; without, an item is the row itself.
-    Each accepted row is appended to ``rows`` when ``keep_rows`` is set,
-    and folded into each integral's drift (``_drift_lines``).  The
-    function returns ``(truncated, rows or None, ((first, hi, lo, bad),
-    ...))``.
+    With ``step`` (the lines of ``_rk4_lines``, on the stage locals
+    ``a<j>``, ``b<j>``, ``c<j>``, ``tm``, ``tn`` and ``k<k>_<j>``) each
+    item of ``source`` is one RK4 step; without, it is the next row.  Each
+    row is appended to ``rows`` when ``keep_rows`` is set and folded into
+    each integral's drift.  ``run`` returns ``(truncated, rows or None,
+    ((first, hi, lo, bad), ...))``.
     """
     entries = ["t", *(f"s{j}" for j in range(len(variables) - 1))]
     row = ", ".join(entries)
@@ -344,8 +355,7 @@ def _run_function(variables: Sequence[VarId], integrals: Sequence[Expr],
 def _run(el: ELSystem, cfg: NumericConfig, ic: Dict[VarId, float],
          integrals: Sequence[Expr], keep_rows: bool):
     """Validate, then run the generated RK4 loop from ``ic`` at t = 0:
-    ``(row variables, truncated, rows or None, ((first, hi, lo, bad),
-    ...))``."""
+    ``(row variables, *run(...))``."""
     t_var, states, slopes = _slopes(el, ic)
     variables = (t_var, *states)
     run = _run_function(variables, integrals, keep_rows,
@@ -360,11 +370,9 @@ def integrate_el(el: ELSystem, cfg: NumericConfig,
     """Fixed-step RK4 trajectory of the first-order reduction.
 
     The initial condition maps every state variable to a float; the
-    independent variable starts at zero.  One generated loop does every
-    step on positional floats, with the operation order of the module
-    docstring, and keeps each row.  An ``OverflowError`` or ``ValueError``
-    inside a step, or a non-finite value anywhere in the new row,
-    truncates the trajectory.
+    independent variable starts at zero.  The generated loop keeps each
+    row.  An ``OverflowError`` or ``ValueError`` inside a step, or a
+    non-finite value in the new row, truncates the trajectory.
     """
     variables, truncated, rows, _ = _run(el, cfg, ic, (), True)
     return Trajectory(variables=variables, rows=rows, truncated=truncated)
@@ -402,10 +410,9 @@ def drift_report(laws: Sequence, traj: Trajectory,
                  cfg: NumericConfig) -> NumericReport:
     """Relative drift of each integral along a kept trajectory.
 
-    drift = max |I(t) - I(0)| / max(1, |I(0)|), evaluated at every row by
-    the generated loop fed the kept rows instead of RK4 steps, with the
-    operation order of the module docstring.  An integral whose value
-    overflows on the trajectory has infinite drift, and so fails.
+    drift = max |I(t) - I(0)| / max(1, |I(0)|), at every row, by the
+    generated loop fed the kept rows instead of RK4 steps.  An integral
+    that overflows on the trajectory has infinite drift, and so fails.
     """
     integrals = [_integral(l) for l in laws]
     extremes = (_run_function(traj.variables, integrals)(

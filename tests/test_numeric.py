@@ -13,12 +13,13 @@ from noether import (Ansatz, ConservationLaw, Expr, JetSpace,
                      Lagrangian, NumericConfig, Trajectory, check_integrals,
                      drift_report, euler_lagrange, integrate_el, load_problem,
                      parse, seeded_initial_conditions, solve_noether)
-from noether.numeric import MAX_STEPS
+from noether.numeric import MAX_STEPS, state_variables
 
 from util import (SEED, rand_expr, rand_nonzero_expr, reference_drift,
                   reference_integrate)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _same_floats(xs, ys) -> bool:
@@ -548,3 +549,101 @@ def test_check_memory_does_not_grow_with_steps(free_particle, ode):
     finally:
         tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 16 * 1024, peaks
+
+
+def test_step_does_only_float_work(monkeypatch, free_particle, chain):
+    """For y'' = 0 and y'''' = 0 every slope copies a state or is zero, so
+    the generated step assigns no ``k<k>_<j>``, ``acc``, ``tm`` or ``tn``
+    and no stage value of y, which no slope reads, and computes the one
+    ``s<j> + 0.0`` of the zero-slope state once."""
+    import builtins
+
+    from noether import numeric
+
+    sources = []
+
+    def recording_compile(source, *args, **kwargs):
+        sources.append(source)
+        return builtins.compile(source, *args, **kwargs)
+
+    numeric._define.cache_clear()
+    monkeypatch.setattr(numeric, "compile", recording_compile, raising=False)
+    for L, top in ((free_particle, 1), (chain, 3)):
+        el = euler_lagrange(L)
+        integrate_el(el, NumericConfig(horizon=0.1),
+                     dict.fromkeys(state_variables(el), 0.5))
+        step = sources[-1].split("for _ in source:\n", 1)[1]
+        assigned = re.findall(r"^ +(\w+) = ", step, re.M)
+        assert not [name for name in assigned
+                    if re.fullmatch(r"k\d+_\d+|acc|tm|tn|[abc]0", name)], step
+        assert "acc" not in step and "tm" not in step, step
+        zeros = re.findall(r"\w+ \+ 0\.0(?!\d)", step)
+        assert zeros == [f"s{top} + 0.0"], step
+
+
+def _signed_zero_conditions(el):
+    """All -0.0, then -0.0 in every other state and seeded values between,
+    starting at the first state and at the second."""
+    states = state_variables(el)
+    rng = random.Random(SEED)
+    values = [rng.uniform(-1.0, 1.0) for _ in states]
+    return [dict.fromkeys(states, -0.0)] + [
+        {v: -0.0 if j % 2 == parity else values[j]
+         for j, v in enumerate(states)} for parity in (0, 1)]
+
+
+@pytest.mark.parametrize("path", [
+    *(PROBLEMS / f"{name}.prob" for name in (
+        "free_particle", "free_particle_2d", "harmonic_oscillator",
+        "second_order_chain")),
+    DATA / "coupled_second_order.prob"], ids=lambda p: p.stem)
+def test_signed_zero_states_match_reference(path):
+    """A zero slope's stage values and update are ``s + 0.0``, which turns
+    a -0.0 state into +0.0 as the reference's ``s + 0.5 * h * 0.0`` does;
+    rows and drifts agree bit for bit from states of -0.0."""
+    problem = load_problem(path)
+    el = euler_lagrange(problem.lagrangian)
+    laws = [s.law.components[0]
+            for s in solve_noether(problem.lagrangian, problem.ansatz)]
+    for ic in _signed_zero_conditions(el):
+        _assert_matches_reference(el, NumericConfig(horizon=0.05), ic, laws)
+
+
+def test_step_with_nothing_to_compute_matches_reference():
+    """L = x*y' gives x' = 0 and y' = 0: no slope reads a state, the step
+    has no stage to compute, and each update is still ``s + 0.0``."""
+    s = JetSpace(["t"], ["x", "y"], max_order=4)
+    el = euler_lagrange(Lagrangian(s, 1, parse("x*y'", s)))
+    for ic in _signed_zero_conditions(el):
+        _assert_matches_reference(el, NumericConfig(horizon=0.05), ic,
+                                  [parse("x + y", s)])
+
+
+def test_random_mixed_systems_match_reference():
+    """Seeded random Lagrangians over two or three dependents, each with a
+    kinetic term of order 1 or 2, some free (zero slopes) and the rest in a
+    potential V(t, q) (slopes that read t): copies, zero slopes, ``tm``
+    and unread stage values in one step, bit for bit against the
+    reference."""
+    rng = random.Random(SEED)
+    cfg = NumericConfig(horizon=0.2)
+    for _ in range(8):
+        names = ["q", "p", "r"][:rng.randint(2, 3)]
+        s = JetSpace(["t"], names, max_order=6)
+        t = s.independents[0]
+        orders = [rng.randint(1, 2) for _ in names]
+        free = set(rng.sample(names, rng.randint(1, len(names) - 1)))
+        held = [n for n in names if n not in free]
+        kinetic = parse(" + ".join(f"1/2*{n}{chr(39) * k}^2"
+                                   for n, k in zip(names, orders)), s)
+        V = (rand_nonzero_expr(rng, [t] + [s.lookup(n) for n in held],
+                               max_terms=4, max_degree=3)
+             + parse(f"t*{held[0]}", s))
+        el = euler_lagrange(Lagrangian(s, max(orders), kinetic - V))
+        forms = list(el.solved_forms.values())
+        assert any(f.is_zero for f in forms)
+        assert any(t in f.variables() for f in forms)
+        states = state_variables(el)
+        ic = {v: rng.uniform(-1.0, 1.0) for v in states}
+        probes = [rand_nonzero_expr(rng, [t] + states) for _ in range(2)]
+        _assert_matches_reference(el, cfg, ic, probes)
