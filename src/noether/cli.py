@@ -157,9 +157,8 @@ def _run_verify(problem: Problem, el: ELSystem, args, result: Dict) -> None:
         entry: Dict = {"name": name, "admits_gauge": gauge is not None}
         entry.update(_generator_json(problem, g))
         if gauge is not None:
-            sol, report = _solution(problem.lagrangian, g, gauge)
-            if report is None:
-                report = verify(sol.law, el, problem.space)
+            sol = _solution(problem.lagrangian, g, gauge)
+            report = verify(sol.law, el, problem.space)
             entry.update(gauge=_strs(sol.gauge),
                          law=_strs(sol.law.components),
                          divergence_residual=str(report.residual),

@@ -7,8 +7,9 @@ the Lagrangian times the divergence of the independent-variable
 coefficients, minus the divergence of the gauge term.  The candidate is a
 symmetry exactly when this polynomial vanishes identically -- no equations
 of motion are involved at that stage.  Conservation laws are then read off
-by iterated integration by parts; their divergence reduces to zero modulo
-the Euler-Lagrange equations, which the verifier checks independently.
+by iterated integration by parts, and each is accepted only when Noether's
+identity Div P = Q.E(L) holds off shell; the verifier reduces their
+divergence modulo the Euler-Lagrange equations independently.
 """
 
 from __future__ import annotations
@@ -148,20 +149,13 @@ def condition_residual(L: Lagrangian, g: Generator,
     a quadratic Lagrangian leaves a positive residual.  By the general
     prolongation formula (``prolong_pde``) it is the sum of D^mu(Q_i) *
     dL/du_i,mu over the Lagrangian's partials plus the sum over j of
-    D_j(xi_j L - F_j), Q_i the characteristics.  The determining system is
-    assembled without it (``_assemble``), so the re-check of each found
-    law in ``_law`` is independent of the solver.  ``find_gauges`` packs
-    it as each candidate's constant column, so for a gauge found there the
-    re-check shares it with the gauge solve, and the independent identity
-    is ``verify``'s divergence reduction.
+    D_j(xi_j L - F_j), Q_i the characteristics.  ``find_gauges`` packs it
+    as each candidate's constant column.  Neither the determining system
+    (``_assemble``) nor a law (``_law``) is built through it: a law is
+    accepted by Noether's identity, which equals this polynomial.
     """
     space = L.space
-    n = len(space.independents)
-    if gauge is None:
-        gauge = [Expr.zero()] * n
-    if len(gauge) != n:
-        raise ValueError(
-            f"gauge term needs {n} component(s), got {len(gauge)}")
+    gauge = _gauge(space, gauge)
     qs = _characteristics(g, space)
     memos: List[Dict[Tuple[int, ...], Expr]] = [{} for _ in qs]
     residual = Expr.zero()
@@ -173,6 +167,17 @@ def condition_residual(L: Lagrangian, g: Generator,
         if not flux.is_zero:
             residual = residual + total_derivative(flux, x, space)
     return residual
+
+
+def _gauge(space: JetSpace, gauge: Sequence[Expr] | None) -> Sequence[Expr]:
+    """The gauge's components, zero when it is None; ValueError unless
+    there is one per independent."""
+    n = len(space.independents)
+    gauge = [Expr.zero()] * n if gauge is None else gauge
+    if len(gauge) != n:
+        raise ValueError(
+            f"gauge term needs {n} component(s), got {len(gauge)}")
+    return gauge
 
 
 # -- conservation laws --------------------------------------------------------
@@ -204,19 +209,41 @@ def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
     return b
 
 
-def _law(L: Lagrangian, g: Generator, F: Sequence[Expr],
-         kind: str) -> ConservationLaw:
-    """Components F_j - [xi_j L + boundary terms_j] of a checked symmetry."""
-    residual = condition_residual(L, g, F)
-    if not residual.is_zero:
-        raise NonSymmetryError(
-            f"candidate is not a Noether symmetry; residual {residual}")
+def _law(L: Lagrangian, g: Generator, F: Sequence[Expr]) -> ConservationLaw:
+    """Components P_j = F_j - (xi_j L + b_j), b the boundary terms, of a
+    symmetry certified by Noether's identity: NonSymmetryError unless
+    ``_noether_residual`` of them is the zero polynomial.  The boundary
+    terms telescope, so that residual is ``condition_residual(L, g, F)``
+    term for term, but it is computed from the law itself, and off shell,
+    so it certifies the law on shell too.
+    """
+    F = _gauge(L.space, F)
     b = boundary_terms(L, g)
     # Grouped as F_j - (xi_j L + b_j): the term order of each component
     # fixes the summation order of the numeric checks.
-    return ConservationLaw(kind, tuple(
-        f - (g.xi_of(x) * L.body + b_j)
-        for f, x, b_j in zip(F, L.space.independents, b)))
+    P = tuple(f - (g.xi_of(x) * L.body + b_j)
+              for f, x, b_j in zip(F, L.space.independents, b))
+    residual = _noether_residual(L, g, P)
+    if not residual.is_zero:
+        raise NonSymmetryError(
+            f"candidate is not a Noether symmetry; residual {residual}")
+    return ConservationLaw(
+        "first-integral" if L.space.is_ode else "flux-vector", P)
+
+
+def _noether_residual(L: Lagrangian, g: Generator, P: Sequence[Expr]) -> Expr:
+    """Q.E(L) - sum_j D_j P_j, with Q the characteristics of g and E(L)
+    the raw Euler-Lagrange expressions.  It is zero exactly when P meets
+    Noether's identity Div P = Q.E(L) (Olver, *Applications of Lie Groups
+    to Differential Equations*, Thm 4.29), and then P is conserved on
+    shell."""
+    euler_lagrange(L)
+    residual = Expr.zero()
+    for q, e in zip(characteristics(L, g), L._euler):
+        residual = residual + q * e
+    for p, x in zip(P, L.space.independents):
+        residual = residual - total_derivative(p, x, L.space)
+    return residual
 
 
 def first_integral(L: Lagrangian, g: Generator, f: Expr) -> ConservationLaw:
@@ -228,30 +255,20 @@ def first_integral(L: Lagrangian, g: Generator, f: Expr) -> ConservationLaw:
     """
     if not L.space.is_ode:
         raise ValueError("first_integral applies to single-independent problems")
-    return _law(L, g, [f], "first-integral")
+    return _law(L, g, [f])
 
 
 def conservation_vector(L: Lagrangian, g: Generator,
                         F: Sequence[Expr]) -> ConservationLaw:
     """The flux vector of a verified symmetry of a multi-independent problem.
 
-    Component j is F_j - [xi_j L + boundary terms_j]; the divergence of the
-    result is checked to reduce to zero before returning.
+    Component j is F_j - [xi_j L + boundary terms_j]; like a first
+    integral, it is returned only once Noether's identity Div P = Q.E(L)
+    holds off shell, so its divergence vanishes on shell.
     """
     if L.space.is_ode:
         raise ValueError("conservation_vector applies to PDE problems")
-    return _flux_vector(L, g, F)[0]
-
-
-def _flux_vector(L: Lagrangian, g: Generator, F: Sequence[Expr]
-                 ) -> Tuple[ConservationLaw, VerificationReport]:
-    """``conservation_vector``'s law with the report of its check."""
-    law = _law(L, g, F, "flux-vector")
-    report = verify(law, euler_lagrange(L), L.space)
-    if report.ok is False:
-        raise AssertionError(
-            f"internal error: synthesized law fails verification: {report.residual}")
-    return law, report
+    return _law(L, g, F)
 
 
 def verify(law: ConservationLaw, el: ELSystem, space: JetSpace) -> VerificationReport:
@@ -517,18 +534,9 @@ def solve(ds: DeterminingSystem) -> List[Dict[VarId, Rational]]:
 
 
 def _solution(L: Lagrangian, g: Generator, gauge: Tuple[Expr, ...]
-              ) -> Tuple[NoetherSolution, Optional[VerificationReport]]:
-    """The solution with its law; NonSymmetryError unless it is a symmetry.
-
-    A flux vector's divergence is checked while it is built, and that
-    report comes with it; a first integral's is not, and its report is
-    None.
-    """
-    if L.space.is_ode:
-        law, report = first_integral(L, g, gauge[0]), None
-    else:
-        law, report = _flux_vector(L, g, gauge)
-    return NoetherSolution(generator=g, gauge=gauge, law=law), report
+              ) -> NoetherSolution:
+    """The solution with its law; NonSymmetryError unless it is a symmetry."""
+    return NoetherSolution(generator=g, gauge=gauge, law=_law(L, g, gauge))
 
 
 def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
@@ -536,8 +544,8 @@ def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
 
     Each nullspace vector is read from its columns into a generator and
     gauge.  Directions with a zero generator, divergence-free gauge fields
-    with no symmetry content, are dropped before a law is built.  The law
-    builders re-check the invariance condition exactly."""
+    with no symmetry content, are dropped before a law is built.  Each law
+    is certified by Noether's identity, exactly."""
     rows, columns, xs, n_slots = _system(L, ansatz)
     us = L.space.dependents
     out = []
@@ -548,7 +556,7 @@ def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
             eta={u: e for u, e in zip(us, values[len(xs):]) if not e.is_zero})
         if not g.is_zero:
             out.append(
-                _solution(L, g, tuple(values[len(xs) + len(us):]))[0])
+                _solution(L, g, tuple(values[len(xs) + len(us):])))
     return out
 
 
@@ -613,9 +621,7 @@ def verify_candidate(L: Lagrangian, g: Generator, degree: int = 4,
                      ) -> Optional[NoetherSolution]:
     """Full verification-mode pipeline for one candidate generator."""
     gauge = find_gauge(L, g, degree=degree, jet_order=jet_order)
-    if gauge is None:
-        return None
-    return _solution(L, g, gauge)[0]
+    return None if gauge is None else _solution(L, g, gauge)
 
 
 # -- helpers for working with solution spaces ---------------------------------
@@ -637,7 +643,7 @@ def combine_solutions(L: Lagrangian, solutions: Sequence[NoetherSolution],
             gauge[j] = gauge[j] + sol.gauge[j] * w
     g = Generator(xi={x: e for x, e in xi.items() if not e.is_zero},
                   eta={u: e for u, e in eta.items() if not e.is_zero})
-    return _solution(L, g, tuple(gauge))[0]
+    return _solution(L, g, tuple(gauge))
 
 
 def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],

@@ -25,11 +25,12 @@ class Lagrangian(Record):
     ``partials`` holds each nonzero jet partial once, as (dependent index,
     jet v, dL/dv), dependent by dependent and then in registration order.
     ``_el`` holds the Euler-Lagrange system once ``euler_lagrange`` has
-    derived it.  Both are derived from the other fields, so ``==`` and
-    ``repr`` leave them out.
+    derived it, and ``_euler`` the raw expressions E_i(L) it normalised.
+    All three are derived from the other fields, so ``==`` and ``repr``
+    leave them out.
     """
 
-    __slots__ = ("space", "order", "body", "partials", "_el")
+    __slots__ = ("space", "order", "body", "partials", "_el", "_euler")
     _fields = ("space", "order", "body")
 
     def __init__(self, space: JetSpace, order: int, body: Expr):
@@ -52,6 +53,7 @@ class Lagrangian(Record):
             for v in space.jet_vars(i, order)
             if v in present]
         self._el: Optional[ELSystem] = None
+        self._euler: Optional[List[Expr]] = None
 
 
 class ELSystem(Record):
@@ -88,7 +90,8 @@ def euler_lagrange(L: Lagrangian) -> ELSystem:
     For each dependent variable: sum over jet coordinates of
     (-1)^order * D^multi (dL/du_multi), in canonical form.  The system is
     derived once per Lagrangian; every later call returns the same record,
-    which callers must not change.
+    which callers must not change.  The raw sums, before canonical form,
+    stay on the Lagrangian as ``_euler`` for Noether's identity.
     """
     if L._el is None:
         space = L.space
@@ -97,6 +100,7 @@ def euler_lagrange(L: Lagrangian) -> ELSystem:
             sign = -1 if v.order % 2 else 1
             equations[i] = equations[i] + multi_derivative(
                 p, v.multi_index, space) * sign
+        L._euler = equations
         L._el = _normalize(space, equations)
     return L._el
 

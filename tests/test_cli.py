@@ -75,6 +75,40 @@ def test_verify_derives_el_once_and_reduces_each_law_once(monkeypatch,
     assert calls == {"_normalize": 1, "reduce_mod_el": 4}
 
 
+def test_condition_residual_runs_only_in_the_gauge_solve(monkeypatch,
+                                                          capsys):
+    """``integrals`` and ``verify`` on every bundled file call
+    ``condition_residual`` only from ``find_gauges``, once per candidate,
+    and never while a law is built: each law is certified by Noether's
+    identity instead."""
+    from noether import engine
+    from noether.problem import load_problem
+    stacks = []
+    original = engine.condition_residual
+
+    def recording(*args):
+        frame, names = sys._getframe(1), []
+        while frame is not None:
+            names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(names)
+        return original(*args)
+    monkeypatch.setattr(engine, "condition_residual", recording)
+    checked = 0
+    for path in sorted(PROBLEMS.glob("*.prob")):
+        candidates = len(load_problem(str(path)).candidates)
+        for command in ("integrals", "verify"):
+            stacks.clear()
+            run(capsys, command, str(path))
+            expected = candidates if command == "verify" else 0
+            # The first named frame: a comprehension has a frame of its own.
+            assert [next(n for n in names if n[0] != "<") for names in stacks
+                    ] == ["find_gauges"] * expected, (command, path.name)
+            assert not any("_law" in names for names in stacks)
+            checked += len(stacks)
+    assert checked == 11   # free_particle's five candidates, quartic's six
+
+
 def test_verify_law_section(capsys):
     code, out = run(capsys, "verify", FREE)
     assert "law I3: ok" in out

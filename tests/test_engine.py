@@ -7,7 +7,7 @@ import pytest
 
 from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
                      Lagrangian, NonSymmetryError, UnsupportedProblem,
-                     combine_solutions, condition_residual,
+                     boundary_terms, combine_solutions, condition_residual,
                      conservation_vector, determining_system, euler_lagrange,
                      evolutionary_form, find_gauge, find_gauges,
                      first_integral, hessian_relation_check, load_problem,
@@ -564,6 +564,75 @@ def test_flux_vector_refuses_non_symmetry(quartic_field, pde):
     with pytest.raises(NonSymmetryError):
         conservation_vector(quartic_field, gen(pde, eta={"u": "u"}),
                             (Expr.zero(), Expr.zero()))
+
+
+def test_a_wrong_boundary_term_is_refused(monkeypatch):
+    """A law off by a term that is not conserved fails Noether's identity.
+    With the dependent variable added to boundary term 0, the oscillator's
+    search would return 1/2*q^2 + 1/2*q'^2 - q if only the invariance
+    residual were checked, and the field's search failed an internal
+    assertion: both refuse the law as a non-symmetry."""
+    from noether import engine
+    original = engine.boundary_terms
+
+    def wrong(L, g):
+        b = original(L, g)
+        b[0] = b[0] + Expr.variable(L.space.dependents[0])
+        return b
+    monkeypatch.setattr(engine, "boundary_terms", wrong)
+    for name in ("harmonic_oscillator", "quartic_field"):
+        problem = load_problem(str(ROOT / "problems" / f"{name}.prob"))
+        with pytest.raises(NonSymmetryError, match="not a Noether symmetry"):
+            solve_noether(problem.lagrangian, problem.ansatz)
+
+
+def test_noether_identity_is_the_invariance_residual(rng):
+    """On every bundled and tests/data Lagrangian that loads, for seeded
+    random generators (point, jet order 1, and generalised up to the
+    headroom ``load_problem`` allows, such as eta_y: y''' at order 1) and
+    random gauges F, the law P_j = F_j - (xi_j L + b_j) has Q.E(L) - Div P
+    equal to ``condition_residual(L, g, F)``: the same term map with the
+    same coefficient types.  The law builders refuse each non-symmetry
+    with the message that residual gives."""
+    from noether.engine import _noether_residual
+
+    def typed(e):
+        return {m: (c, type(c)) for m, c in e.term_map().items()}
+
+    paths = [*sorted((ROOT / "problems").glob("*.prob")),
+             *sorted((ROOT / "tests" / "data").glob("*.prob"))]
+    refused = 0
+    for path in paths:
+        if path.name == "unknown_variable.prob":   # refused at load
+            continue
+        L = load_problem(str(path)).lagrangian
+        space, xs = L.space, L.space.independents
+        headroom = space.max_order - L.order
+        gauge_vars = [*xs, *space.jet_vars(max_order=space.max_order - 1)]
+        for jet_order in sorted({0, 1, headroom}):
+            vars = [*xs, *space.jet_vars(max_order=jet_order)]
+            for _ in range(5):
+                g = Generator(
+                    xi={x: rand_expr(rng, vars) for x in xs},
+                    eta={u: rand_expr(rng, vars) for u in space.dependents})
+                F = [rand_expr(rng, gauge_vars) for _ in xs]
+                b = boundary_terms(L, g)
+                P = [f - (g.xi_of(x) * L.body + b_j)
+                     for f, x, b_j in zip(F, xs, b)]
+                expected = condition_residual(L, g, F)
+                assert typed(_noether_residual(L, g, P)) == typed(expected), \
+                    path.name
+                if expected.is_zero:
+                    continue
+                with pytest.raises(NonSymmetryError) as err:
+                    if space.is_ode:
+                        first_integral(L, g, F[0])
+                    else:
+                        conservation_vector(L, g, F)
+                assert str(err.value) == ("candidate is not a Noether "
+                                          f"symmetry; residual {expected}")
+                refused += 1
+    assert refused > 100   # of 135 draws: most are not symmetries
 
 
 def test_pde_solving_mode(quartic_field, pde):

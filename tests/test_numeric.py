@@ -266,6 +266,27 @@ def test_infinite_row_truncates_like_reference():
     assert len(traj.rows) < 10001
 
 
+def test_time_overflow_alone_truncates():
+    """x' = y' = 0 (L = x*y') keeps the states finite while t, after 12
+    steps of 1.75e308/11.5, overflows to inf: only the ``(t - t)`` term of
+    the finiteness test sees it, so it must stay, and both entry points
+    report the run truncated after the last finite row."""
+    s = JetSpace(["t"], ["x", "y"], max_order=4)
+    el = euler_lagrange(Lagrangian(s, 1, parse("x*y'", s)))
+    assert all(e.is_zero for e in el.solved_forms.values())
+    cfg = NumericConfig(step=1.75e308 / 11.5, horizon=1.75e308)
+    assert round(cfg.horizon / cfg.step) == 12
+    ic = {s.dependents[0]: 1.0, s.dependents[1]: 2.0}
+    traj = integrate_el(el, cfg, ic)
+    assert traj.truncated
+    assert len(traj.rows) == 12
+    assert all(map(math.isfinite, traj.rows[-1]))
+    assert traj.rows[-1][1:] == (1.0, 2.0)
+    report = check_integrals(
+        [ConservationLaw("first-integral", (parse("x", s),))], el, cfg, ic)
+    assert report.truncated and report.drifts == [0.0]
+
+
 def test_overflowing_integral_drift_matches_reference():
     s = JetSpace(["t"], ["y"], max_order=4)
     el = euler_lagrange(Lagrangian(s, 1, parse("1/2*y'^2 + y^3", s)))
