@@ -8,8 +8,10 @@ coefficients, minus the divergence of the gauge term.  The candidate is a
 symmetry exactly when this polynomial vanishes identically -- no equations
 of motion are involved at that stage.  Conservation laws are then read off
 by iterated integration by parts, and each is accepted only when Noether's
-identity Div P = Q.E(L) holds off shell; the verifier reduces their
-divergence modulo the Euler-Lagrange equations independently.
+identity Div P = Q.E(L) holds off shell.  That identity is the whole
+certificate of a law built from a symmetry, so it needs no solved forms;
+``verify`` reduces a divergence modulo the Euler-Lagrange equations only
+for a law given without its symmetry.
 """
 
 from __future__ import annotations
@@ -83,10 +85,9 @@ class Ansatz:
 class ConservationLaw(Record):
     """A first integral (one component) or a flux vector (one per independent)."""
 
-    __slots__ = _fields = ("kind", "components")
+    __slots__ = _fields = ("components",)
 
-    def __init__(self, kind: str, components: Tuple[Expr, ...]):
-        self.kind = kind  # "first-integral" | "flux-vector"
+    def __init__(self, components: Tuple[Expr, ...]):
         self.components = components
 
     def __iter__(self):
@@ -227,8 +228,7 @@ def _law(L: Lagrangian, g: Generator, F: Sequence[Expr]) -> ConservationLaw:
     if not residual.is_zero:
         raise NonSymmetryError(
             f"candidate is not a Noether symmetry; residual {residual}")
-    return ConservationLaw(
-        "first-integral" if L.space.is_ode else "flux-vector", P)
+    return ConservationLaw(P)
 
 
 def _noether_residual(L: Lagrangian, g: Generator, P: Sequence[Expr]) -> Expr:
@@ -627,25 +627,6 @@ def verify_candidate(L: Lagrangian, g: Generator, degree: int = 4,
 # -- helpers for working with solution spaces ---------------------------------
 
 
-def combine_solutions(L: Lagrangian, solutions: Sequence[NoetherSolution],
-                      weights: Sequence[Rational]) -> NoetherSolution:
-    """Rational linear combination of solutions (the set is a vector space)."""
-    space = L.space
-    xi: Dict[VarId, Expr] = {}
-    eta: Dict[VarId, Expr] = {}
-    gauge = [Expr.zero() for _ in space.independents]
-    for sol, w in zip(solutions, weights):
-        for x, e in sol.generator.xi.items():
-            xi[x] = xi.get(x, Expr.zero()) + e * w
-        for u, e in sol.generator.eta.items():
-            eta[u] = eta.get(u, Expr.zero()) + e * w
-        for j in range(len(space.independents)):
-            gauge[j] = gauge[j] + sol.gauge[j] * w
-    g = Generator(xi={x: e for x, e in xi.items() if not e.is_zero},
-                  eta={u: e for u, e in eta.items() if not e.is_zero})
-    return _solution(L, g, tuple(gauge))
-
-
 def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
                     target: Generator) -> Optional[NoetherSolution]:
     """The combination of basis solutions whose generator equals ``target``.
@@ -671,5 +652,11 @@ def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
     weights = solve_affine_many(list(rows.values()), n, 1)[0]
     if weights is None:
         return None
-    return combine_solutions(
-        L, solutions, [weights.get(k, 0) for k in range(n)])
+    # The weights reproduce the target exactly, slot by slot, so only the
+    # gauge is summed; the law certifies the pair.
+    gauge = [Expr.zero() for _ in space.independents]
+    for k, w in weights.items():
+        gauge = [f + h * w for f, h in zip(gauge, solutions[k].gauge)]
+    g = Generator(xi={x: e for x, e in target.xi.items() if not e.is_zero},
+                  eta={u: e for u, e in target.eta.items() if not e.is_zero})
+    return _solution(L, g, tuple(gauge))

@@ -243,9 +243,8 @@ def _parse_law(space: JetSpace, name: str, raw: str) -> ConservationLaw:
     if len(parts) != n:
         raise ProblemError(
             f"law {name!r} needs {n} component(s), got {len(parts)}")
-    components = tuple(_parse_expr(p, space, f"law {name!r}") for p in parts)
-    kind = "first-integral" if space.is_ode else "flux-vector"
-    return ConservationLaw(kind, components)
+    return ConservationLaw(
+        tuple(_parse_expr(p, space, f"law {name!r}") for p in parts))
 
 
 def _check_headroom(what: str, jet_order: int, order: int, bound: int,

@@ -1,4 +1,4 @@
-"""Euler-Lagrange synthesis, Hessian analysis, and on-shell reduction.
+"""Euler-Lagrange synthesis, the velocity Hessian, and on-shell reduction.
 
 The Euler operator is applied per dependent variable over distinct jet
 coordinates.  Each resulting equation is solved for its distinguished
@@ -63,7 +63,9 @@ class ELSystem(Record):
     that is possible).  ``solved_forms`` maps each distinguished highest
     derivative to the expression it equals on shell; it is None when any
     equation cannot be solved that way, in which case reduction is
-    unavailable and verification falls back to reporting raw residuals.
+    unavailable and ``verify`` reports a law's raw divergence with an
+    indeterminate verdict.  A law built from a symmetry needs no reduction:
+    Noether's identity certifies it off shell.
     """
 
     __slots__ = _fields = ("space", "equations", "solved_forms")
@@ -165,60 +167,14 @@ def reduce_mod_el(e: Expr, el: ELSystem, space: JetSpace) -> Expr:
     raise ReductionError("reduction did not terminate; malformed solved forms")
 
 
-class HessianReport(Record):
-    """Second-derivative matrix of a first-order Lagrangian in the velocities."""
-
-    __slots__ = _fields = ("matrix", "determinant")
-
-    def __init__(self, matrix: List[List[Expr]], determinant: Expr):
-        self.matrix = matrix
-        self.determinant = determinant
-
-    @property
-    def regular(self) -> bool:
-        return not self.determinant.is_zero
-
-
-def hessian(L: Lagrangian) -> HessianReport:
-    """The velocity Hessian; only defined for first-order time-like problems."""
-    matrix = _hessian_matrix(L)
-    return HessianReport(matrix=matrix, determinant=_det(matrix))
-
-
 def _hessian_matrix(L: Lagrangian) -> List[List[Expr]]:
-    """``hessian(L).matrix`` without the determinant, which costs n * 2**n
-    products."""
+    """The velocity Hessian d2L/dv_i dv_j of a first-order time-like
+    Lagrangian."""
     space = L.space
     if L.order != 1 or not space.is_ode:
-        raise ValueError("hessian requires a first-order Lagrangian in one "
-                         "independent variable")
+        raise ValueError("the velocity Hessian requires a first-order "
+                         "Lagrangian in one independent variable")
     vels = [space.jet(i, (1,)) for i in range(len(space.dependents))]
     first = {v: p for _, v, p in L.partials}
     return [[first.get(vi, Expr.zero()).partial(vj) for vj in vels]
             for vi in vels]
-
-
-def _det(matrix: List[List[Expr]]) -> Expr:
-    """Cofactor expansion along the first row, each minor computed once.
-
-    The minor that a chain of expansions reaches is fixed by its column
-    set: its rows are the last ``len(cols)``.  Memoising it by that set
-    costs n * 2**n products instead of n!, and each minor is still built
-    by the same operations, so the result is the same ``Expr``.
-    """
-    n = len(matrix)
-    memo: Dict[Tuple[int, ...], Expr] = {}
-
-    def minor(cols: Tuple[int, ...]) -> Expr:
-        if len(cols) == 1:
-            return matrix[-1][cols[0]]
-        if cols not in memo:
-            total = Expr.zero()
-            for j, c in enumerate(cols):
-                term = (matrix[n - len(cols)][c]
-                        * minor(cols[:j] + cols[j + 1:]))
-                total = total + (term if j % 2 == 0 else -term)
-            memo[cols] = total
-        return memo[cols]
-
-    return minor(tuple(range(n)))

@@ -224,7 +224,7 @@ def test_criterion_8_numeric_cross_check():
     assert checked >= 4 * 5
     # the deliberately non-conserved probe fails
     el = euler_lagrange(problems[0])
-    probe = ConservationLaw("first-integral", (parse("y", s1),))
+    probe = ConservationLaw((parse("y", s1),))
     ic = seeded_initial_conditions(el, cfg.seed, count=1)[0]
     report = drift_report([probe], integrate_el(el, cfg, ic), cfg)
     assert report.passes == [False]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from noether import JetSpace, parse
+from noether import Expr, JetSpace, parse
 from noether.cli import build_parser, exit_code, main, render, run_file
 
 from util import child_env, deadline
@@ -55,8 +55,10 @@ def test_verify_field_candidates(capsys):
 
 def test_verify_derives_el_once_and_reduces_each_law_once(monkeypatch,
                                                           capsys):
-    """quartic_field admits four flux laws: the file's Euler-Lagrange
-    system is derived once, and each law's divergence reduced once."""
+    """The file's Euler-Lagrange system is derived once.  A generator's law
+    is certified by Noether's identity and is never reduced on shell:
+    quartic_field's four accepted generators reduce nothing.  A bare
+    [laws] candidate is reduced once: free_particle holds one."""
     from noether import engine, variational
 
     calls = {"_normalize": 0, "reduce_mod_el": 0}
@@ -72,7 +74,28 @@ def test_verify_derives_el_once_and_reduces_each_law_once(monkeypatch,
     count(variational, "_normalize")
     count(engine, "reduce_mod_el")
     run(capsys, "verify", FIELD)
-    assert calls == {"_normalize": 1, "reduce_mod_el": 4}
+    assert calls == {"_normalize": 1, "reduce_mod_el": 0}
+    calls.update(_normalize=0, reduce_mod_el=0)
+    run(capsys, "verify", FREE)
+    assert calls == {"_normalize": 1, "reduce_mod_el": 1}
+
+
+def test_verify_refuses_a_wrong_boundary_term(monkeypatch, capsys):
+    """A generator's verdict rests on Noether's identity alone: with the
+    dependent variable added to boundary term 0, no law passes it, so
+    verify names the non-symmetry, exits 2 and verifies nothing."""
+    from noether import engine
+    original = engine.boundary_terms
+
+    def wrong(L, g):
+        b = original(L, g)
+        b[0] = b[0] + Expr.variable(L.space.dependents[0])
+        return b
+    monkeypatch.setattr(engine, "boundary_terms", wrong)
+    code, out = run(capsys, "verify", FREE, "--json", "--deterministic")
+    assert code == 2
+    assert "not a Noether symmetry" in json.loads(out)["error"]
+    assert '"verified": true' not in out
 
 
 def test_condition_residual_runs_only_in_the_gauge_solve(monkeypatch,

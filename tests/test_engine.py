@@ -7,7 +7,7 @@ import pytest
 
 from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
                      Lagrangian, NonSymmetryError, UnsupportedProblem,
-                     boundary_terms, combine_solutions, condition_residual,
+                     boundary_terms, condition_residual,
                      conservation_vector, determining_system, euler_lagrange,
                      evolutionary_form, find_gauge, find_gauges,
                      first_integral, hessian_relation_check, load_problem,
@@ -658,7 +658,7 @@ def test_verify_indeterminate_without_solved_forms():
     cubic = Lagrangian(s, 1, parse("1/3*q'^3", s))
     el = euler_lagrange(cubic)
     from noether import ConservationLaw
-    law = ConservationLaw("first-integral", (parse("q'^2", s),))
+    law = ConservationLaw((parse("q'^2", s),))
     report = verify(law, el, s)
     assert report.ok is None
     assert report.residual == parse("2*q'*q''", s)
@@ -667,10 +667,10 @@ def test_verify_indeterminate_without_solved_forms():
 def test_verify_reports(free_particle, ode):
     el = euler_lagrange(free_particle)
     from noether import ConservationLaw
-    good = ConservationLaw("first-integral", (parse("1/2*y'^2", ode),))
+    good = ConservationLaw((parse("1/2*y'^2", ode),))
     rep = verify(good, el, ode)
     assert rep.ok and rep.residual.is_zero
-    bad = ConservationLaw("first-integral", (parse("y", ode),))
+    bad = ConservationLaw((parse("y", ode),))
     rep = verify(bad, el, ode)
     assert rep.ok is False
     assert rep.residual == parse("y'", ode)
@@ -761,11 +761,25 @@ def test_problem_may_name_a_variable_c0():
 
 
 def test_solution_space_linearity(rng, free_particle):
+    """A random rational combination of the basis generators is matched,
+    with the same combination of the basis gauges, and is a symmetry."""
     sols = solve_noether(free_particle, Ansatz())
+    space = free_particle.space
+    x, y = space.independents[0], space.dependents[0]
     for _ in range(10):
         weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                    for _ in sols]
-        combo = combine_solutions(free_particle, sols, weights)
+
+        def combined(part):
+            return sum((part(s) * w for s, w in zip(sols, weights)),
+                       Expr.zero())
+        xi = combined(lambda s: s.generator.xi_of(x))
+        eta = combined(lambda s: s.generator.eta_of(y))
+        target = Generator(xi={x: xi} if not xi.is_zero else {},
+                           eta={y: eta} if not eta.is_zero else {})
+        combo = match_generator(free_particle, sols, target)
+        assert combo.generator == target
+        assert combo.gauge == (combined(lambda s: s.gauge[0]),)
         assert condition_residual(free_particle, combo.generator,
                                   combo.gauge).is_zero
 

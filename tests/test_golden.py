@@ -40,6 +40,10 @@ CASES = (
         ["integrals", "--degree", "1", "problems/free_particle.prob"], 0),
        # An indeterminate law fails verify; numcheck has no solved form.
        ("verify-degenerate", ["verify", "tests/data/degenerate.prob"], 1),
+       # No solved forms either, but Noether's identity certifies each
+       # generator's law off shell.
+       ("verify-degenerate_generators",
+        ["verify", "tests/data/degenerate_generators.prob"], 0),
        ("numcheck-degenerate", ["numcheck", "tests/data/degenerate.prob"], 2),
        ("symmetries-unknown-variable",
         ["symmetries", "tests/data/unknown_variable.prob"], 2),

@@ -128,8 +128,7 @@ def test_oscillator_energy_drift():
     for row in traj.rows[:: 1000]:
         assert row[traj.variables.index(q)] == pytest.approx(math.cos(row[0]),
                                                              abs=1e-9)
-    energy = ConservationLaw("first-integral",
-                             (parse("1/2*q'^2 + 1/2*q^2", s),))
+    energy = ConservationLaw((parse("1/2*q'^2 + 1/2*q^2", s),))
     report = drift_report([energy], traj, cfg)
     assert report.passes == [True]
     assert report.drifts[0] < 1e-8
@@ -140,7 +139,7 @@ def test_drift_detects_non_integral(free_particle, ode):
     cfg = NumericConfig()
     traj = integrate_el(el, cfg, {ode.dependents[0]: 0.0,
                                   ode.lookup("y'"): 1.0})
-    probe = ConservationLaw("first-integral", (parse("y", ode),))
+    probe = ConservationLaw((parse("y", ode),))
     report = drift_report([probe], traj, cfg)
     assert report.passes == [False]
     assert report.drifts[0] == pytest.approx(10.0, rel=1e-6)
@@ -283,7 +282,7 @@ def test_time_overflow_alone_truncates():
     assert all(map(math.isfinite, traj.rows[-1]))
     assert traj.rows[-1][1:] == (1.0, 2.0)
     report = check_integrals(
-        [ConservationLaw("first-integral", (parse("x", s),))], el, cfg, ic)
+        [ConservationLaw((parse("x", s),))], el, cfg, ic)
     assert report.truncated and report.drifts == [0.0]
 
 

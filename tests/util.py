@@ -3,8 +3,7 @@
 The oracles here deliberately avoid the code paths they cross-check: the
 closed-form prolongation uses the explicit binomial sum, the first-integral
 oracle expands the textbook double sum directly, on-shell checks
-substitute solved derivatives by hand instead of calling the reducer, the
-determinant expands every cofactor afresh instead of sharing minors, and
+substitute solved derivatives by hand instead of calling the reducer, and
 the reference integrator and drift run RK4 over dict environments with a
 direct monomial loop instead of the generated code, the scanning
 elimination visits every pivot row where ``noether.linalg`` reads its
@@ -225,19 +224,6 @@ def on_shell_zero(expr: Expr, space: JetSpace, solved: dict, depth=6) -> bool:
             return expr.is_zero
         expr = expr.substitute(bindings)
     return expr.is_zero
-
-
-def reference_det(matrix) -> Expr:
-    """Determinant by plain cofactor expansion along the first row, every
-    minor expanded afresh (n! products)."""
-    if len(matrix) == 1:
-        return matrix[0][0]
-    total = Expr.zero()
-    for j in range(len(matrix)):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * reference_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 def reference_value(e: Expr, env) -> float:
