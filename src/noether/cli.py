@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .engine import (Ansatz, UnsupportedProblem, _law, find_gauges,
                      solve_noether, verify)
-from .jets import Generator, HeadroomError
+from .jets import Generator
 from .problem import NumericConfig, Problem, ProblemError, load_problem
 from .variational import ELSystem, euler_lagrange
 
@@ -126,7 +126,7 @@ def run_file(command: str, path: str, args) -> Tuple[int, str, Dict]:
         el = euler_lagrange(problem.lagrangian)
         result["euler_lagrange"] = _el_strings(el)
         COMMANDS[command](problem, el, args, result)
-    except (ValueError, HeadroomError) as err:
+    except ValueError as err:
         result["error"] = str(err)
         return EXIT_BAD_INPUT, render(result), result
     code = exit_code(result)
@@ -245,8 +245,8 @@ def render(result: Dict) -> str:
     for e in result.get("generators_checked", []):
         if e["admits_gauge"]:
             lines.append(f"  {e['name']}: gauge ({', '.join(e['gauge'])}); "
-                         f"law ({', '.join(e['law'])}); "
-                         f"on-shell residual {e['divergence_residual']}")
+                         f"law ({', '.join(e['law'])}); Noether identity "
+                         f"residual {e['divergence_residual']}")
         else:
             lines.append(f"  {e['name']}: REJECTED (no local polynomial gauge)")
     for e in result.get("laws_checked", []):

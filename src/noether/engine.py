@@ -48,13 +48,13 @@ class Ansatz:
 
     ``coeff_jet_order`` 0 searches point symmetries; raising it admits
     generalized symmetries whose coefficients depend on derivatives (never
-    beyond the Lagrangian order).  The search defaults ``gauge_jet_order``
-    to one less than the Lagrangian order, or to the Lagrangian order in
-    evolutionary form (``suppress_xi``), where the gauge must absorb the
-    derivative dependence the characteristics pick up.  The ``verify``
-    command reads only the two gauge fields.  Its default jet order is one
-    less than the Lagrangian order raised to each candidate's derivative
-    dependence (0 for field problems); ``suppress_xi`` does not change it.
+    beyond the Lagrangian order).  The ``verify`` command reads only the
+    two gauge fields.  An unset ``gauge_jet_order`` is one less than the
+    Lagrangian order raised to a derivative dependence, and 0 for field
+    problems: in ``verify``, each candidate's own; in the search, the
+    Lagrangian order in evolutionary form (``suppress_xi``), where the
+    gauge must absorb the derivative dependence the characteristics pick
+    up, and 0 otherwise.  ``suppress_xi`` does not change ``verify``'s.
     """
 
     coeff_degree: int = 4
@@ -77,9 +77,13 @@ class Ansatz:
     def resolved_gauge_jet_order(self, L: Lagrangian) -> int:
         if self.gauge_jet_order is not None:
             return self.gauge_jet_order
-        if not L.space.is_ode:
-            return 0
-        return L.order if self.suppress_xi else L.order - 1
+        return _gauge_jet_order(L, L.order if self.suppress_xi else 0)
+
+
+def _gauge_jet_order(L: Lagrangian, dependence: int) -> int:
+    """The default gauge jet order for generators of the given derivative
+    dependence (see ``Ansatz``)."""
+    return max(L.order - 1, dependence) if L.space.is_ode else 0
 
 
 class ConservationLaw(Record):
@@ -89,9 +93,6 @@ class ConservationLaw(Record):
 
     def __init__(self, components: Tuple[Expr, ...]):
         self.components = components
-
-    def __iter__(self):
-        return iter(self.components)
 
 
 class NoetherSolution(Record):
@@ -241,9 +242,15 @@ def _noether_residual(L: Lagrangian, g: Generator, P: Sequence[Expr]) -> Expr:
     residual = Expr.zero()
     for q, e in zip(characteristics(L, g), L._euler):
         residual = residual + q * e
-    for p, x in zip(P, L.space.independents):
-        residual = residual - total_derivative(p, x, L.space)
-    return residual
+    return residual - _divergence(P, L.space)
+
+
+def _divergence(P: Sequence[Expr], space: JetSpace) -> Expr:
+    """Div P = sum_j D_j P_j."""
+    div = Expr.zero()
+    for p, x in zip(P, space.independents):
+        div = div + total_derivative(p, x, space)
+    return div
 
 
 def first_integral(L: Lagrangian, g: Generator, f: Expr) -> ConservationLaw:
@@ -273,9 +280,7 @@ def conservation_vector(L: Lagrangian, g: Generator,
 
 def verify(law: ConservationLaw, el: ELSystem, space: JetSpace) -> VerificationReport:
     """Divergence of the law, reduced modulo the equations of motion."""
-    div = Expr.zero()
-    for j, x in enumerate(space.independents):
-        div = div + total_derivative(law.components[j], x, space)
+    div = _divergence(law.components, space)
     try:
         residual = reduce_mod_el(div, el, space)
     except ReductionError:
@@ -305,22 +310,6 @@ def hessian_relation_check(L: Lagrangian, g: Generator, integral: Expr) -> bool:
 
 
 # -- determining equations ----------------------------------------------------
-
-
-def _slot_variables(space: JetSpace, jet_order: int, degree: int,
-                    include_constant: bool) -> List[VarId]:
-    """The independents and the jets up to ``jet_order``, over which a slot
-    holds its monomials; ValueError for a negative degree or for more than
-    ``MAX_SLOT_MONOMIALS`` monomials."""
-    if degree < 0:
-        raise ValueError(f"ansatz degree {degree} must be non-negative")
-    vars = list(space.independents) + space.jet_vars(max_order=jet_order)
-    count = math.comb(len(vars) + degree, degree) - (not include_constant)
-    if count > MAX_SLOT_MONOMIALS:
-        raise ValueError(
-            f"ansatz degree {degree} over {len(vars)} variables needs "
-            f"{count} monomials per slot; the bound is {MAX_SLOT_MONOMIALS}")
-    return vars
 
 
 class _Packing:
@@ -358,9 +347,21 @@ class _Packing:
 
     def monomials(self, jet_order: int, degree: int,
                   include_constant: bool = True) -> List[int]:
-        """A slot's monomials of total degree <= degree, ascending."""
-        units = [self.unit[v] for v in _slot_variables(
-            self.space, jet_order, degree, include_constant)]
+        """A slot's monomials of total degree <= degree over the
+        independents and the jets up to ``jet_order``, ascending;
+        ValueError for a negative degree or for more than
+        ``MAX_SLOT_MONOMIALS`` monomials."""
+        if degree < 0:
+            raise ValueError(f"ansatz degree {degree} must be non-negative")
+        vars = [*self.space.independents,
+                *self.space.jet_vars(max_order=jet_order)]
+        count = math.comb(len(vars) + degree, degree) - (not include_constant)
+        if count > MAX_SLOT_MONOMIALS:
+            raise ValueError(
+                f"ansatz degree {degree} over {len(vars)} variables needs "
+                f"{count} monomials per slot; the bound is "
+                f"{MAX_SLOT_MONOMIALS}")
+        units = [self.unit[v] for v in vars]
         lowest = 0 if include_constant else 1
         return sorted(sum(c) for d in range(lowest, degree + 1)
                       for c in itertools.combinations_with_replacement(units, d))
@@ -584,29 +585,28 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
     The invariance residual is the candidate's residual with zero gauge
     minus the divergence of the gauge, and only the first part depends on
     the candidate.  So the candidates are grouped by gauge jet order (by
-    default the Lagrangian order less one, raised to a time-like
-    candidate's own derivative dependence), and each group assembles its
-    gauge columns once and eliminates them once, with one constant column
-    per candidate: its residual, packed like the columns.
+    default each candidate's own, as ``Ansatz`` states it), and each group
+    assembles its gauge columns once and eliminates them once, with one
+    constant column per candidate: its residual, packed like the columns.
+    A residual's degree is at most the Lagrangian's plus its generator's,
+    so the packing is sized, and an over-bound degree refused, before any
+    residual is computed.
     """
-    space = L.space
-    n = len(space.independents)
+    n = len(L.space.independents)
     groups: Dict[int, List[int]] = {}
     for k, g in enumerate(generators):
-        order = jet_order
-        if order is None:
-            order = (max(L.order - 1, g.dependence_order)
-                     if space.is_ode else 0)
+        order = (_gauge_jet_order(L, g.dependence_order)
+                 if jet_order is None else jet_order)
         groups.setdefault(order, []).append(k)
     gauges: List[Optional[Tuple[Expr, ...]]] = [None] * len(generators)
     for order, members in groups.items():
-        # An over-bound degree is refused before any residual is computed.
-        _slot_variables(space, order, degree, False)
-        residuals = [condition_residual(L, generators[m]).term_map()
-                     for m in members]
-        packing = _Packing(L, max([degree, *map(
-            mono_degree, itertools.chain(*residuals))]))
+        packing = _Packing(L, max([degree, *(
+            mono_degree(m) for k in members
+            for e in (*generators[k].xi.values(), *generators[k].eta.values())
+            for m in e.term_map())]))
         monos = packing.monomials(order, degree, include_constant=False)
+        residuals = [condition_residual(L, generators[k]).term_map()
+                     for k in members]
         rows, columns = _assemble(
             L, packing, [("gauge", j, monos) for j in range(n)], residuals)
         solutions = solve_affine_many(rows, len(columns), len(members))

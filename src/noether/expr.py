@@ -189,7 +189,7 @@ class Expr:
     semantically equal exactly when their term maps are equal.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Dict[Monomial, Rational] | None = None):
         clean: Dict[Monomial, Rational] = {}
@@ -199,7 +199,6 @@ class Expr:
                 if coeff != 0:
                     clean[mono] = coeff
         self._terms = clean
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -262,9 +261,6 @@ class Expr:
             if v.kind == JET:
                 best = max(best, v.order)
         return best
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -353,9 +349,7 @@ class Expr:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     # -- calculus and structure -----------------------------------------
 
@@ -463,5 +457,4 @@ def _raw(terms: Dict[Monomial, Rational]) -> Expr:
     """Wrap an already-canonical term map without re-checking it."""
     e = Expr.__new__(Expr)
     e._terms = terms
-    e._hash = None
     return e

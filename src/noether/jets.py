@@ -27,7 +27,7 @@ from .expr import DEPENDENT, INDEPENDENT, JET, Expr, Record, VarId
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
 
-class HeadroomError(Exception):
+class HeadroomError(ValueError):
     """A derivative would exceed the registered working order."""
 
 
@@ -143,7 +143,6 @@ class JetSpace:
                 continue
             if sum(multi) <= hi:
                 out.append(v)
-        out.sort(key=lambda v: v.sort_index)
         return out
 
     @property
@@ -182,10 +181,6 @@ class Generator(Record):
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.xi.values()) and \
             all(e.is_zero for e in self.eta.values())
-
-    def scaled(self, c) -> "Generator":
-        return Generator(xi={x: e * c for x, e in self.xi.items()},
-                         eta={u: e * c for u, e in self.eta.items()})
 
 
 def total_derivative(e: Expr, x: VarId, space: JetSpace) -> Expr:

@@ -122,21 +122,16 @@ class Trajectory(Record):
 
 
 class NumericReport(Record):
-    """Drift of each integral and whether it is within ``tolerance``;
+    """Drift of each integral and whether it is within the tolerance;
     ``truncated`` when the trajectory ended early."""
 
-    __slots__ = _fields = ("drifts", "passes", "tolerance", "truncated")
+    __slots__ = _fields = ("drifts", "passes", "truncated")
 
     def __init__(self, drifts: List[float], passes: List[bool],
-                 tolerance: float, truncated: bool = False):
+                 truncated: bool = False):
         self.drifts = drifts
         self.passes = passes
-        self.tolerance = tolerance
         self.truncated = truncated
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.passes)
 
 
 def _tops(el: ELSystem) -> List[VarId]:
@@ -389,7 +384,7 @@ def _report(extremes, cfg: NumericConfig, truncated: bool) -> NumericReport:
         drifts.append(drift if math.isfinite(drift) else math.inf)
     return NumericReport(drifts=drifts,
                          passes=[d <= cfg.tolerance for d in drifts],
-                         tolerance=cfg.tolerance, truncated=truncated)
+                         truncated=truncated)
 
 
 def check_integrals(laws: Sequence, el: ELSystem, cfg: NumericConfig,

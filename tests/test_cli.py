@@ -282,6 +282,26 @@ def test_candidate_at_headroom_still_runs(tmp_path, capsys, lagrangian,
     assert "  G1: " in out and "law I1: ok" in out
 
 
+def test_headroom_error_in_a_command_exits_2_by_message(monkeypatch,
+                                                         capsys):
+    """A ``HeadroomError`` raised inside a command ends like any refused
+    input: exit code 2, its message as the error, no traceback."""
+    import noether.cli as cli
+    from noether import HeadroomError
+    assert issubclass(HeadroomError, ValueError)
+    message = "derivative order 9 exceeds working order 4"
+
+    def solve_noether(*args):
+        raise HeadroomError(message)
+
+    monkeypatch.setattr(cli, "solve_noether", solve_noether)
+    assert main(["integrals", FREE, "--json", "--deterministic"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == message and err == ""
+    assert main(["integrals", FREE]) == 2
+    assert capsys.readouterr() == (f"{FREE}: error: {message}\n", "")
+
+
 def test_huge_degree_flag_exits_2_before_building(capsys):
     # C(100002, 2) monomials per slot: refused before any is built.
     with deadline(2):

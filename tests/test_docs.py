@@ -11,6 +11,7 @@ import pytest
 import noether
 import noether.problem
 from noether import load_problem
+from noether.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -75,3 +76,12 @@ def test_problem_file_examples_load(example, tmp_path):
     assert problem.ansatz.gauge_jet_order == 1
     assert "G5" in dict(problem.candidates)
     assert problem.numeric.seed == 42
+
+
+def test_readme_synopsis_lists_the_parser_flags():
+    """Every ``--flag`` of the parser is in the README's command-line
+    synopsis, and every flag there is a parser option."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    synopsis = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    flags = set(re.findall(r"--[a-z-]+", build_parser().format_usage()))
+    assert flags and set(re.findall(r"--[a-z-]+", synopsis)) == flags

@@ -164,6 +164,22 @@ def test_ansatz_beyond_the_slot_bound_is_refused(free_particle, ode):
         find_gauge(free_particle, gen(ode, eta={"y": "1"}), degree=-1)
 
 
+def test_over_bound_gauge_degree_computes_no_residual(free_particle, ode,
+                                                       monkeypatch):
+    """``find_gauges`` sizes its packing from the candidates' coefficient
+    degrees, so it refuses an over-bound gauge degree before any
+    candidate's residual is computed."""
+    import noether.engine as engine
+
+    def residual(*args):
+        raise AssertionError("condition_residual ran")
+
+    monkeypatch.setattr(engine, "condition_residual", residual)
+    with pytest.raises(ValueError, match=r"ansatz degree 200 over 2 .*"
+                                         r"the bound is 10000"):
+        find_gauges(free_particle, [gen(ode, eta={"y": "1"})], degree=200)
+
+
 @pytest.mark.parametrize("jet_order", [0, 1, 2])
 @pytest.mark.parametrize("shape", [
     (["t"], ["y"]), (["t"], ["x", "y"]), (["t"], ["x", "y", "z"]),
@@ -789,7 +805,9 @@ def test_law_scaling_linearity(free_particle, ode):
     f = parse("1/2*y^2", ode)
     base = first_integral(free_particle, g, f).components[0]
     c = Fraction(3, 7)
-    scaled = first_integral(free_particle, g.scaled(c), f * c).components[0]
+    g_c = Generator(xi={x: e * c for x, e in g.xi.items()},
+                    eta={u: e * c for u, e in g.eta.items()})
+    scaled = first_integral(free_particle, g_c, f * c).components[0]
     assert scaled == base * c
 
 

@@ -36,6 +36,20 @@ def test_total_derivative_headroom(ode):
         D(top, ode)
 
 
+@pytest.mark.parametrize("independents,dependents", [
+    (["t"], ["y"]), (["t"], ["x", "y", "z"]), (["t", "x"], ["u"]),
+    (["t", "x", "z"], ["u", "v"])])
+def test_jet_vars_follow_sort_index(independents, dependents):
+    """The registry holds the dependents and jets in ``sort_index`` order,
+    so ``jet_vars`` returns them in that order for every selection."""
+    space = JetSpace(independents, dependents, max_order=3)
+    for dep_index in (None, *range(len(dependents))):
+        for max_order in (None, *range(space.max_order + 1)):
+            found = [v.sort_index
+                     for v in space.jet_vars(dep_index, max_order)]
+            assert found and found == sorted(set(found))
+
+
 def test_commutativity_of_total_derivatives(rng, pde):
     vars = [pde.lookup(n) for n in ("t", "x", "u", "u_t", "u_x")]
     t, x = pde.independents

@@ -121,9 +121,8 @@ def test_value_class_reprs(ode, free_particle):
         (Trajectory((x, y), [(0.0, 1.0)]),
          "Trajectory(variables=(VarId('x'), VarId('y')), "
          "rows=[(0.0, 1.0)], truncated=False)"),
-        (NumericReport([1e-9], [True], 1e-8),
-         "NumericReport(drifts=[1e-09], passes=[True], tolerance=1e-08, "
-         "truncated=False)"),
+        (NumericReport([1e-9], [True]),
+         "NumericReport(drifts=[1e-09], passes=[True], truncated=False)"),
         (VarId(DEPENDENT, "y", 3), "VarId('y')"),
     ]
     for value, text in cases:
@@ -142,8 +141,9 @@ def test_value_class_equality(ode, free_particle):
     assert law != ConservationLaw((parse("y'^2", ode),))
     assert Trajectory((x,), [(0.0,)]) == Trajectory((x,), [(0.0,)])
     assert Trajectory((x,), [(0.0,)]) != Trajectory((x,), [(0.0,)], True)
-    assert NumericReport([1.0], [True], 1.0) == \
-        NumericReport([1.0], [True], 1.0)
+    assert NumericReport([1.0], [True]) == NumericReport([1.0], [True])
+    assert NumericReport([1.0], [True]) != \
+        NumericReport([1.0], [True], True)
     zero = Expr.zero()
     assert VerificationReport(True, zero) == VerificationReport(True, zero)
     assert VerificationReport(True, zero) != VerificationReport(None, zero)
