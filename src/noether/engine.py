@@ -39,7 +39,8 @@ class NonSymmetryError(ValueError):
 
 
 class UnsupportedProblem(ValueError):
-    """The determining equations are outside the solvable configurations."""
+    """A command does not apply to the problem's shape: ``numcheck``
+    integrates time-like problems only."""
 
 
 @dataclass(frozen=True)
@@ -489,12 +490,6 @@ def _system(L: Lagrangian, ansatz: Ansatz
     are never instantiated.
     """
     space = L.space
-    if not space.is_ode and (len(space.independents), len(space.dependents),
-                             L.order) != (2, 1, 1):
-        raise UnsupportedProblem(
-            "determining equations are solved for time-like problems of any "
-            "order and for first-order problems in two independent and one "
-            "dependent variable; use verification mode otherwise")
     if ansatz.coeff_jet_order > L.order:
         raise ValueError(
             "coefficient jet order above the Lagrangian order is not "

@@ -2,7 +2,8 @@
 
 Every expected value here is either a classical result reproduced by hand
 (translation/scaling/projective symmetries of free particles and of the
-second-order chain Lagrangian, the quartic field's four local laws) or is
+second-order chain Lagrangian, the quartic field's four local laws, the
+Lorentz, conformal, phase and Galilean symmetries of criterion 9) or is
 pinned against an independent oracle implemented in ``util``: the
 closed-form prolongation sum, the direct double-sum first-integral
 expansion, and on-shell checks by plain substitution.  Exact equality means
@@ -13,10 +14,11 @@ relative drift at most 1e-8 over horizon 10 at step 1e-3.
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from noether import (Ansatz, ConservationLaw, Expr, JetSpace, Lagrangian,
                      NumericConfig, drift_report, euler_lagrange, find_gauge,
-                     integrate_el, match_generator, parse,
+                     integrate_el, load_problem, match_generator, parse,
                      seeded_initial_conditions, solve_noether, verify,
                      verify_candidate)
 
@@ -230,3 +232,41 @@ def test_criterion_8_numeric_cross_check():
     assert report.passes == [False]
     _report(f"criterion 8: numeric drift <= 1e-8 for {checked} verified "
             "integral evaluations; probe rejected", started)
+
+
+def test_criterion_9_classical_field_symmetries():
+    """Searches beyond one dependent, two independents and order 1 give
+    the classical symmetries: the 2+1 wave equation's Lorentz boost and
+    special conformal map, the Schroedinger pair's phase and Galilean
+    boost, and the Euler-Bernoulli beam's scaling."""
+    started = time.monotonic()
+    data = Path(__file__).resolve().parent / "data"
+    wave = load_problem(str(data / "wave_2plus1.prob"))
+    pair = load_problem(str(data / "schrodinger_pair.prob"))
+    space = JetSpace(["t", "x"], ["u"], max_order=6)
+    beam = Lagrangian(space, 2, parse("1/2*u_t^2 - 1/2*u_xx^2", space))
+    cases = [
+        (wave.lagrangian, wave.ansatz, 19, [
+            ({"t": "x", "x": "t"}, {}, ("0", "0", "0")),
+            ({"t": "t^2+x^2+y^2", "x": "2*t*x", "y": "2*t*y"},
+             {"u": "-t*u"}, ("-1/2*u^2", "0", "0"))]),
+        (pair.lagrangian, pair.ansatz, 9, [
+            ({}, {"u": "v", "v": "-u"}, ("0", "0")),
+            ({"x": "t"}, {"u": "1/2*x*v", "v": "-1/2*x*u"}, ("0", "0"))]),
+        (beam, Ansatz(coeff_degree=2, gauge_degree=2), 7, [
+            ({"t": "t", "x": "1/2*x"}, {"u": "1/4*u"}, ("0", "0"))]),
+    ]
+    matched = 0
+    for L, ansatz, count, table in cases:
+        sols = solve_noether(L, ansatz)
+        assert len(sols) == count
+        for xi_s, eta_s, gauge_s in table:
+            m = match_generator(L, sols, gen(L.space, xi=xi_s, eta=eta_s))
+            assert m is not None, (xi_s, eta_s)
+            assert m.gauge == tuple(parse(f, L.space) for f in gauge_s)
+            matched += 1
+    assert matched == 5
+    elapsed = time.monotonic() - started
+    assert elapsed < 5.0, f"criterion 9 took {elapsed:.2f}s"
+    _report("criterion 9: Lorentz, conformal, phase, Galilean and beam "
+            "scaling symmetries on new problem shapes", started)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
-                     Lagrangian, NonSymmetryError, UnsupportedProblem,
+                     Lagrangian, NonSymmetryError,
                      boundary_terms, condition_residual,
                      conservation_vector, determining_system, euler_lagrange,
                      evolutionary_form, find_gauge, find_gauges,
@@ -127,11 +127,14 @@ def test_small_ansatz_empty_nullspace(free_particle):
             for s in sols} == {"0", "1"}
 
 
-def test_unsupported_configuration_raises():
+def test_second_order_field_is_searched():
+    """A field problem of order 2 is searched like any other shape: its
+    basis is the oracle's nullspace of the template rows, less the
+    gauge-only directions, and each generator found admits a gauge."""
     space = JetSpace(["t", "x"], ["u"], max_order=6)
     second = Lagrangian(space, 2, parse("1/2*u_tt^2", space))
-    with pytest.raises(UnsupportedProblem):
-        determining_system(second, Ansatz())
+    ds = determining_system(second, Ansatz())
+    _check_search(second, Ansatz(), ds, template_rows(second, ds))
 
 
 def test_ansatz_slot_count_matches_binomial(planar):
@@ -319,7 +322,10 @@ def _assembly_cases(rng):
         yield planar.lagrangian, Ansatz(coeff_degree=d, coeff_jet_order=1,
                                         gauge_degree=d)
     shapes = [(["t"], ["y"], 1), (["t"], ["x", "y"], 1), (["t"], ["y"], 2),
-              (["t"], ["x", "y"], 2), (["t", "x"], ["u"], 1)]
+              (["t"], ["x", "y"], 2), (["t", "x"], ["u"], 1),
+              (["t", "x"], ["u"], 2), (["t", "x"], ["u", "v"], 1),
+              (["t", "x", "y"], ["u"], 1), (["t", "x"], ["u", "v"], 2),
+              (["t", "x", "y"], ["u", "v"], 1)]
     for independents, dependents, order in shapes * 3:
         L = _random_lagrangian(rng, independents, dependents, order)
         yield L, Ansatz(coeff_degree=rng.randint(0, 2),
@@ -335,9 +341,41 @@ def _assembly_cases(rng):
         yield L, Ansatz(coeff_degree=1, coeff_jet_order=1, gauge_degree=31)
 
 
+def _check_search(L, ansatz, ds, rows):
+    """``solve_noether`` gives one solution per basis vector of the
+    nullspace of ``rows``, the oracle's rows of ``ds``, whose generator
+    columns are not all zero; each law is accepted by Noether's identity
+    alone, and ``find_gauges`` fits a gauge to every generator found in
+    the search's own gauge space."""
+    import noether.engine as engine
+    from noether.linalg import nullspace
+    n_gen = sum(map(len, [*ds.xi_templates.values(),
+                          *ds.eta_templates.values()]))
+    want = sum(min(vec) < n_gen for vec in nullspace(rows, len(ds.unknowns)))
+    identity, identities = engine._noether_residual, []
+
+    def counting(*args):
+        identities.append(args)
+        return identity(*args)
+
+    def refused(*args):
+        raise AssertionError("a law was built through condition_residual")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_noether_residual", counting)
+        mp.setattr(engine, "condition_residual", refused)
+        sols = solve_noether(L, ansatz)
+    assert len(sols) == len(identities) == want
+    gauges = find_gauges(L, [s.generator for s in sols],
+                         degree=ansatz.gauge_degree,
+                         jet_order=ansatz.resolved_gauge_jet_order(L))
+    assert None not in gauges
+
+
 def test_assembly_matches_template_rows(rng):
     """The rows assembled column by column equal, row for row and with
-    equal entry types, those split from the templates' residual."""
+    equal entry types, those split from the templates' residual; on every
+    shape, each solution of those rows is found and certified."""
     cases = 0
     for L, ansatz in _assembly_cases(rng):
         ds = determining_system(L, ansatz)
@@ -345,8 +383,9 @@ def test_assembly_matches_template_rows(rng):
         assert ds.rows == want
         assert [{c: type(v) for c, v in row.items()} for row in ds.rows] == \
             [{c: type(v) for c, v in row.items()} for row in want]
+        _check_search(L, ansatz, ds, want)
         cases += 1
-    assert cases == 4 * len(LOADABLE) + 4 + 15 + 4
+    assert cases == 4 * len(LOADABLE) + 4 + 30 + 4
 
 
 def test_gauge_systems_match_template_path(monkeypatch):
@@ -652,7 +691,8 @@ def test_noether_identity_is_the_invariance_residual(rng):
 
 
 def test_pde_solving_mode(quartic_field, pde):
-    """Direct solving is supported for one dependent and two independents."""
+    """The quartic field's search at degree 2: five basis laws, which span
+    its local symmetries and the one local stretching."""
     sols = solve_noether(quartic_field, Ansatz(coeff_degree=2, gauge_degree=2))
     assert len(sols) == 5
     t, x, u = pde.independents[0], pde.independents[1], pde.dependents[0]

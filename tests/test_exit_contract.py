@@ -31,7 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(ROOT.glob("problems/*.prob")) + [
     ROOT / "tests" / "data" / name
     for name in ("coupled_second_order.prob", "degenerate.prob",
-                 "rational_coeffs.prob", "verify_batch.prob")]
+                 "rational_coeffs.prob", "schrodinger_pair.prob",
+                 "verify_batch.prob", "wave_2plus1.prob")]
 COMMANDS = ("symmetries", "integrals", "verify", "numcheck")
 
 HUGE = (20000, 50000, 10 ** 9, 10 ** 30)

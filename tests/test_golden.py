@@ -58,6 +58,9 @@ CASES = (
     + [(f"{cmd}-coupled_second_order",
         [cmd, "tests/data/coupled_second_order.prob"], 0)
        for cmd in ("integrals", "numcheck")]
+    # Field problems with three independents, and with two dependents.
+    + [(f"integrals-{p}", ["integrals", f"tests/data/{p}.prob"], 0)
+       for p in ("wave_2plus1", "schrodinger_pair")]
 )
 
 IDS = [name for name, _, _ in CASES]
