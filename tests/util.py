@@ -7,8 +7,10 @@ substitute solved derivatives by hand instead of calling the reducer, and
 the reference integrator and drift run RK4 over dict environments with a
 direct monomial loop instead of the generated code, the scanning
 elimination visits every pivot row where ``noether.linalg`` reads its
-column index, the scanning fill reads every template term for every
-assignment where ``noether.engine`` reads only the solution's entries,
+column index, the ``Fraction`` elimination normalizes each pivot row to 1
+at its lead where ``noether.linalg`` keeps primitive integer rows and
+divides only at read-out, the scanning fill reads every template term for
+every assignment where ``noether.engine`` reads only the solution's entries,
 the template rows split the invariance residual of the whole ansatz by
 unknown where ``noether.engine`` assembles them column by column, the
 tuple enumerator sorts monomials by ``mono_key`` where ``noether.engine``
@@ -424,6 +426,48 @@ def scanning_rref(rows, limit=None, stuck=None):
                 _scanning_axpy(prow, prow[lead], r)
         pivots[lead] = r
     return pivots
+
+
+def fraction_eliminate(rows, limit=None):
+    """``noether.linalg._eliminate`` as it stood before primitive integer
+    rows: the column-indexed elimination in input row order, each pivot
+    row normalized to 1 at its lead, so its entries are canonical ints and
+    Fractions.  Returns the pivot rows, the column index and the stuck
+    rows, like ``_eliminate``."""
+    pivots = {}
+    holders = {}
+    stuck = []
+    for row in rows:
+        r = {c: _as_rational(v) for c, v in row.items()}
+        for col in sorted(r):
+            if col in r and col in pivots:
+                _scanning_axpy(r, r[col], pivots[col])
+        if not r:
+            continue
+        lead = min(r)
+        if limit is not None and lead >= limit:
+            stuck.append(r)
+            continue
+        lv = r[lead]
+        if lv != 1:
+            r = {c: rational_div(v, lv) for c, v in r.items()}
+        held = holders.pop(lead, ())
+        for col in r:
+            holders.setdefault(col, set()).add(lead)
+        for p in held:
+            prow = pivots[p]
+            factor = prow[lead]
+            for col, val in r.items():
+                s = prow.get(col, 0) - factor * val
+                if s:
+                    if col not in prow:
+                        holders[col].add(p)
+                    prow[col] = _exact(s)
+                else:
+                    del prow[col]
+                    holders[col].discard(p)
+        pivots[lead] = r
+    return pivots, holders, stuck
 
 
 def scanning_nullspace(rows, n_cols):
