@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .expr import (INDEPENDENT, PARAMETER, Expr, Monomial, Rational, Record,
-                   VarId, mono_degree, rational_div)
+from .expr import (PARAMETER, Expr, Monomial, Rational, Record, VarId,
+                   mono_degree, rational_div)
 from .jets import (Generator, JetSpace, _characteristics, _peel,
                    multi_derivative, total_derivative)
 from .linalg import Row, nullspace, solve_affine_many
@@ -387,20 +387,26 @@ def _ansatz(space: JetSpace, columns: Sequence[Tuple[int, Monomial]],
 def _assemble(L: Lagrangian, packing: _Packing,
               slots: Sequence[Tuple[str, int, List[int]]],
               constants: Sequence[Dict[Monomial, Rational]] = ()
-              ) -> Tuple[List[Row], List[Tuple[int, Monomial]]]:
-    """Rows of the invariance residual by packed monomial, ascending, built
-    column by column, and each column's (slot, unpacked monomial).  Column
-    k is the residual of the k-th packed monomial m over the slots, ("xi" |
-    "gauge", independent, monomials) or ("eta", dependent, monomials).  It
-    is the sum over nu of D^nu(m), memoised for every slot, times the
-    slot's factors: dL/du_i,mu for eta_i; -1 at nu = e_j for gauge
-    component j; for xi_j, dL/dx_j, L and the characteristic form's
+              ) -> Tuple[List[Row], List[Tuple[int, Monomial]], int]:
+    """Rows of the invariance residual times a scale, by packed monomial,
+    ascending, built column by column, each column's (slot, unpacked
+    monomial), and the scale.  Column k is the residual of the k-th packed
+    monomial m over the slots, ("xi" | "gauge", independent, monomials) or
+    ("eta", dependent, monomials): the sum over nu of D^nu(m), memoised for
+    every slot, times the slot's factors: dL/du_i,mu for eta_i; -1 at nu =
+    e_j for gauge j; for xi_j, dL/dx_j, L and the characteristic form's
     D^mu(-m*u_i,j) + m*u_i,mu+j, expanded by Leibniz so that its nu = 0
     term cancels.  Past the n columns, constant k, a residual's term map,
     is column n + k; monomials that only constants hold add rows last.
     """
     space, n = L.space, len(L.space.independents)
     unit = packing.unit
+    # By variable, what D_j adds to a packed monomial per factor, None if
+    # it is zero; a jet's is found at its first use, so a D_j past the
+    # working order raises ``space.derivative``'s HeadroomError only then.
+    shifts: List[Dict[VarId, Optional[int]]] = [
+        {x: -unit[x] if x is y else None for x in space.independents}
+        for y in space.independents]
     memo: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
 
     def D(p: int, multi: Tuple[int, ...]) -> Dict[int, int]:
@@ -411,19 +417,17 @@ def _assemble(L: Lagrangian, packing: _Packing,
         if (p, multi) not in memo:
             memo[p, multi] = out = {}
             j, lower = _peel(multi)
+            shift = shifts[j]
             for q, c in D(p, lower).items():
                 for v, e in packing.factors(q):
-                    if v.kind != INDEPENDENT:
-                        r = q - unit[v] + unit[space.derivative(v, j)]
-                    elif v is space.independents[j]:
-                        r = q - unit[v]
-                    else:
-                        continue
-                    out[r] = out.get(r, 0) + c * e
+                    s = shift.get(v, v)
+                    if s is v:
+                        s = shift[v] = unit[space.derivative(v, j)] - unit[v]
+                    if s is not None:
+                        out[q + s] = out.get(q + s, 0) + c * e
         return memo[p, multi]
 
-    rows: Dict[int, Row] = {}
-    k = 0
+    factors_by_slot = []
     for kind, j, monos in slots:
         e_j = tuple(int(a == j) for a in range(n))   # for xi_j and gauge j
         if kind == "gauge":
@@ -441,10 +445,16 @@ def _assemble(L: Lagrangian, packing: _Packing,
                             a - b + c for a, b, c in zip(mu, nu, e_j))))
                         factors[nu] = factors.get(nu, Expr.zero()) - \
                             u * dl * math.prod(map(math.comb, mu, nu))
-        # Scaled to integers: Fraction arithmetic would dominate the loop.
-        q = math.lcm(*(c.denominator for f in factors.values()
+        factors_by_slot.append(factors)
+    # One scale makes every slot's columns ints: Fraction arithmetic would
+    # dominate the loop, and a uniform scale changes no solution.
+    scale = math.lcm(*(c.denominator for factors in factors_by_slot
+                       for f in factors.values()
                        for c in f.term_map().values()))
-        scaled = [(nu, list(packing.pack((f * q).term_map()).items()))
+    rows: Dict[int, Row] = {}
+    k = 0
+    for (*_, monos), factors in zip(slots, factors_by_slot):
+        scaled = [(nu, list(packing.pack((f * scale).term_map()).items()))
                   for nu, f in factors.items()]
         for p in monos:
             col: Dict[int, int] = {}
@@ -454,17 +464,17 @@ def _assemble(L: Lagrangian, packing: _Packing,
                         col[a + b] = col.get(a + b, 0) + c * d
             for key, c in col.items():
                 if c:
-                    rows.setdefault(key, {})[k] = rational_div(c, q)
+                    rows.setdefault(key, {})[k] = c
             k += 1
     rows = dict(sorted(rows.items()))
     for i, terms in enumerate(constants):
         packed = packing.pack(terms)
         for key in sorted(packed):
-            rows.setdefault(key, {})[k + i] = packed[key]
+            rows.setdefault(key, {})[k + i] = packed[key] * scale
     unpacked = {p: tuple(packing.factors(p))
                 for p in {p for *_, monos in slots for p in monos}}
     return list(rows.values()), [(s, unpacked[p]) for s, (*_, monos)
-                                 in enumerate(slots) for p in monos]
+                                 in enumerate(slots) for p in monos], scale
 
 
 def _slot_values(vec: Row, columns: Sequence[Tuple[int, Monomial]],
@@ -481,13 +491,13 @@ def _slot_values(vec: Row, columns: Sequence[Tuple[int, Monomial]],
 
 
 def _system(L: Lagrangian, ansatz: Ansatz
-            ) -> Tuple[List[Row], List[Tuple[int, Monomial]],
+            ) -> Tuple[List[Row], List[Tuple[int, Monomial]], int,
                        Sequence[VarId], int]:
-    """The determining system's rows, ascending by ``mono_key``, its column
-    map, the independents with a xi slot, and the number of slots: xi,
-    then one eta per dependent and one gauge per independent.  Constant
-    gauge monomials, which would only add additive-constant directions,
-    are never instantiated.
+    """The determining system's rows, ints ascending by ``mono_key``, its
+    column map, their scale, the independents with a xi slot, and the
+    number of slots: xi, then one eta per dependent and one gauge per
+    independent.  Constant gauge monomials, which would only add
+    additive-constant directions, are never instantiated.
     """
     space = L.space
     if ansatz.coeff_jet_order > L.order:
@@ -510,7 +520,9 @@ def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
     """Instantiate the ansatz and collect the invariance condition: each
     coefficient of the residual, by monomial in the problem's variables, is
     one homogeneous linear row over fresh parameters, one per column."""
-    rows, columns, xs, n_slots = _system(L, ansatz)
+    rows, columns, scale, xs, n_slots = _system(L, ansatz)
+    rows = [{c: rational_div(v, scale) for c, v in row.items()}
+            for row in rows]
     unknowns, templates = _ansatz(L.space, columns, n_slots)
     n = len(xs) + len(L.space.dependents)   # the xi and eta slots
     return DeterminingSystem(
@@ -542,7 +554,7 @@ def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
     gauge.  Directions with a zero generator, divergence-free gauge fields
     with no symmetry content, are dropped before a law is built.  Each law
     is certified by Noether's identity, exactly."""
-    rows, columns, xs, n_slots = _system(L, ansatz)
+    rows, columns, _, xs, n_slots = _system(L, ansatz)
     us = L.space.dependents
     out = []
     for vec in nullspace(rows, len(columns)):
@@ -602,7 +614,7 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
         monos = packing.monomials(order, degree, include_constant=False)
         residuals = [condition_residual(L, generators[k]).term_map()
                      for k in members]
-        rows, columns = _assemble(
+        rows, columns, _ = _assemble(
             L, packing, [("gauge", j, monos) for j in range(n)], residuals)
         solutions = solve_affine_many(rows, len(columns), len(members))
         for member, sol in zip(members, solutions):

@@ -7,17 +7,18 @@ since ``int / int`` is a float.  A system is one list of rows over n
 unknown columns, and its right-hand side k is the constant column n + k:
 each row reads A x + c_k = 0.
 
-The elimination works on primitive integer rows.  A row holding a
-``Fraction`` is scaled once, on entry, by the lcm of its denominators.  To
-clear column c of row r with the pivot row p, with g = gcd(p_c, r_c), r
-becomes (p_c/g)·r − (r_c/g)·p, and back-elimination of the stored pivot
-rows works the same way.  Each stored or updated pivot row is divided by
-its content, the gcd of its entries, and signed so that its leading entry
-is positive; so entries stay as short as the reduced form allows
-(Collins, J. ACM 14, 1967, on primitive remainder sequences).  Each pivot
-row is then a positive multiple of its row of the reduced row echelon
-form, whose entry at column c is p_c / p_lead: ``nullspace`` and
-``solve_affine_many`` divide it out, exactly and only at read-out.
+The elimination works on primitive integer rows.  The engine's rows arrive
+as ints; a row holding a ``Fraction`` (a library caller's, or a gauge row
+with a candidate's fractional constant) is scaled once, on entry, by the
+lcm of its denominators.  To clear column c of row r with the pivot row p,
+with g = gcd(p_c, r_c), r becomes (p_c/g)·r − (r_c/g)·p, and
+back-elimination of the stored pivot rows works the same way.  Each pivot
+row is divided by its content, the gcd of its entries, and signed so that
+its leading entry is positive (Collins, J. ACM 14, 1967, on primitive
+remainder sequences).  So it is a positive multiple of its row of the
+reduced row echelon form, whose entry at column c is p_c / p_lead, and no
+positive scale of an input row changes a result.  ``nullspace`` and
+``solve_affine_many`` divide each entry out, once, at read-out.
 
 The rows are taken fewest entries first, a stable sort, since short rows
 make little fill (after Markowitz, Management Sci. 3, 1957); the pivot is
@@ -26,16 +27,14 @@ the column order is fixed, so the row order changes no result, and every
 result is deterministic.
 
 One elimination keeps a column index: ``holders[c]`` is the set of pivot
-columns whose rows hold an entry in column ``c``.  It is updated wherever a
-pivot row changes, an entry added when a column appears in the row and
-removed when it cancels, and a new pivot row's columns are registered when
-it is stored.  Back-elimination then visits only the rows holding the new
-pivot column, and the read-outs of ``nullspace`` and ``solve_affine_many``
-only the rows holding a free or constant column.  The visiting order
-of the set cannot change a result: each pivot-row update reads only the new
-row, the visited rows are exactly those holding the column, and a row's own
-key order depends only on that row's own updates.  The incoming row is
-reduced against the pivots without the index, since it is not yet one.
+columns whose rows hold an entry in column ``c``, updated wherever a pivot
+row gains or loses an entry.  Back-elimination visits only the rows
+holding the new pivot column, and the read-outs only the rows holding a
+free or constant column.  The visiting order of the set cannot change a
+result: each pivot-row update reads only the new row, the visited rows are
+exactly those holding the column, and a row's own key order depends only
+on that row's own updates.  The incoming row is reduced against the
+pivots without the index, since it is not yet one.
 """
 
 from __future__ import annotations
@@ -47,6 +46,8 @@ from typing import Dict, List, Optional, Tuple
 from .expr import Rational, _as_rational, rational_div
 
 Row = Dict[int, Rational]
+# Built once: a set literal in ``_integral`` would be built for every row.
+_INTS = frozenset({int})
 
 
 def _integral(row: Row) -> Dict[int, int]:
@@ -56,7 +57,7 @@ def _integral(row: Row) -> Dict[int, int]:
     so a float, or anything else that is not an exact rational, raises
     TypeError and is never truncated."""
     types = set(map(type, row.values()))
-    if types == {int}:
+    if types == _INTS:
         return dict(row)
     if not types <= {int, Fraction}:
         row = {c: _as_rational(v) for c, v in row.items()}
@@ -151,14 +152,14 @@ def nullspace(rows: List[Row], n_cols: int) -> List[Row]:
     for free in range(n_cols):
         if free in pivots:
             continue
-        vec = {free: 1}
-        for pcol in holders.get(free, ()):
-            prow = pivots[pcol]
-            vec[pcol] = rational_div(-prow[free], prow[pcol])
-        vec = dict(sorted(vec.items()))
-        first = next(iter(vec.values()))
-        if first != 1:
-            vec = {c: rational_div(v, first) for c, v in vec.items()}
+        # The rows holding ``free`` lead before it: the first entry is 1 or
+        # -p[free] / p[lead] of the first, and u / w its inverse.
+        held = sorted(holders.get(free, ()))
+        u, w = (pivots[held[0]][held[0]], -pivots[held[0]][free]) \
+            if held else (1, 1)
+        vec = {p: rational_div(-pivots[p][free] * u, pivots[p][p] * w)
+               for p in held}
+        vec[free] = rational_div(u, w)
         basis.append(vec)
     return basis
 

@@ -1,5 +1,6 @@
 """The Noether engine: residuals, determining systems, laws, verification."""
 
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
                      first_integral, hessian_relation_check, load_problem,
                      match_generator, parse, prolong_pde, reduce_mod_el,
                      solve, solve_noether, verify, verify_candidate)
-from noether.engine import _ansatz, _Packing
+from noether.engine import _ansatz, _Packing, _system
 
 from util import (constant_columns, first_integral_closed_form, is_canonical,
                   monomials_upto, on_shell_zero, prolongation_residual,
@@ -386,6 +387,59 @@ def test_assembly_matches_template_rows(rng):
         _check_search(L, ansatz, ds, want)
         cases += 1
     assert cases == 4 * len(LOADABLE) + 4 + 30 + 4
+
+
+def test_solver_rows_are_ints_scaled_back_for_the_record(rng):
+    """``_system`` hands the solvers rows of ints, the residual's rows times
+    one scale; ``determining_system`` divides each entry back, so its rows
+    keep their values, canonical types and key order."""
+
+    def canonical(f):
+        return f.numerator if f.denominator == 1 else f
+
+    scales = []
+    for L, ansatz in _assembly_cases(rng):
+        rows, _, scale, *_ = _system(L, ansatz)
+        assert all(v.__class__ is int for row in rows for v in row.values())
+        want = [[(c, canonical(Fraction(v, scale))) for c, v in row.items()]
+                for row in rows]
+        got = determining_system(L, ansatz).rows
+        assert [list(row.items()) for row in got] == want
+        assert [[type(v) for v in row.values()] for row in got] == \
+            [[type(v) for _, v in row] for row in want]
+        scales.append(scale)
+    assert len(scales) == 4 * len(LOADABLE) + 4 + 30 + 4
+    assert 1 in scales and max(scales) > 2
+
+
+def test_assembly_refuses_a_derivative_past_the_working_order():
+    """A D^nu inside the assembly that reaches past the space's working
+    order raises HeadroomError there, in the search and in the gauge
+    solve, with the jet space's own message."""
+    ode = JetSpace(["t"], ["y"], max_order=4)
+    free = Lagrangian(ode, 1, parse("1/2*y'^2", ode))
+    tight = JetSpace(["t"], ["y"], max_order=1)
+    pde = JetSpace(["t", "x"], ["u"], max_order=2)
+    wave = Lagrangian(pde, 1, parse("1/2*u_t^2 - 1/2*u_x^2", pde))
+    calls = [
+        (lambda: solve_noether(free, Ansatz(coeff_degree=1, gauge_degree=1,
+                                            gauge_jet_order=4)), 5, 4),
+        (lambda: determining_system(free, Ansatz(gauge_jet_order=4)), 5, 4),
+        (lambda: solve_noether(
+            Lagrangian(tight, 1, parse("1/2*y'^2", tight)),
+            Ansatz(coeff_degree=1, coeff_jet_order=1, include_gauge=False)),
+         2, 1),
+        (lambda: find_gauges(free, [gen(ode, eta={"y": "1"})], degree=1,
+                             jet_order=4), 5, 4),
+        (lambda: find_gauges(wave, [gen(pde, eta={"u": "1"})], degree=1,
+                             jet_order=2), 3, 2)]
+    for call, order, working in calls:
+        with pytest.raises(HeadroomError) as err:
+            call()
+        assert str(err.value) == \
+            f"derivative order {order} exceeds working order {working}"
+        assert "_assemble" in [frame.name for frame
+                               in traceback.extract_tb(err.tb)]
 
 
 def test_gauge_systems_match_template_path(monkeypatch):
