@@ -2,15 +2,14 @@
 Lagrangians, derived and verified exactly over the rationals."""
 
 from .expr import Expr, VarId
-from .jets import (Generator, HeadroomError, JetSpace, evolutionary_form,
-                   prolong_pde, total_derivative)
+from .jets import (Generator, HeadroomError, JetSpace, characteristics,
+                   evolutionary_form, prolong_pde, total_derivative)
 from .parsing import ParseError, parse
 from .variational import (ELSystem, Lagrangian, ReductionError,
                           euler_lagrange, reduce_mod_el)
 from .engine import (Ansatz, ConservationLaw, DeterminingSystem,
-                     NoetherSolution, NonSymmetryError, UnsupportedProblem,
-                     VerificationReport, boundary_terms, characteristics,
-                     condition_residual, conservation_vector,
+                     NoetherSolution, NonSymmetryError, VerificationReport,
+                     boundary_terms, condition_residual, conservation_vector,
                      determining_system, find_gauge, find_gauges,
                      first_integral, hessian_relation_check, match_generator,
                      solve, solve_noether, verify, verify_candidate)
@@ -23,7 +22,7 @@ __all__ = [
     "Generator", "HeadroomError", "JetSpace", "Lagrangian", "NoetherSolution",
     "NonSymmetryError", "NumericConfig", "NumericReport", "ParseError",
     "Problem", "ProblemError", "ReductionError", "Trajectory",
-    "UnsupportedProblem", "VerificationReport", "boundary_terms",
+    "VerificationReport", "boundary_terms",
     "characteristics", "check_integrals", "condition_residual",
     "conservation_vector", "determining_system", "drift_report",
     "euler_lagrange", "evolutionary_form", "find_gauge", "find_gauges",

@@ -27,8 +27,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from .engine import (Ansatz, UnsupportedProblem, _law, find_gauges,
-                     solve_noether, verify)
+from .engine import Ansatz, _law, find_gauges, solve_noether, verify
 from .jets import Generator
 from .problem import NumericConfig, Problem, ProblemError, load_problem
 from .variational import ELSystem, euler_lagrange
@@ -179,7 +178,7 @@ def _run_numcheck(problem: Problem, el: ELSystem, args, result: Dict) -> None:
     # Imported here: no other command needs the numeric layer at start-up.
     from .numeric import check_integrals, seeded_initial_conditions
     if not problem.space.is_ode:
-        raise UnsupportedProblem(
+        raise ValueError(
             "numcheck integrates time-like problems only; field-theory laws "
             "are verified symbolically")
     cfg = _effective_numeric(problem, args)

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .expr import (PARAMETER, Expr, Monomial, Rational, Record, VarId,
                    mono_degree, rational_div)
-from .jets import (Generator, JetSpace, _characteristics, _peel,
+from .jets import (Generator, JetSpace, _peel, characteristics,
                    multi_derivative, total_derivative)
 from .linalg import Row, nullspace, solve_affine_many
 from .variational import (ELSystem, Lagrangian, ReductionError,
@@ -36,11 +36,6 @@ MAX_SLOT_MONOMIALS = 10_000
 
 class NonSymmetryError(ValueError):
     """Raised when asked to build a conservation law from a non-symmetry."""
-
-
-class UnsupportedProblem(ValueError):
-    """A command does not apply to the problem's shape: ``numcheck``
-    integrates time-like problems only."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,7 @@ def condition_residual(L: Lagrangian, g: Generator,
     """
     space = L.space
     gauge = _gauge(space, gauge)
-    qs = _characteristics(g, space)
+    qs = characteristics(g, space)
     memos: List[Dict[Tuple[int, ...], Expr]] = [{} for _ in qs]
     residual = Expr.zero()
     for i, v, p in L.partials:
@@ -186,11 +181,6 @@ def _gauge(space: JetSpace, gauge: Sequence[Expr] | None) -> Sequence[Expr]:
 # -- conservation laws --------------------------------------------------------
 
 
-def characteristics(L: Lagrangian, g: Generator) -> List[Expr]:
-    """Q_i = eta_i - sum_j xi_j * u_i,j for each dependent variable."""
-    return _characteristics(g, L.space)
-
-
 def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
     """The per-direction boundary terms produced by integration by parts.
 
@@ -200,7 +190,7 @@ def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
     Euler-Lagrange expression, which vanishes on shell.
     """
     space = L.space
-    qs = characteristics(L, g)
+    qs = characteristics(g, space)
     memos: List[Dict[Tuple[int, ...], Expr]] = [{} for _ in qs]
     b = [Expr.zero() for _ in space.independents]
     for i, v, p in L.partials:
@@ -208,7 +198,8 @@ def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
         while any(multi):
             j, multi = _peel(multi)
             b[j] = b[j] + multi_derivative(qs[i], multi, space, memos[i]) * cur
-            cur = -total_derivative(cur, space.independents[j], space)
+            if any(multi):
+                cur = -total_derivative(cur, space.independents[j], space)
     return b
 
 
@@ -241,7 +232,7 @@ def _noether_residual(L: Lagrangian, g: Generator, P: Sequence[Expr]) -> Expr:
     shell."""
     euler_lagrange(L)
     residual = Expr.zero()
-    for q, e in zip(characteristics(L, g), L._euler):
+    for q, e in zip(characteristics(g, L.space), L._euler):
         residual = residual + q * e
     return residual - _divergence(P, L.space)
 
@@ -299,7 +290,7 @@ def hessian_relation_check(L: Lagrangian, g: Generator, integral: Expr) -> bool:
     space = L.space
     if g.dependence_order > 1:
         raise ValueError("hessian relation requires derivative dependence <= 1")
-    qs = characteristics(L, g)
+    qs = characteristics(g, space)
     matrix = _hessian_matrix(L)   # raises unless L is first-order time-like
     for j in range(len(space.dependents)):
         rhs = Expr.zero()
@@ -559,9 +550,8 @@ def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
     out = []
     for vec in nullspace(rows, len(columns)):
         values = _slot_values(vec, columns, n_slots)
-        g = Generator(
-            xi={x: e for x, e in zip(xs, values) if not e.is_zero},
-            eta={u: e for u, e in zip(us, values[len(xs):]) if not e.is_zero})
+        g = Generator(xi=dict(zip(xs, values)),
+                      eta=dict(zip(us, values[len(xs):])))
         if not g.is_zero:
             out.append(
                 _solution(L, g, tuple(values[len(xs) + len(us):])))
@@ -664,6 +654,4 @@ def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
     gauge = [Expr.zero() for _ in space.independents]
     for k, w in weights.items():
         gauge = [f + h * w for f, h in zip(gauge, solutions[k].gauge)]
-    g = Generator(xi={x: e for x, e in target.xi.items() if not e.is_zero},
-                  eta={u: e for u, e in target.eta.items() if not e.is_zero})
-    return _solution(L, g, tuple(gauge))
+    return _solution(L, target, tuple(gauge))

@@ -21,7 +21,7 @@ registration index (graded-lexicographic order).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
@@ -223,11 +223,6 @@ class Expr:
         return Expr({mono: _as_rational(coeff)})
 
     # -- inspection ----------------------------------------------------
-
-    def terms(self) -> Iterator[Tuple[Monomial, Rational]]:
-        """Iterate (monomial, coefficient) in descending canonical order."""
-        for mono in sorted(self._terms, key=mono_key, reverse=True):
-            yield mono, self._terms[mono]
 
     def term_map(self) -> Dict[Monomial, Rational]:
         return dict(self._terms)
@@ -436,7 +431,8 @@ class Expr:
         if not self._terms:
             return "0"
         chunks = []
-        for mono, coeff in self.terms():
+        for mono in sorted(self._terms, key=mono_key, reverse=True):
+            coeff = self._terms[mono]
             if mono == MONO_ONE:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:

@@ -11,10 +11,11 @@ The working order is chosen at problem load with enough headroom for the
 prolongations and reductions the problem needs; raising a derivative past
 it raises ``HeadroomError`` instead of growing the registry.
 
-A generator is differentiated only through its characteristics
-Q_i = eta_i - sum_j xi_j * u_i,j: its prolongation at the jet (i, mu) is
-D^mu Q_i plus sum_l xi_l * u_i,mu+l, with D^mu from ``multi_derivative``,
-as in the engine's invariance residual and boundary terms.
+A ``Generator`` holds only nonzero coefficients and is differentiated
+only through its ``characteristics`` Q_i = eta_i - sum_j xi_j * u_i,j:
+its prolongation at the jet (i, mu) is D^mu Q_i plus
+sum_l xi_l * u_i,mu+l, with D^mu from ``multi_derivative``, as in the
+engine's invariance residual and boundary terms.
 """
 
 from __future__ import annotations
@@ -155,15 +156,16 @@ class Generator(Record):
 
     ``xi`` maps independent variables to their coefficients (tau in time-like
     problems), ``eta`` maps dependent variables to theirs.  Missing entries
-    mean zero.
+    mean zero, and only nonzero ones are kept, so equal generators compare
+    equal.
     """
 
     __slots__ = _fields = ("xi", "eta")
 
     def __init__(self, xi: Dict[VarId, Expr] | None = None,
                  eta: Dict[VarId, Expr] | None = None):
-        self.xi = {} if xi is None else xi
-        self.eta = {} if eta is None else eta
+        self.xi = {x: e for x, e in (xi or {}).items() if not e.is_zero}
+        self.eta = {u: e for u, e in (eta or {}).items() if not e.is_zero}
 
     def xi_of(self, x: VarId) -> Expr:
         return self.xi.get(x, Expr.zero())
@@ -179,8 +181,7 @@ class Generator(Record):
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.xi.values()) and \
-            all(e.is_zero for e in self.eta.values())
+        return not (self.xi or self.eta)
 
 
 def total_derivative(e: Expr, x: VarId, space: JetSpace) -> Expr:
@@ -229,11 +230,11 @@ def prolong_pde(g: Generator, target: VarId, space: JetSpace) -> Expr:
     if target.kind not in (DEPENDENT, JET):
         raise ValueError(f"{target.name!r} is not a jet coordinate")
     i, multi = target.dep_index, target.multi_index
-    result = multi_derivative(_characteristics(g, space)[i], multi, space)
+    result = multi_derivative(characteristics(g, space)[i], multi, space)
     for l, x in enumerate(space.independents):
-        xi_l = g.xi_of(x)
-        if not xi_l.is_zero:
-            result = result + xi_l * Expr.variable(space.derivative(target, l))
+        if x in g.xi:
+            jet = Expr.variable(space.derivative(target, l))
+            result = result + g.xi[x] * jet
     return result
 
 
@@ -241,23 +242,20 @@ def evolutionary_form(g: Generator, space: JetSpace) -> Generator:
     """Equivalent generator with zero independent-variable coefficients.
 
     The dependent coefficients become the characteristics
-    eta_i - sum_j xi_j * u_i,j; the jet order may rise by one.
+    eta_i - sum_j xi_j * u_i,j.  They add only first derivatives, which
+    every jet space holds, so every generator has an evolutionary form.
     """
-    if g.dependence_order + 1 > space.max_order:
-        raise HeadroomError("no headroom to form the evolutionary generator")
-    return Generator(xi={}, eta=dict(zip(space.dependents,
-                                         _characteristics(g, space))))
+    qs = characteristics(g, space)
+    return Generator(eta=dict(zip(space.dependents, qs)))
 
 
-def _characteristics(g: Generator, space: JetSpace) -> List[Expr]:
+def characteristics(g: Generator, space: JetSpace) -> List[Expr]:
     """Q_i = eta_i - sum_j xi_j * u_i,j for each dependent variable."""
     out = []
     for i, dep in enumerate(space.dependents):
         q = g.eta_of(dep)
         for j, x in enumerate(space.independents):
-            xi_j = g.xi_of(x)
-            if xi_j.is_zero:
-                continue
-            q = q - xi_j * Expr.variable(space.derivative(dep, j))
+            if x in g.xi:
+                q = q - g.xi[x] * Expr.variable(space.derivative(dep, j))
         out.append(q)
     return out

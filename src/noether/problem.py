@@ -233,8 +233,7 @@ def _parse_generator(space: JetSpace, name: str, raw: str) -> Generator:
         if var in target:
             raise ProblemError(f"in {what}: duplicate coefficient for {var.name!r}")
         target[var] = value
-    return Generator(xi={v: e for v, e in xi.items() if not e.is_zero},
-                     eta={v: e for v, e in eta.items() if not e.is_zero})
+    return Generator(xi=xi, eta=eta)
 
 
 def _parse_law(space: JetSpace, name: str, raw: str) -> ConservationLaw:

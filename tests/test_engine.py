@@ -13,7 +13,8 @@ from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
                      evolutionary_form, find_gauge, find_gauges,
                      first_integral, hessian_relation_check, load_problem,
                      match_generator, parse, prolong_pde, reduce_mod_el,
-                     solve, solve_noether, verify, verify_candidate)
+                     solve, solve_noether, total_derivative, verify,
+                     verify_candidate)
 from noether.engine import _ansatz, _Packing, _system
 
 from util import (constant_columns, first_integral_closed_form, is_canonical,
@@ -885,13 +886,38 @@ def test_solution_space_linearity(rng, free_particle):
                        Expr.zero())
         xi = combined(lambda s: s.generator.xi_of(x))
         eta = combined(lambda s: s.generator.eta_of(y))
-        target = Generator(xi={x: xi} if not xi.is_zero else {},
-                           eta={y: eta} if not eta.is_zero else {})
+        target = Generator(xi={x: xi}, eta={y: eta})
         combo = match_generator(free_particle, sols, target)
         assert combo.generator == target
         assert combo.gauge == (combined(lambda s: s.gauge[0]),)
         assert condition_residual(free_particle, combo.generator,
                                   combo.gauge).is_zero
+
+
+@pytest.mark.parametrize("path,f,gauge_degree,count", [
+    ("problems/harmonic_oscillator.prob", "t*q", 3, 1),
+    ("problems/free_particle_2d.prob", "t*x*y", 4, 8),
+    ("problems/quartic_field.prob", "t*u^2", 4, 5),
+])
+def test_null_lagrangian_keeps_the_generators(path, f, gauge_degree, count):
+    """L and L' = L + D_t f have the same Euler-Lagrange expressions
+    (Olver, Thm 4.7), so the same generators: a symmetry of L with gauge F
+    is one of L' with gauge F + pr v(f), whose degree is the coefficient
+    degree, 2, plus deg f - 1.  Each search's generators lie in the
+    other's span, matched both ways by ``match_generator``."""
+    L = load_problem(str(ROOT / path)).lagrangian
+    space = L.space
+    null = total_derivative(parse(f, space), space.independents[0], space)
+    L_null = Lagrangian(space, L.order, L.body + null)
+    ansatz = Ansatz(coeff_degree=2, gauge_degree=gauge_degree)
+    sols, sols_null = solve_noether(L, ansatz), solve_noether(L_null, ansatz)
+    assert len(sols) == len(sols_null) == count
+    for lagrangian, basis, others in ((L_null, sols_null, sols),
+                                      (L, sols, sols_null)):
+        for sol in others:
+            matched = match_generator(lagrangian, basis, sol.generator)
+            assert matched is not None
+            assert matched.generator == sol.generator
 
 
 def test_law_scaling_linearity(free_particle, ode):

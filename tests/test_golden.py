@@ -61,6 +61,16 @@ CASES = (
     # Field problems with three independents, and with two dependents.
     + [(f"integrals-{p}", ["integrals", f"tests/data/{p}.prob"], 0)
        for p in ("wave_2plus1", "schrodinger_pair")]
+    # Generalised symmetries: coefficients that depend on derivatives.
+    + [(f"integrals-jet-order-1-{p}",
+        ["integrals", "--jet-order", "1", f"problems/{p}.prob"], 0)
+       for p in ("free_particle", "free_particle_2d", "quartic_field")]
+    + [(f"integrals-evolutionary-{p}",
+        ["integrals", "--evolutionary", f"problems/{p}.prob"], 0)
+       for p in ("free_particle_2d", "second_order_chain")]
+    + [("integrals-jet-order-2-degree-3-second_order_chain",
+        ["integrals", "--jet-order", "2", "--degree", "3",
+         "problems/second_order_chain.prob"], 0)]
 )
 
 IDS = [name for name, _, _ in CASES]

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from noether import (Expr, Generator, HeadroomError, JetSpace, evolutionary_form,
-                     parse, prolong_pde, total_derivative)
+from noether import (Expr, Generator, HeadroomError, JetSpace, characteristics,
+                     evolutionary_form, parse, prolong_pde, total_derivative)
 from noether.jets import multi_derivative
 
 from util import closed_form_zeta, rand_expr
@@ -145,12 +145,41 @@ def test_evolutionary_form_examples():
     dep_shift = Generator(eta={p.dependents[0]: Expr.one()})
     assert evolutionary_form(dep_shift, p).eta[p.dependents[0]] == Expr.one()
 
+    # Already evolutionary: the zero characteristic of y is not kept.
+    planar = JetSpace(["t"], ["x", "y"], max_order=4)
+    x_shift = Generator(eta={planar.lookup("x"): Expr.one()})
+    assert evolutionary_form(x_shift, planar) == x_shift
+
 
 def test_evolutionary_form_scaling(ode):
     g = Generator(xi={ode.independents[0]: parse("x", ode)},
                   eta={ode.dependents[0]: parse("1/2*y", ode)})
     ev = evolutionary_form(g, ode)
     assert ev.eta[ode.dependents[0]] == parse("1/2*y - x*y'", ode)
+
+
+def test_generator_keeps_only_nonzero_coefficients(ode):
+    x, y = ode.independents[0], ode.dependents[0]
+    assert Generator(xi={x: Expr.zero()}) == Generator()
+    assert Generator(xi={x: Expr.zero()}, eta={y: Expr.zero()}).is_zero
+    g = Generator(xi={x: Expr.zero()}, eta={y: Expr.one()})
+    assert g == Generator(eta={y: Expr.one()}) and not g.xi
+
+
+def test_evolutionary_form_at_the_working_order():
+    """Q = eta - xi * y' takes only a first derivative, so a coefficient
+    already at the working order still has its evolutionary form."""
+    s = JetSpace(["x"], ["y"], max_order=4)
+    g = Generator(xi={s.independents[0]: parse("y''''", s)})
+    assert evolutionary_form(g, s) == \
+        Generator(eta={s.dependents[0]: parse("-y'*y''''", s)})
+
+
+def test_characteristics_of_the_time_translation():
+    planar = JetSpace(["t"], ["x", "y"], max_order=4)
+    g = Generator(xi={planar.independents[0]: Expr.one()})
+    assert characteristics(g, planar) == \
+        [parse("-x'", planar), parse("-y'", planar)]
 
 
 def test_dependence_order(ode):
