@@ -189,8 +189,12 @@ def boundary_terms(L: Lagrangian, g: Generator) -> List[Expr]:
     variable; what remains after all peels is the characteristic times the
     Euler-Lagrange expression, which vanishes on shell.
     """
+    return _boundary_terms(L, characteristics(g, L.space))
+
+
+def _boundary_terms(L: Lagrangian, qs: Sequence[Expr]) -> List[Expr]:
+    """``boundary_terms`` of the generator whose characteristics are qs."""
     space = L.space
-    qs = characteristics(g, space)
     memos: List[Dict[Tuple[int, ...], Expr]] = [{} for _ in qs]
     b = [Expr.zero() for _ in space.independents]
     for i, v, p in L.partials:
@@ -210,29 +214,52 @@ def _law(L: Lagrangian, g: Generator, F: Sequence[Expr]) -> ConservationLaw:
     terms telescope, so that residual is ``condition_residual(L, g, F)``
     term for term, but it is computed from the law itself, and off shell,
     so it certifies the law on shell too.
+
+    Both are computed on k*g and k*F, k the lcm of the coefficient
+    denominators of L, g and F, and each component (or the residual of
+    the error message) is divided by k once at the end.  Every step is
+    linear in (g, F), so each intermediate is k times the unscaled one,
+    with the same terms in the same order, and the law keeps its values,
+    coefficient types and term order; but most products are of ints, not
+    Fractions.
     """
-    F = _gauge(L.space, F)
-    b = boundary_terms(L, g)
+    space = L.space
+    F = _gauge(space, F)
+    k = math.lcm(*(c.denominator
+                   for e in (L.body, *g.xi.values(), *g.eta.values(), *F)
+                   for c in e.term_map().values()))
+    g = Generator(xi={x: _times(e, k) for x, e in g.xi.items()},
+                  eta={u: _times(e, k) for u, e in g.eta.items()})
+    qs = characteristics(g, space)
+    b = _boundary_terms(L, qs)
     # Grouped as F_j - (xi_j L + b_j): the term order of each component
     # fixes the summation order of the numeric checks.
-    P = tuple(f - (g.xi_of(x) * L.body + b_j)
-              for f, x, b_j in zip(F, L.space.independents, b))
-    residual = _noether_residual(L, g, P)
+    P = tuple(_times(f, k) - (g.xi_of(x) * L.body + b_j)
+              for f, x, b_j in zip(F, space.independents, b))
+    residual = _noether_residual(L, qs, P)
     if not residual.is_zero:
         raise NonSymmetryError(
-            f"candidate is not a Noether symmetry; residual {residual}")
-    return ConservationLaw(P)
+            f"candidate is not a Noether symmetry; residual {residual / k}")
+    return ConservationLaw(tuple(p / k for p in P))
 
 
-def _noether_residual(L: Lagrangian, g: Generator, P: Sequence[Expr]) -> Expr:
-    """Q.E(L) - sum_j D_j P_j, with Q the characteristics of g and E(L)
-    the raw Euler-Lagrange expressions.  It is zero exactly when P meets
-    Noether's identity Div P = Q.E(L) (Olver, *Applications of Lie Groups
-    to Differential Equations*, Thm 4.29), and then P is conserved on
-    shell."""
+def _times(e: Expr, k: int) -> Expr:
+    """e * k, k a multiple of every coefficient denominator of e, with
+    int arithmetic only: n/d times k is n * (k // d)."""
+    return Expr({m: c.numerator * (k // c.denominator)
+                 for m, c in e.term_map().items()})
+
+
+def _noether_residual(L: Lagrangian, qs: Sequence[Expr],
+                      P: Sequence[Expr]) -> Expr:
+    """Q.E(L) - sum_j D_j P_j, with Q = qs the characteristics of a
+    generator and E(L) the raw Euler-Lagrange expressions.  It is zero
+    exactly when P meets Noether's identity Div P = Q.E(L) (Olver,
+    *Applications of Lie Groups to Differential Equations*, Thm 4.29), and
+    then P is conserved on shell."""
     euler_lagrange(L)
     residual = Expr.zero()
-    for q, e in zip(characteristics(g, L.space), L._euler):
+    for q, e in zip(qs, L._euler):
         residual = residual + q * e
     return residual - _divergence(P, L.space)
 
@@ -312,7 +339,7 @@ class _Packing:
     degree plus ``degree``, that of a slot or right-hand side, and a field
     holds one more."""
 
-    __slots__ = ("space", "vars", "width", "top", "unit")
+    __slots__ = ("space", "vars", "width", "top", "unit", "unpacked")
 
     def __init__(self, L: Lagrangian, degree: int):
         self.space = space = L.space
@@ -322,6 +349,7 @@ class _Packing:
         self.top = 1 << width * len(vars)
         self.unit = {v: self.top | 1 << width * (len(vars) - 1 - s)
                      for s, v in enumerate(vars)}
+        self.unpacked: Dict[int, Monomial] = {}
 
     def pack(self, terms: Dict[Monomial, Rational]) -> Dict[int, Rational]:
         return {sum(self.unit[v] * e for v, e in m): c
@@ -336,6 +364,13 @@ class _Packing:
             e = rest >> width * f
             rest -= e << width * f
             yield self.vars[len(self.vars) - 1 - f], e
+
+    def monomial(self, p: int) -> Monomial:
+        """The monomial that p packs, unpacked at its first read."""
+        m = self.unpacked.get(p)
+        if m is None:
+            m = self.unpacked[p] = tuple(self.factors(p))
+        return m
 
     def monomials(self, jet_order: int, degree: int,
                   include_constant: bool = True) -> List[int]:
@@ -378,9 +413,9 @@ def _ansatz(space: JetSpace, columns: Sequence[Tuple[int, Monomial]],
 def _assemble(L: Lagrangian, packing: _Packing,
               slots: Sequence[Tuple[str, int, List[int]]],
               constants: Sequence[Dict[Monomial, Rational]] = ()
-              ) -> Tuple[List[Row], List[Tuple[int, Monomial]], int]:
+              ) -> Tuple[List[Row], List[Tuple[int, int]], int]:
     """Rows of the invariance residual times a scale, by packed monomial,
-    ascending, built column by column, each column's (slot, unpacked
+    ascending, built column by column, each column's (slot, packed
     monomial), and the scale.  Column k is the residual of the k-th packed
     monomial m over the slots, ("xi" | "gauge", independent, monomials) or
     ("eta", dependent, monomials): the sum over nu of D^nu(m), memoised for
@@ -462,33 +497,33 @@ def _assemble(L: Lagrangian, packing: _Packing,
         packed = packing.pack(terms)
         for key in sorted(packed):
             rows.setdefault(key, {})[k + i] = packed[key] * scale
-    unpacked = {p: tuple(packing.factors(p))
-                for p in {p for *_, monos in slots for p in monos}}
-    return list(rows.values()), [(s, unpacked[p]) for s, (*_, monos)
+    return list(rows.values()), [(s, p) for s, (*_, monos)
                                  in enumerate(slots) for p in monos], scale
 
 
-def _slot_values(vec: Row, columns: Sequence[Tuple[int, Monomial]],
-                 n_slots: int) -> List[Expr]:
+def _slot_values(vec: Row, columns: Sequence[Tuple[int, int]],
+                 packing: _Packing, n_slots: int) -> List[Expr]:
     """Each slot's polynomial at a sparse solution: column c is the
-    coefficient of monomial ``columns[c][1]`` in slot ``columns[c][0]``.
-    A solution's entries ascend by column, so each slot's terms ascend by
-    ``mono_key``, and only its nonzero entries are visited."""
+    coefficient of packed monomial ``columns[c][1]`` in slot
+    ``columns[c][0]``.  A solution's entries ascend by column, so each
+    slot's terms ascend by ``mono_key``, and only its nonzero entries are
+    visited and unpacked."""
     terms: List[Dict[Monomial, Rational]] = [{} for _ in range(n_slots)]
     for c, v in vec.items():
-        s, mono = columns[c]
-        terms[s][mono] = v
+        s, p = columns[c]
+        terms[s][packing.monomial(p)] = v
     return [Expr(t) for t in terms]
 
 
 def _system(L: Lagrangian, ansatz: Ansatz
-            ) -> Tuple[List[Row], List[Tuple[int, Monomial]], int,
-                       Sequence[VarId], int]:
+            ) -> Tuple[List[Row], List[Tuple[int, int]], int,
+                       Sequence[VarId], int, _Packing]:
     """The determining system's rows, ints ascending by ``mono_key``, its
-    column map, their scale, the independents with a xi slot, and the
-    number of slots: xi, then one eta per dependent and one gauge per
-    independent.  Constant gauge monomials, which would only add
-    additive-constant directions, are never instantiated.
+    column map, their scale, the independents with a xi slot, the number
+    of slots (xi, then one eta per dependent and one gauge per
+    independent) and the packing of its monomials.  Constant gauge
+    monomials, which would only add additive-constant directions, are
+    never instantiated.
     """
     space = L.space
     if ansatz.coeff_jet_order > L.order:
@@ -504,17 +539,18 @@ def _system(L: Lagrangian, ansatz: Ansatz
     slots = ([("xi", j, coeff) for j in range(len(xs))]
              + [("eta", i, coeff) for i in range(len(space.dependents))]
              + [("gauge", j, gauge) for j in range(len(space.independents))])
-    return (*_assemble(L, packing, slots), xs, len(slots))
+    return (*_assemble(L, packing, slots), xs, len(slots), packing)
 
 
 def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
     """Instantiate the ansatz and collect the invariance condition: each
     coefficient of the residual, by monomial in the problem's variables, is
     one homogeneous linear row over fresh parameters, one per column."""
-    rows, columns, scale, xs, n_slots = _system(L, ansatz)
+    rows, columns, scale, xs, n_slots, packing = _system(L, ansatz)
     rows = [{c: rational_div(v, scale) for c, v in row.items()}
             for row in rows]
-    unknowns, templates = _ansatz(L.space, columns, n_slots)
+    unknowns, templates = _ansatz(
+        L.space, [(s, packing.monomial(p)) for s, p in columns], n_slots)
     n = len(xs) + len(L.space.dependents)   # the xi and eta slots
     return DeterminingSystem(
         unknowns=unknowns, rows=rows, xi_templates=dict(zip(xs, templates)),
@@ -545,11 +581,11 @@ def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
     gauge.  Directions with a zero generator, divergence-free gauge fields
     with no symmetry content, are dropped before a law is built.  Each law
     is certified by Noether's identity, exactly."""
-    rows, columns, _, xs, n_slots = _system(L, ansatz)
+    rows, columns, _, xs, n_slots, packing = _system(L, ansatz)
     us = L.space.dependents
     out = []
     for vec in nullspace(rows, len(columns)):
-        values = _slot_values(vec, columns, n_slots)
+        values = _slot_values(vec, columns, packing, n_slots)
         g = Generator(xi=dict(zip(xs, values)),
                       eta=dict(zip(us, values[len(xs):])))
         if not g.is_zero:
@@ -609,7 +645,8 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
         solutions = solve_affine_many(rows, len(columns), len(members))
         for member, sol in zip(members, solutions):
             if sol is not None:
-                gauges[member] = tuple(_slot_values(sol, columns, n))
+                gauges[member] = tuple(
+                    _slot_values(sol, columns, packing, n))
     return gauges
 
 

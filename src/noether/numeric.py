@@ -26,6 +26,10 @@ ways that are exact, so its results are identical bit for bit.
   the term subtracted: x + (-y) is x - y, and (-1 * a) * b is -(a * b),
   under round-to-nearest.  ``x ** k`` is never ``x * x``, which can round
   differently.
+- Every literal operand is a float: ``x ** 2.0``, ``2.0 * k2``.  Python
+  converts an int operand to the same double before it multiplies or
+  calls ``pow``, so the result is the same, but float-by-float ``*``
+  takes the interpreter's specialised float path.
 - In the drift fold, each distinct ``x ** k`` is evaluated once per row
   into a local that every term reads: the same operation gives the same
   float.  Only ``**`` can raise (float ``*`` and ``+`` never do), so each
@@ -36,7 +40,7 @@ ways that are exact, so its results are identical bit for bit.
   is skipped.  ``max(hi - first, first - lo)`` at the end is the largest
   ``|acc - first|``: subtracting a fixed ``first`` rounds monotonically.
 - The stages are ``s + 0.5 * h * k1``, ``t + 0.5 * h``, ``s + h * k3`` and
-  ``s + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)``, ``h`` a float literal;
+  ``s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``, ``h`` a float literal;
   the compiler folds ``0.5 * h`` and ``h / 6.0`` by the same operation.
 - Three rewrites of the step are exact, since copies do no float
   operation, folding does the same ones, and nothing dropped can raise.
@@ -220,7 +224,8 @@ def _drift_lines(integrals: Sequence[Expr], names: Dict[VarId, str],
             f"bad{i}" for i in range(len(integrals))) + " = False")
     for (v, k), held in holders.items():
         lines += [f"{indent}try:",
-                  f"{indent}    {factor(v, k)} = {names[v]} ** {k}",
+                  f"{indent}    {factor(v, k)} = "
+                  f"{names[v]} ** {float(k)!r}",
                   f"{indent}except OverflowError:",
                   f"{indent}    {factor(v, k)} = inf",
                   f"{indent}    " + " = ".join(f"bad{i}" for i in held)
@@ -301,7 +306,8 @@ def _rk4_lines(t_var: VarId, states: List[VarId], slopes: List,
                 ks[-1].append("0.0")
             else:
                 body += _sum(slope, lambda v, e: stage[v] if e == 1
-                             else f"{stage[v]} ** {e}", indent, f"k{k}_{j}")
+                             else f"{stage[v]} ** {float(e)!r}", indent,
+                             f"k{k}_{j}")
                 ks[-1].append(f"k{k}_{j}")
     lines = ["        try:", *(body or [indent + "pass"]),
              "        except (OverflowError, ValueError):",
@@ -310,7 +316,8 @@ def _rk4_lines(t_var: VarId, states: List[VarId], slopes: List,
              f"        t = {known.get(f't + {step}', f't + {step}')}"]
     for j, (k1, k2, k3, k4) in enumerate(zip(*ks)):
         text = (f"s{j} + 0.0" if k1 == "0.0" else
-                f"s{j} + {step} / 6.0 * ({k1} + 2 * {k2} + 2 * {k3} + {k4})")
+                f"s{j} + {step} / 6.0 * "
+                f"({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})")
         lines.append(f"        s{j} = {known.get(text, text)}")
     # x - x is 0.0 for a finite x and NaN otherwise, so the sum is truthy
     # exactly when some entry of the new row is not finite.

@@ -85,13 +85,13 @@ def test_verify_refuses_a_wrong_boundary_term(monkeypatch, capsys):
     dependent variable added to boundary term 0, no law passes it, so
     verify names the non-symmetry, exits 2 and verifies nothing."""
     from noether import engine
-    original = engine.boundary_terms
+    original = engine._boundary_terms
 
-    def wrong(L, g):
-        b = original(L, g)
+    def wrong(L, qs):
+        b = original(L, qs)
         b[0] = b[0] + Expr.variable(L.space.dependents[0])
         return b
-    monkeypatch.setattr(engine, "boundary_terms", wrong)
+    monkeypatch.setattr(engine, "_boundary_terms", wrong)
     code, out = run(capsys, "verify", FREE, "--json", "--deterministic")
     assert code == 2
     assert "not a Noether symmetry" in json.loads(out)["error"]

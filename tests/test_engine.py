@@ -8,7 +8,7 @@ import pytest
 
 from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
                      Lagrangian, NonSymmetryError,
-                     boundary_terms, condition_residual,
+                     boundary_terms, characteristics, condition_residual,
                      conservation_vector, determining_system, euler_lagrange,
                      evolutionary_form, find_gauge, find_gauges,
                      first_integral, hessian_relation_check, load_problem,
@@ -683,13 +683,13 @@ def test_a_wrong_boundary_term_is_refused(monkeypatch):
     residual were checked, and the field's search failed an internal
     assertion: both refuse the law as a non-symmetry."""
     from noether import engine
-    original = engine.boundary_terms
+    original = engine._boundary_terms
 
-    def wrong(L, g):
-        b = original(L, g)
+    def wrong(L, qs):
+        b = original(L, qs)
         b[0] = b[0] + Expr.variable(L.space.dependents[0])
         return b
-    monkeypatch.setattr(engine, "boundary_terms", wrong)
+    monkeypatch.setattr(engine, "_boundary_terms", wrong)
     for name in ("harmonic_oscillator", "quartic_field"):
         problem = load_problem(str(ROOT / "problems" / f"{name}.prob"))
         with pytest.raises(NonSymmetryError, match="not a Noether symmetry"):
@@ -730,8 +730,8 @@ def test_noether_identity_is_the_invariance_residual(rng):
                 P = [f - (g.xi_of(x) * L.body + b_j)
                      for f, x, b_j in zip(F, xs, b)]
                 expected = condition_residual(L, g, F)
-                assert typed(_noether_residual(L, g, P)) == typed(expected), \
-                    path.name
+                residual = _noether_residual(L, characteristics(g, space), P)
+                assert typed(residual) == typed(expected), path.name
                 if expected.is_zero:
                     continue
                 with pytest.raises(NonSymmetryError) as err:
@@ -743,6 +743,51 @@ def test_noether_identity_is_the_invariance_residual(rng):
                                           f"symmetry; residual {expected}")
                 refused += 1
     assert refused > 100   # of 135 draws: most are not symmetries
+
+
+def test_law_equals_the_unscaled_formula(rng):
+    """``_law`` works on k*g and k*F, k an lcm of denominators, and
+    divides each component by k at the end; the law equals the unscaled
+    F_j - (xi_j L + b_j) in value, coefficient type and term order.  On
+    ``solve_noether``'s basis for every loadable file, and on seeded
+    rational combinations of it with the gauge ``find_gauge`` fits, as
+    ``verify`` builds them."""
+    from noether.engine import _law
+
+    def typed(P):
+        return [[(m, c, type(c)) for m, c in p.term_map().items()]
+                for p in P]
+
+    def combined(exprs, weights):
+        return sum((e * w for e, w in zip(exprs, weights)), Expr.zero())
+
+    cases = 0
+    for path in LOADABLE:
+        problem = load_problem(str(ROOT / path))
+        L, ansatz = problem.lagrangian, problem.ansatz
+        xs, us = L.space.independents, L.space.dependents
+        sols = solve_noether(L, ansatz)
+        pairs = [(s.generator, s.gauge) for s in sols]
+        for _ in range(3 if sols else 0):
+            weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                       for _ in sols]
+            gens = [s.generator for s in sols]
+            g = Generator(
+                xi={x: combined([h.xi_of(x) for h in gens], weights)
+                    for x in xs},
+                eta={u: combined([h.eta_of(u) for h in gens], weights)
+                     for u in us})
+            if not g.is_zero:
+                pairs.append((g, find_gauge(
+                    L, g, degree=ansatz.gauge_degree,
+                    jet_order=ansatz.resolved_gauge_jet_order(L))))
+        for g, F in pairs:
+            b = boundary_terms(L, g)
+            want = [f - (g.xi_of(x) * L.body + b_j)
+                    for f, x, b_j in zip(F, xs, b)]
+            assert typed(_law(L, g, F).components) == typed(want), path
+            cases += 1
+    assert cases > 100
 
 
 def test_pde_solving_mode(quartic_field, pde):

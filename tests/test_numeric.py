@@ -1,5 +1,6 @@
 """Numeric cross-validation: compilation, integration, drift measurement."""
 
+import ast
 import math
 import random
 import re
@@ -544,8 +545,66 @@ def test_fold_has_no_abs_and_each_power_once_per_row(monkeypatch,
     for source in sources[1:]:   # the first is integrate_el's: no integrals
         assert "abs(" not in source
         for part in source.split("\n    for ", 1):
-            powers = re.findall(r"\w+ \*\* \d+", part)
-            assert sorted(powers) == ["s0 ** 2", "s1 ** 2", "t ** 3"], part
+            powers = re.findall(r"\w+ \*\* \d+\.0", part)
+            assert sorted(powers) == ["s0 ** 2.0", "s1 ** 2.0",
+                                      "t ** 3.0"], part
+
+
+def _arithmetic_literals(source):
+    """Each number that is an operand of an arithmetic operation in
+    ``source``: of a binary or unary operator or an augmented assignment."""
+    operands = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp):
+            operands += [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp):
+            operands.append(node.operand)
+        elif isinstance(node, ast.AugAssign):
+            operands.append(node.value)
+    return [n.value for n in operands if isinstance(n, ast.Constant)]
+
+
+def test_generated_arithmetic_has_only_float_literals(monkeypatch,
+                                                      free_particle, ode):
+    """Every literal operand of the generated loop is a float (``2.0 *
+    k2``, ``x ** 2.0``), so float-by-float ``*`` takes the interpreter's
+    float path: on each time-like bundled problem with its own laws, and
+    on the free particle with this module's literal and seeded random
+    laws, through all three entry points."""
+    import builtins
+
+    from noether import numeric
+
+    sources = []
+
+    def recording_compile(source, *args, **kwargs):
+        sources.append(source)
+        return builtins.compile(source, *args, **kwargs)
+
+    numeric._define.cache_clear()
+    monkeypatch.setattr(numeric, "compile", recording_compile, raising=False)
+    rng = random.Random(SEED)
+    cases = []
+    for name in ("free_particle", "free_particle_2d", "harmonic_oscillator",
+                 "second_order_chain"):
+        problem = load_problem(PROBLEMS / f"{name}.prob")
+        cases.append((problem.lagrangian, [
+            s.law for s in solve_noether(problem.lagrangian,
+                                         problem.ansatz)]))
+    variables = [ode.lookup("x"), ode.lookup("y"), ode.lookup("y'")]
+    cases.append((free_particle, [parse(law, ode) for law in (
+        "y^2 + x^3*y'^2", "y^2*y' - x^3", "y'^2 - y", "-y", "y - x*y'")]))
+    cases += [(free_particle, _random_integrals(rng, variables))
+              for _ in range(10)]
+    cfg = NumericConfig(horizon=0.01)
+    for L, laws in cases:
+        el = euler_lagrange(L)
+        ic = dict.fromkeys(state_variables(el), 0.5)
+        drift_report(laws, integrate_el(el, cfg, ic), cfg)
+        check_integrals(laws, el, cfg, ic)
+    literals = [c for source in sources for c in _arithmetic_literals(source)]
+    assert {type(c) for c in literals} == {float}
+    assert 2.0 in literals and 3.0 in literals
 
 
 def test_check_memory_does_not_grow_with_steps(free_particle, ode):
