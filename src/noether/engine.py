@@ -216,17 +216,17 @@ def _law(L: Lagrangian, g: Generator, F: Sequence[Expr]) -> ConservationLaw:
     so it certifies the law on shell too.
 
     Both are computed on k*g and k*F, k the lcm of the coefficient
-    denominators of L, g and F, and each component (or the residual of
-    the error message) is divided by k once at the end.  Every step is
-    linear in (g, F), so each intermediate is k times the unscaled one,
-    with the same terms in the same order, and the law keeps its values,
-    coefficient types and term order; but most products are of ints, not
-    Fractions.
+    denominators of g and F (L is never scaled, so its denominators do not
+    count), and each component (or the residual of the error message) is
+    divided by k once at the end.  Every step is linear in (g, F), so each
+    intermediate is k times the unscaled one, with the same terms in the
+    same order, and the law keeps its values, coefficient types and term
+    order; but most products are of ints, not Fractions.
     """
     space = L.space
     F = _gauge(space, F)
     k = math.lcm(*(c.denominator
-                   for e in (L.body, *g.xi.values(), *g.eta.values(), *F)
+                   for e in (*g.xi.values(), *g.eta.values(), *F)
                    for c in e.term_map().values()))
     g = Generator(xi={x: _times(e, k) for x, e in g.xi.items()},
                   eta={u: _times(e, k) for u, e in g.eta.items()})
@@ -253,13 +253,13 @@ def _times(e: Expr, k: int) -> Expr:
 def _noether_residual(L: Lagrangian, qs: Sequence[Expr],
                       P: Sequence[Expr]) -> Expr:
     """Q.E(L) - sum_j D_j P_j, with Q = qs the characteristics of a
-    generator and E(L) the raw Euler-Lagrange expressions.  It is zero
+    generator and E(L) the raw Euler-Lagrange expressions, read from
+    ``euler_lagrange(L).raw`` before any canonical form.  It is zero
     exactly when P meets Noether's identity Div P = Q.E(L) (Olver,
     *Applications of Lie Groups to Differential Equations*, Thm 4.29), and
     then P is conserved on shell."""
-    euler_lagrange(L)
     residual = Expr.zero()
-    for q, e in zip(qs, L._euler):
+    for q, e in zip(qs, euler_lagrange(L).raw):
         residual = residual + q * e
     return residual - _divergence(P, L.space)
 

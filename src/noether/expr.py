@@ -21,7 +21,7 @@ registration index (graded-lexicographic order).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
@@ -396,22 +396,6 @@ class Expr:
                 term = term * piece
             result = result + term
         return result
-
-    def collect(self, vars: Iterable[VarId]) -> Dict[Monomial, "Expr"]:
-        """Partition by monomials in ``vars``; coefficients are free of them.
-
-        Summing coefficient * monomial over the result reproduces the
-        expression exactly.
-        """
-        selected = set(vars)
-        if not selected:
-            raise ValueError("collect requires a non-empty variable set")
-        buckets: Dict[Monomial, Dict[Monomial, Rational]] = {}
-        for mono, coeff in self._terms.items():
-            inside = tuple((v, e) for v, e in mono if v in selected)
-            outside = tuple((v, e) for v, e in mono if v not in selected)
-            buckets.setdefault(inside, {})[outside] = coeff
-        return {key: _raw(tm) for key, tm in buckets.items()}
 
     def evaluate(self, values: Mapping[VarId, Fraction | int]) -> Fraction:
         """Exact rational evaluation; every present variable must be bound."""

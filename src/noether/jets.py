@@ -185,10 +185,12 @@ class Generator(Record):
 
 
 def total_derivative(e: Expr, x: VarId, space: JetSpace) -> Expr:
-    """Total derivative D_x: the chain rule through every jet coordinate."""
+    """Total derivative D_x: the chain rule through every jet coordinate,
+    in registration order, so the result's term order is the same in
+    every run."""
     j = space.independent_index(x)
     result = e.partial(x)
-    for v in e.variables():
+    for v in sorted(e.variables(), key=lambda v: v.sort_index):
         if v.kind in (DEPENDENT, JET):
             result = result + e.partial(v) * Expr.variable(space.derivative(v, j))
     return result

@@ -182,7 +182,7 @@ def _slopes(el: ELSystem, ic: Dict[VarId, float]):
                     for v in states]
     for h in tops:
         rhs = el.solved_forms[h]
-        bad = [v for v in rhs.variables()
+        bad = [v for v in sorted(rhs.variables(), key=lambda v: v.sort_index)
                if v not in index and v.kind != INDEPENDENT]
         if bad:
             raise ValueError(

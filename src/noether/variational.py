@@ -25,12 +25,11 @@ class Lagrangian(Record):
     ``partials`` holds each nonzero jet partial once, as (dependent index,
     jet v, dL/dv), dependent by dependent and then in registration order.
     ``_el`` holds the Euler-Lagrange system once ``euler_lagrange`` has
-    derived it, and ``_euler`` the raw expressions E_i(L) it normalised.
-    All three are derived from the other fields, so ``==`` and ``repr``
-    leave them out.
+    derived it.  Both are derived from the other fields, so ``==`` and
+    ``repr`` leave them out.
     """
 
-    __slots__ = ("space", "order", "body", "partials", "_el", "_euler")
+    __slots__ = ("space", "order", "body", "partials", "_el")
     _fields = ("space", "order", "body")
 
     def __init__(self, space: JetSpace, order: int, body: Expr):
@@ -53,7 +52,6 @@ class Lagrangian(Record):
             for v in space.jet_vars(i, order)
             if v in present]
         self._el: Optional[ELSystem] = None
-        self._euler: Optional[List[Expr]] = None
 
 
 class ELSystem(Record):
@@ -65,16 +63,21 @@ class ELSystem(Record):
     equation cannot be solved that way, in which case reduction is
     unavailable and ``verify`` reports a law's raw divergence with an
     indeterminate verdict.  A law built from a symmetry needs no reduction:
-    Noether's identity certifies it off shell.
+    Noether's identity certifies it off shell, from ``raw``, the
+    expressions E_i(L) before canonical form (None unless given).  ``raw``
+    restates ``equations``, so ``==`` and ``repr`` leave it out.
     """
 
-    __slots__ = _fields = ("space", "equations", "solved_forms")
+    __slots__ = ("space", "equations", "solved_forms", "raw")
+    _fields = ("space", "equations", "solved_forms")
 
     def __init__(self, space: JetSpace, equations: List[Expr],
-                 solved_forms: Optional[Dict[VarId, Expr]]):
+                 solved_forms: Optional[Dict[VarId, Expr]],
+                 raw: Optional[List[Expr]] = None):
         self.space = space
         self.equations = equations
         self.solved_forms = solved_forms
+        self.raw = raw
 
     @property
     def reducible(self) -> bool:
@@ -90,10 +93,10 @@ def euler_lagrange(L: Lagrangian) -> ELSystem:
     """The Euler-Lagrange equations of a Lagrangian.
 
     For each dependent variable: sum over jet coordinates of
-    (-1)^order * D^multi (dL/du_multi), in canonical form.  The system is
-    derived once per Lagrangian; every later call returns the same record,
-    which callers must not change.  The raw sums, before canonical form,
-    stay on the Lagrangian as ``_euler`` for Noether's identity.
+    (-1)^order * D^multi (dL/du_multi).  The record keeps these sums as
+    ``raw``, for Noether's identity, and their canonical form.  The system
+    is derived once per Lagrangian; every later call returns the same
+    record, which callers must not change.
     """
     if L._el is None:
         space = L.space
@@ -102,36 +105,34 @@ def euler_lagrange(L: Lagrangian) -> ELSystem:
             sign = -1 if v.order % 2 else 1
             equations[i] = equations[i] + multi_derivative(
                 p, v.multi_index, space) * sign
-        L._euler = equations
         L._el = _normalize(space, equations)
     return L._el
 
 
-def _normalize(space: JetSpace, equations: List[Expr]) -> ELSystem:
+def _normalize(space: JetSpace, raw: List[Expr]) -> ELSystem:
+    """Canonical forms, and solved forms when every equation has them.
+
+    An equation is solved for its top jet when its lead, the partial by
+    that jet, is a constant and no earlier equation has the same top.  It
+    is then lead*top + rest, rest free of top, and its solved form
+    (lead*top - eq) / lead keeps rest's term order.
+    """
     solved: Dict[VarId, Expr] = {}
     normalized: List[Expr] = []
-    available = True
-    for eq in equations:
+    for eq in raw:
         jets = [v for v in eq.variables() if v.kind == JET]
-        if eq.is_zero or not jets:
-            normalized.append(eq)
-            available = False
-            continue
-        top = max(jets, key=_jet_rank)
-        parts = eq.collect({top})
-        linear = parts.get(((top, 1),), Expr.zero())
-        nonlinear = any(key not in (((top, 1),), ()) for key in parts)
-        if nonlinear or not linear.is_constant or top in solved:
-            normalized.append(eq)
-            available = False
-            continue
-        lead = linear.constant_value()
-        monic = eq / lead
-        rest = parts.get((), Expr.zero()) / lead
-        normalized.append(monic)
-        solved[top] = -rest
+        if jets:
+            top = max(jets, key=_jet_rank)
+            lead = eq.partial(top)
+            if lead.is_constant and top not in solved:
+                lead = lead.constant_value()
+                normalized.append(eq / lead)
+                solved[top] = (Expr.term(lead, ((top, 1),)) - eq) / lead
+                continue
+        normalized.append(eq)
     return ELSystem(space=space, equations=normalized,
-                    solved_forms=solved if available else None)
+                    solved_forms=solved if len(solved) == len(raw) else None,
+                    raw=raw)
 
 
 def reduce_mod_el(e: Expr, el: ELSystem, space: JetSpace) -> Expr:

@@ -515,3 +515,77 @@ def test_process_pool_imported_only_when_started():
                          text=True, env=child_env(), timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+_PROBLEM = ("[problem]\nindependents = x\ndependents = y\n"
+            "lagrangian = 1/2*y'^2\norder = 1\n")
+
+
+@pytest.mark.parametrize("text, names", [
+    (_PROBLEM + "[extra]\nk = 1\n", "unknown section(s): extra"),
+    ("[ansatz]\ndegree = 2\n", "missing [problem] section"),
+    (_PROBLEM + "speed = 1\n", "unknown [problem] key(s): speed"),
+    (_PROBLEM.replace("order = 1\n", ""), "[problem] field 'order'"),
+    (_PROBLEM.replace("y\n", ",\n", 1), "field 'dependents' must list"),
+    (_PROBLEM.replace("y\n", "y, y\n", 1), "field 'dependents' repeats"),
+    (_PROBLEM.replace("y\n", "y y_1\n", 1), "bad variable name 'y_1'"),
+    (_PROBLEM + "[ansatz]\ngauge = maybe\n", "field 'ansatz.gauge'"),
+    (_PROBLEM + "[ansatz]\ndegree = two\n", "field 'ansatz.degree'"),
+    (_PROBLEM + "[numeric]\nstep = fast\n", "field 'numeric.step'"),
+    (_PROBLEM + "[ansatz]\nwidth = 3\n", "unknown [ansatz] key(s): width"),
+    (_PROBLEM + "[numeric]\nsteps = 3\n", "unknown [numeric] key(s): steps"),
+    (_PROBLEM + "[generators]\nG = eta_y 1\n", "generator 'G'"),
+    (_PROBLEM + "[generators]\nG = eta_q: 1\n",
+     "generator 'G': 'eta_q' names no declared variable"),
+    (_PROBLEM + "[generators]\nG = zeta: 1\n", "generator 'G'"),
+    (_PROBLEM + "[generators]\nG = eta_y: 1; eta: y\n",
+     "generator 'G': duplicate coefficient for 'y'"),
+    (_PROBLEM + "[laws]\nI = y', y\n", "law 'I' needs 1 component(s)"),
+    (_PROBLEM + "order = 2\n", "option 'order' in section 'problem'"),
+], ids=["unknown-section", "no-problem-section", "unknown-problem-key",
+        "missing-field", "empty-names", "repeated-name", "bad-name",
+        "bad-on-off", "bad-integer", "bad-number", "unknown-ansatz-key",
+        "unknown-numeric-key", "piece-without-colon", "key-names-nothing",
+        "malformed-key", "duplicate-coefficient", "law-component-count",
+        "duplicate-key"])
+def test_problem_refusals_exit_2_by_name(tmp_path, capsys, text, names):
+    path = tmp_path / "bad.prob"
+    path.write_text(text)
+    code = main(["verify", str(path), "--json", "--deterministic"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert names in json.loads(out)["error"]
+
+
+def test_empty_generator_pieces_are_skipped(tmp_path):
+    from noether import load_problem
+    path = tmp_path / "pieces.prob"
+    path.write_text(_PROBLEM + "[generators]\nG = eta_y: 1\n"
+                    "H = ; eta_y: 1;; ;\n")
+    (_, plain), (_, padded) = load_problem(str(path)).candidates
+    assert padded == plain and len(plain.eta) == 1
+
+
+def test_jobs_zero_exits_2_on_stderr(capsys):
+    assert main(["symmetries", FREE, "--jobs", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --jobs must be positive\n")
+
+
+def test_snapshot_records_every_command_and_flag_set(tmp_path, monkeypatch,
+                                                     capsys):
+    """``tests/snapshot.py`` writes what the CLI prints, one directory per
+    command and flag set."""
+    import snapshot
+    path = "problems/free_particle.prob"
+    assert path in snapshot.bundled()
+    assert snapshot.write_snapshot(tmp_path, [path]) == 12
+    monkeypatch.chdir(ROOT)
+    for command in snapshot.COMMANDS:
+        for flags in snapshot.FLAG_SETS:
+            where = tmp_path / "problems__free_particle.prob" / (
+                command + "".join(flags).replace("-", "_"))
+            code = main([command, path, *flags, "--json", "--deterministic"])
+            assert (where / "exit").read_text() == f"{code}\n"
+            out, err = capsys.readouterr()
+            assert (where / "stdout").read_text() == out
+            assert (where / "stderr").read_text() == err == ""

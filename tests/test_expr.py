@@ -1,4 +1,4 @@
-"""Expression kernel: parsing, canonical arithmetic, calculus, collection."""
+"""Expression kernel: parsing, canonical arithmetic, calculus."""
 
 from fractions import Fraction
 
@@ -139,38 +139,6 @@ def test_substitute_cyclic_rejected(ode):
     with pytest.raises(ValueError, match="cyclic"):
         parse("x*y", ode).substitute({x: parse("y", ode),
                                       y: parse("x", ode)})
-
-
-def test_collect_determining_shape():
-    # coefficients of the velocity powers stay exact and reassemble
-    space = JetSpace(["x"], ["y", "a", "b", "c"], max_order=2)
-    a, b, c = (space.lookup(n) for n in "abc")
-    yp = space.lookup("y'")
-    e = (Expr.variable(a) * parse("y'^3", space) * Fraction(-1, 2)
-         + (Expr.variable(b) - Expr.variable(c) * Fraction(1, 2))
-         * parse("y'^2", space))
-    parts = e.collect({yp})
-    assert parts[((yp, 3),)] == Expr.variable(a) * Fraction(-1, 2)
-    assert parts[((yp, 2),)] == Expr.variable(b) - Expr.variable(c) * Fraction(1, 2)
-
-
-def test_collect_zero_and_constant(ode):
-    yp = ode.lookup("y'")
-    assert parse("0", ode).collect({yp}) == {}
-    assert parse("x^2", ode).collect({yp}) == {(): parse("x^2", ode)}
-
-
-def test_collect_partition_property(rng, ode):
-    vars = [ode.lookup(n) for n in ("x", "y", "y'", "y''")]
-    yp, ypp = ode.lookup("y'"), ode.lookup("y''")
-    for _ in range(40):
-        e = rand_expr(rng, vars)
-        parts = e.collect({yp, ypp})
-        rebuilt = Expr.zero()
-        for mono, coeff in parts.items():
-            assert not (coeff.variables() & {yp, ypp})
-            rebuilt = rebuilt + Expr.term(1, mono) * coeff
-        assert rebuilt == e
 
 
 def test_ring_axioms_property(rng, ode):

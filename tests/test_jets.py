@@ -1,11 +1,14 @@
 """Jet calculus: total derivatives, prolongation, evolutionary form."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
 from noether import (Expr, Generator, HeadroomError, JetSpace, characteristics,
-                     evolutionary_form, parse, prolong_pde, total_derivative)
+                     euler_lagrange, evolutionary_form, load_problem, parse,
+                     prolong_pde, solve_noether, total_derivative)
+from noether.expr import mono_str
 from noether.jets import multi_derivative
 
 from util import closed_form_zeta, rand_expr
@@ -186,3 +189,37 @@ def test_dependence_order(ode):
     g = Generator(eta={ode.dependents[0]: parse("y''", ode)})
     assert g.dependence_order == 2
     assert Generator().dependence_order == 0
+
+
+def _term_orders(build, shifts=16):
+    """The term orders ``build()`` gives across heap layouts: between
+    calls, growing lists of tuples stay alive, so each new space's
+    variables sit at other addresses."""
+    orders, keep = set(), []
+    for shift in range(shifts):
+        keep.append([(i, i, i) for i in range(37 * shift)])
+        orders.add(tuple(tuple(mono_str(m) for m in e.term_map())
+                         for e in build()))
+    return orders
+
+
+def test_total_derivative_term_order_does_not_follow_addresses():
+    """D_x visits variables in registration order, not in the order of a
+    set hashed by identity."""
+    def build():
+        space = JetSpace(["x"], ["y", "z"], max_order=4)
+        return [D(parse("y*y' + z*z'' + y*z' + y''*z", space), space)]
+    assert len(_term_orders(build)) == 1
+
+
+def test_euler_lagrange_and_law_term_orders_do_not_follow_addresses():
+    path = str(Path(__file__).resolve().parent / "data"
+               / "coupled_second_order.prob")
+
+    def build():
+        problem = load_problem(path)
+        el = euler_lagrange(problem.lagrangian)
+        laws = solve_noether(problem.lagrangian, problem.ansatz)
+        return [*el.equations, *el.solved_forms.values(),
+                *(c for s in laws for c in s.law.components)]
+    assert len(_term_orders(build)) == 1

@@ -14,9 +14,11 @@ every assignment where ``noether.engine`` reads only the solution's entries,
 the template rows split the invariance residual of the whole ansatz by
 unknown where ``noether.engine`` assembles them column by column, the
 tuple enumerator sorts monomials by ``mono_key`` where ``noether.engine``
-sorts packed ints, and the recursive prolongation and its residual peel
+sorts packed ints, the recursive prolongation and its residual peel
 one derivative at a time off the lower coefficient where ``noether``
-differentiates the characteristic.
+differentiates the characteristic, and the reference normal form splits
+each Euler-Lagrange expression on the powers of its top jet where
+``noether.variational`` takes one partial.
 
 The solve oracles keep the shape the solver had before right-hand sides
 became columns: a list of ``(row, {k: b_k})`` pairs for A x = b_k.
@@ -226,6 +228,46 @@ def on_shell_zero(expr: Expr, space: JetSpace, solved: dict, depth=6) -> bool:
             return expr.is_zero
         expr = expr.substitute(bindings)
     return expr.is_zero
+
+
+def split_on(e: Expr, v) -> dict:
+    """The term map of ``e`` cut on the powers of ``v``: monomial in v ->
+    coefficient free of v, each bucket in the order of its first term."""
+    buckets = {}
+    for mono, coeff in e.term_map().items():
+        inside = tuple((w, k) for w, k in mono if w is v)
+        outside = tuple((w, k) for w, k in mono if w is not v)
+        buckets.setdefault(inside, {})[outside] = coeff
+    return {key: Expr(terms) for key, terms in buckets.items()}
+
+
+def reference_normalize(equations):
+    """(canonical equations, solved forms or None) of raw Euler-Lagrange
+    expressions by the split on each top jet: an equation is solvable when
+    its split has only the buckets 1 and top with a constant coefficient
+    c of top, and no earlier equation solved the same top; its canonical
+    form is eq / c and its solved form -(part free of top) / c."""
+    solved = {}
+    normalized = []
+    available = True
+    for eq in equations:
+        jets = [v for v in eq.variables() if v.kind == "jet"]
+        if not jets:
+            normalized.append(eq)
+            available = False
+            continue
+        top = max(jets, key=lambda v: (v.order, v.multi_index, -v.dep_index))
+        parts = split_on(eq, top)
+        linear = parts.get(((top, 1),), Expr.zero())
+        if (set(parts) - {((top, 1),), ()} or not linear.is_constant
+                or top in solved):
+            normalized.append(eq)
+            available = False
+            continue
+        c = linear.constant_value()
+        normalized.append(eq / c)
+        solved[top] = -(parts.get((), Expr.zero()) / c)
+    return normalized, (solved if available else None)
 
 
 def reference_value(e: Expr, env) -> float:
