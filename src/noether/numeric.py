@@ -58,10 +58,11 @@ import math
 import random
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .expr import INDEPENDENT, Expr, Record, VarId
+from .expr import Expr, Record, VarId
+from .jets import HeadroomError
 # Configuration is part of a problem; both names are re-exported here.
 from .problem import MAX_STEPS, NumericConfig  # noqa: F401
-from .variational import ELSystem
+from .variational import ELSystem, ReductionError, reduce_mod_el
 
 
 def _term(coeff, factors: List[str]) -> Tuple[str, str]:
@@ -138,8 +139,18 @@ class NumericReport(Record):
         self.truncated = truncated
 
 
-def _tops(el: ELSystem) -> List[VarId]:
-    """Each dependent's highest solved derivative, in dependent order."""
+def _plan(el: ELSystem):
+    """The independent variable, the first-order state and its slopes.
+
+    The state holds derivatives 0..order-1 of each dependent, its order
+    that of its top: its highest solved derivative, of order one or more.
+    ``slopes[j]`` gives the derivative of state j: the index of the state
+    it equals or, for a dependent's last state, the top's solved form
+    reduced on shell by ``reduce_mod_el``.  A reduction that fails, or
+    that reads anything but the state and the independent variable,
+    refuses the system, naming what the unreduced form reads outside the
+    state.  The initial condition is not read here.
+    """
     space = el.space
     if not space.is_ode:
         raise ValueError("numeric integration supports time-like problems only")
@@ -147,49 +158,32 @@ def _tops(el: ELSystem) -> List[VarId]:
         raise ValueError("explicit solved forms are required for integration")
     tops = []
     for i, dep in enumerate(space.dependents):
-        top = max((h for h in el.solved_forms if h.dep_index == i),
-                  key=lambda h: h.order, default=None)
-        if top is None:
+        heads = [h for h in el.solved_forms if h.dep_index == i and h.order]
+        if not heads:
             raise ValueError(f"no solved equation for {dep.name!r}")
-        tops.append(top)
-    return tops
-
-
-def _states(el: ELSystem, tops: Sequence[VarId]) -> List[VarId]:
-    return [el.space.jet(h.dep_index, (k,)) for h in tops
-            for k in range(h.order)]
+        tops.append(max(heads, key=lambda h: h.order))
+    states = [space.jet(h.dep_index, (k,)) for h in tops
+              for k in range(h.order)]
+    known = {space.independents[0], *states}
+    slopes: List = []
+    for h in tops:
+        form = el.solved_forms[h]
+        try:
+            reduced = reduce_mod_el(form, el, space)
+        except (HeadroomError, ReductionError):
+            reduced = None
+        if reduced is None or not reduced.variables() <= known:
+            bad = sorted(form.variables() - known, key=lambda v: v.sort_index)
+            raise ValueError(
+                f"solved form for {h.name} references non-state variables: "
+                f"{', '.join(v.name for v in bad)}")
+        slopes += [*range(len(slopes) + 1, len(slopes) + h.order), reduced]
+    return space.independents[0], states, slopes
 
 
 def state_variables(el: ELSystem) -> List[VarId]:
     """The first-order state: derivatives 0..order-1 of each dependent."""
-    return _states(el, _tops(el))
-
-
-def _slopes(el: ELSystem, ic: Dict[VarId, float]):
-    """The independent variable, the state and its slopes, validated.
-
-    ``slopes[j]`` gives the derivative of state j: the index of the state
-    it equals, or the solved form that computes it.
-    """
-    space = el.space
-    tops = _tops(el)
-    states = _states(el, tops)
-    missing = [v.name for v in states if v not in ic]
-    if missing:
-        raise ValueError(f"initial condition missing {', '.join(missing)}")
-    index = {v: j for j, v in enumerate(states)}
-    slopes: List = [index.get(space.jet(v.dep_index, (v.order + 1,)))
-                    for v in states]
-    for h in tops:
-        rhs = el.solved_forms[h]
-        bad = [v for v in sorted(rhs.variables(), key=lambda v: v.sort_index)
-               if v not in index and v.kind != INDEPENDENT]
-        if bad:
-            raise ValueError(
-                f"solved form for {h.name} references non-state variables: "
-                f"{', '.join(v.name for v in bad)}")
-        slopes[index[space.jet(h.dep_index, (h.order - 1,))]] = rhs
-    return space.independents[0], states, slopes
+    return _plan(el)[1]
 
 
 def _integral(law) -> Expr:
@@ -358,7 +352,10 @@ def _run(el: ELSystem, cfg: NumericConfig, ic: Dict[VarId, float],
          integrals: Sequence[Expr], keep_rows: bool):
     """Validate, then run the generated RK4 loop from ``ic`` at t = 0:
     ``(row variables, *run(...))``."""
-    t_var, states, slopes = _slopes(el, ic)
+    t_var, states, slopes = _plan(el)
+    missing = [v.name for v in states if v not in ic]
+    if missing:
+        raise ValueError(f"initial condition missing {', '.join(missing)}")
     variables = (t_var, *states)
     run = _run_function(variables, integrals, keep_rows,
                         _rk4_lines(t_var, states, slopes, cfg.step))

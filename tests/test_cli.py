@@ -589,3 +589,34 @@ def test_snapshot_records_every_command_and_flag_set(tmp_path, monkeypatch,
             out, err = capsys.readouterr()
             assert (where / "stdout").read_text() == out
             assert (where / "stderr").read_text() == err == ""
+
+
+_LOC_SNIPPET = '''"""Module docstring,
+over two lines."""
+# a comment
+import os  # a trailing comment
+
+
+def f(x):
+    """Function docstring."""
+    text = """a string
+over two lines"""
+    return x
+
+
+class C:
+    "Class docstring" " in two pieces"
+    y = 1
+'''
+
+
+def test_loc_counts_lines_holding_code(tmp_path, capsys):
+    """``tests/loc.py`` counts the lines holding a token that is neither a
+    comment nor a docstring: every line of a multi-line string that is not
+    a docstring, no blank, comment or docstring line."""
+    import loc
+    assert loc.code_lines(_LOC_SNIPPET) == 7
+    (tmp_path / "noether").mkdir()
+    (tmp_path / "noether" / "snippet.py").write_text(_LOC_SNIPPET)
+    assert loc.main(["--src", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "     7  snippet.py\n     7  total\n"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from noether import (Ansatz, ConservationLaw, Expr, JetSpace,
+from noether import (Ansatz, ConservationLaw, ELSystem, Expr, JetSpace,
                      Lagrangian, NumericConfig, Trajectory, check_integrals,
                      drift_report, euler_lagrange, integrate_el, load_problem,
                      parse, seeded_initial_conditions, solve_noether)
@@ -726,3 +726,59 @@ def test_random_mixed_systems_match_reference():
         ic = {v: rng.uniform(-1.0, 1.0) for v in states}
         probes = [rand_nonzero_expr(rng, [t] + states) for _ in range(2)]
         _assert_matches_reference(el, cfg, ic, probes)
+
+
+def _refused(name):
+    """The system and initial condition of each numeric refusal."""
+    if name == "malformed":   # y'' = y''' reads past the state
+        s = JetSpace(["t"], ["y"], max_order=4)
+        el = ELSystem(s, [parse("y'' - y'''", s)],
+                      {s.lookup("y''"): parse("y'''", s)})
+        return el, dict.fromkeys([s.lookup("y"), s.lookup("y'")], 0.0)
+    independents, dependents, body, given = {
+        "field": (["t", "x"], ["u"], "1/12*u_x^4 + 1/2*u_t^2", ()),
+        "unsolved": (["t"], ["q"], "1/3*q'^3", ()),
+        "no_equation": (["t"], ["x", "y"], "1/2*y'^2 + x*y'", ()),
+        "missing": (["t"], ["y"], "1/2*y'^2", ("y",)),
+    }[name]
+    s = JetSpace(independents, dependents, max_order=4)
+    el = euler_lagrange(Lagrangian(s, 1, parse(body, s)))
+    return el, dict.fromkeys(map(s.lookup, given), 1.0)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("field", "numeric integration supports time-like problems only"),
+    ("unsolved", "explicit solved forms are required for integration"),
+    ("no_equation", "no solved equation for 'x'"),
+    ("missing", "initial condition missing y'"),
+    ("malformed",
+     "solved form for y'' references non-state variables: y'''"),
+])
+def test_integration_refusals_name_their_cause(name, message):
+    el, ic = _refused(name)
+    with pytest.raises(ValueError) as err:
+        integrate_el(el, NumericConfig(), ic)
+    assert str(err.value) == message
+
+
+def test_numcheck_reduces_solved_forms_on_shell(tmp_path, capsys):
+    """y'''' = x*x'' + x'^2 + x'' reads the solved x'' = -x*y'' - y'';
+    reduced on shell it reads only the state, so numcheck integrates the
+    system and each of its three integrals is conserved."""
+    import json
+
+    from noether.cli import main
+
+    path = tmp_path / "coupled.prob"
+    path.write_text("[problem]\nindependents = t\ndependents = x, y\n"
+                    "lagrangian = 1/2*x'^2 + x'*y' + 1/2*y''^2 + x'*x*y'\n"
+                    "order = 2\n")
+    code = main(["numcheck", str(path), "--json", "--deterministic"])
+    numeric = json.loads(capsys.readouterr().out)["numeric"]
+    assert code == 0
+    assert len(numeric["laws"]) == 3
+    assert len(numeric["runs"]) == 5
+    for run in numeric["runs"]:
+        assert not run["truncated"]
+        assert len(run["drifts"]) == 3
+        assert max(run["drifts"]) <= 1e-8, run["drifts"]
