@@ -284,10 +284,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _emit(args, outcomes)
     except BrokenPipeError:
-        # The reader went away (as with ``| head``): stop writing, and point
-        # stdout at the null device so the interpreter's final flush cannot
-        # raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        pass   # the reader went away (as with ``| head``): stop writing
     return max(code for code, _, _ in outcomes)
 
 
@@ -311,5 +308,29 @@ def _run_star(task):
     return run_file(*task)
 
 
+def entry() -> None:
+    """Run ``main()`` as the whole ``noether`` process, then end it.
+
+    The exit code is ``main()``'s, or the status of the ``SystemExit``
+    argparse raises for ``--help`` or a usage error.  Other exceptions
+    propagate.  stdout and stderr are flushed, a reader that has gone away
+    ending the run quietly with its code, and the process ends with
+    ``os._exit``: the interpreter's teardown, which only frees what the
+    operating system reclaims anyway, never runs.  Neither do ``atexit``
+    handlers and finalizers, so any output other than stdout and stderr
+    must be closed before ``main()`` returns.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()
