@@ -5,10 +5,12 @@
 Runs each of the four commands under each flag set (none,
 ``--evolutionary``, ``--jet-order 1``), always with ``--json
 --deterministic``, on ``problems/*.prob``, ``tests/data/*.prob`` and any
-extra paths.  Each run is its own subprocess, two at a time, importing
-the ``noether`` package from ``--src`` (default: this checkout's
-``src``), and writes ``stdout``, ``stderr`` and ``exit`` into the
-directory ``OUT/<path>/<command><flags>``.  The bundled paths are passed
+extra paths, and argparse's two exits: ``--help`` and a usage error (an
+unknown command).  Each run is its own subprocess, two at a time,
+importing the ``noether`` package from ``--src`` (default: this
+checkout's ``src``), and writes ``stdout``, ``stderr`` and ``exit`` into
+the directory ``OUT/<path>/<command><flags>``, or ``OUT/argparse/<name>``
+for argparse's exits.  The bundled paths are passed
 relative to this checkout's root and extra paths as absolute paths, so
 two trees give byte-identical output exactly when ``diff -r OUT1 OUT2``
 is silent::
@@ -33,6 +35,8 @@ from typing import List, Sequence
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("symmetries", "integrals", "verify", "numcheck")
 FLAG_SETS = ((), ("--evolutionary",), ("--jet-order", "1"))
+PARSER_RUNS = {"help": ("--help",),
+               "usage_error": ("frobnicate", "problems/free_particle.prob")}
 
 
 def bundled() -> List[str]:
@@ -42,15 +46,10 @@ def bundled() -> List[str]:
             for p in sorted(ROOT.glob(pattern))]
 
 
-def _run(src: str, out: Path, path: str, command: str,
-         flags: Sequence[str]) -> None:
+def _run(src: str, where: Path, argv: Sequence[str]) -> None:
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "noether.cli", command, path, *flags,
-         "--json", "--deterministic"],
-        cwd=ROOT, env=env, capture_output=True)
-    where = out / path.strip("/").replace("/", "__") / (
-        command + "".join(flags).replace("-", "_"))
+    proc = subprocess.run([sys.executable, "-m", "noether.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True)
     where.mkdir(parents=True, exist_ok=True)
     (where / "stdout").write_bytes(proc.stdout)
     (where / "stderr").write_bytes(proc.stderr)
@@ -59,9 +58,15 @@ def _run(src: str, out: Path, path: str, command: str,
 
 def write_snapshot(out: Path, paths: Sequence[str],
                    src: Path = ROOT / "src") -> int:
-    """Run every command and flag set on each path; return the run count."""
-    runs = [(str(src), Path(out), path, command, flags) for path in paths
-            for command in COMMANDS for flags in FLAG_SETS]
+    """Run every command and flag set on each path, and argparse's exits;
+    return the run count."""
+    out = Path(out)
+    runs = [(str(src), out / "argparse" / name, argv)
+            for name, argv in PARSER_RUNS.items()]
+    runs += [(str(src), out / path.strip("/").replace("/", "__") / (
+                  command + "".join(flags).replace("-", "_")),
+              (command, path, *flags, "--json", "--deterministic"))
+             for path in paths for command in COMMANDS for flags in FLAG_SETS]
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
         list(ex.map(lambda run: _run(*run), runs))
     return len(runs)

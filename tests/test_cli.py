@@ -469,16 +469,68 @@ def test_runaway_expansion_exits_2(tmp_path, capsys, power):
 @pytest.mark.parametrize("argv,code", [
     (["verify", FREE, "--json", "--deterministic"], 0),
     (["verify", FIELD], 1),
+    (["--help"], 0),
 ])
 def test_closed_stdout_pipe_ends_quietly(argv, code):
-    proc = subprocess.Popen([sys.executable, "-m", "noether.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=child_env())
-    proc.stdout.close()   # the reader is gone before the first write
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == code
-    assert "Traceback" not in err and "Error" not in err, err
+    # Buffered, the output waits in stdout's buffer until the final flush.
+    for buffered in (True, False):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "noether.cli", *argv],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()   # the reader is gone before the first write
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (code, ""), buffered
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of ``main`` in this process; argparse's
+    exits are read from the SystemExit it raises."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _as_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "noether.cli", *argv],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", FREE, "--json", "--deterministic"], 0),
+    (["verify", FIELD], 1),
+    (["verify", str(ROOT / "tests" / "data" / "unknown_variable.prob")], 2),
+    (["frobnicate", FREE], 2),
+    (["symmetries", FREE, "--jobs", "0"], 2),
+], ids=["passes", "check-fails", "bad-file", "usage-error", "jobs-0"])
+def test_process_exit_matches_main(capsys, argv, code):
+    result = _in_process(capsys, argv)
+    assert result[0] == code
+    assert _as_process(argv) == result
+
+
+def test_usage_error_prints_usage_on_stderr():
+    code, out, err = _as_process(["frobnicate", FREE])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: noether ")
+    assert "invalid choice: 'frobnicate'" in err
+
+
+def test_output_past_a_pipe_buffer_arrives_whole(capsys):
+    argv = ["verify", *[FREE] * 40, "--json", "--deterministic"]
+    code, out, _ = _as_process(argv)
+    assert code == 0 and len(out.encode()) > 64 * 1024
+    assert len(json.loads(out)) == 40
+    assert out == _in_process(capsys, argv)[1]
 
 
 def test_jobs_capped_at_file_count(monkeypatch, capsys):
@@ -574,12 +626,20 @@ def test_jobs_zero_exits_2_on_stderr(capsys):
 def test_snapshot_records_every_command_and_flag_set(tmp_path, monkeypatch,
                                                      capsys):
     """``tests/snapshot.py`` writes what the CLI prints, one directory per
-    command and flag set."""
+    command and flag set, and one per exit of argparse's."""
     import snapshot
     path = "problems/free_particle.prob"
     assert path in snapshot.bundled()
-    assert snapshot.write_snapshot(tmp_path, [path]) == 12
+    monkeypatch.setenv("COLUMNS", "80")   # the width argparse wraps help to
+    assert snapshot.write_snapshot(tmp_path, [path]) == 14
     monkeypatch.chdir(ROOT)
+    for name, code in (("help", 0), ("usage_error", 2)):
+        where = tmp_path / "argparse" / name
+        result = _in_process(capsys, list(snapshot.PARSER_RUNS[name]))
+        assert result[0] == code
+        assert result == (int((where / "exit").read_text()),
+                          (where / "stdout").read_text(),
+                          (where / "stderr").read_text())
     for command in snapshot.COMMANDS:
         for flags in snapshot.FLAG_SETS:
             where = tmp_path / "problems__free_particle.prob" / (

@@ -7,6 +7,7 @@ plain classes, because ``@dataclass`` compiles generated source for each
 class at import; the three that remain are named here.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -25,8 +26,9 @@ from noether.expr import DEPENDENT, VarId
 
 from util import child_env
 
-FREE = str(Path(__file__).resolve().parent.parent / "problems"
-           / "free_particle.prob")
+ROOT = Path(__file__).resolve().parent.parent
+FREE = str(ROOT / "problems" / "free_particle.prob")
+FIELD = str(ROOT / "problems" / "quartic_field.prob")
 
 # Runs the CLI in process, then reports whether noether.numeric was loaded.
 _CLI_PROBE = """
@@ -57,6 +59,44 @@ def _child(*args):
 def test_only_numcheck_imports_numeric(argv, loaded):
     out = _child("-c", _CLI_PROBE, *argv)
     assert out.stderr.splitlines()[-1] == f"numeric loaded: {loaded}"
+
+
+# Registers a handler that the interpreter's teardown runs, then runs the CLI
+# on the arguments through the process entry.
+_ENTRY_PROBE = """
+import atexit, sys
+from noether.cli import entry, main
+atexit.register(sys.stderr.write, "teardown ran\\n")
+entry()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", FREE], 0),
+    (["verify", FIELD], 1),
+    (["--help"], 0),
+])
+def test_entry_ends_the_process_without_teardown(argv, code):
+    out = _child("-c", _ENTRY_PROBE, *argv)
+    assert out.returncode == code
+    assert "teardown ran" not in out.stderr
+    # The same probe through main() alone sees the teardown.
+    plain = _child("-c", _ENTRY_PROBE.replace("entry()", "main()"), *argv)
+    assert "teardown ran" in plain.stderr
+
+
+def test_console_script_calls_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["noether"]
+    module, _, name = target.partition(":")
+    assert module == "noether.cli"
+    cli = importlib.import_module(module)
+    tree = ast.parse(inspect.getsource(cli))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+    assert callable(getattr(cli, name))
 
 
 def test_importing_the_cli_leaves_numeric_out():
