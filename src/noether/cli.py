@@ -191,7 +191,7 @@ def _run_numcheck(problem: Problem, el: ELSystem, args, result: Dict) -> None:
     runs = []
     for ic in seeded_initial_conditions(el, cfg.seed):
         report = check_integrals(laws, el, cfg, ic)
-        runs.append({"initial": {v.name: ic[v] for v in sorted(ic, key=lambda v: v.sort_index)},
+        runs.append({"initial": {v.name: x for v, x in ic.items()},
                      "drifts": report.drifts,
                      "passes": report.passes,
                      "truncated": report.truncated})
@@ -269,17 +269,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --jobs must be positive", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    tasks = [(args.command, path, args) for path in args.files]
-    if args.jobs > 1 and len(args.files) > 1:
+    n = len(args.files)
+    if args.jobs > 1 and n > 1:
         # The pool may start every worker at once, so never ask for more
         # workers than there are files.  Imported here: a one-process run
         # should not pay for it at start-up.
         import concurrent.futures
-        workers = min(args.jobs, len(args.files))
+        workers = min(args.jobs, n)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            outcomes = list(ex.map(_run_star, tasks))
+            outcomes = list(ex.map(run_file, [args.command] * n, args.files,
+                                   [args] * n))
     else:
-        outcomes = [_run_star(t) for t in tasks]
+        outcomes = [run_file(args.command, path, args) for path in args.files]
 
     try:
         _emit(args, outcomes)
@@ -302,10 +303,6 @@ def _emit(args, outcomes: List[Tuple[int, str, Dict]]) -> None:
         out = payload[0] if len(payload) == 1 else payload
         print(json.dumps(out, sort_keys=True, indent=2))
     sys.stdout.flush()
-
-
-def _run_star(task):
-    return run_file(*task)
 
 
 def entry() -> None:

@@ -218,10 +218,6 @@ class Expr:
     def variable(v: VarId) -> "Expr":
         return Expr({((v, 1),): 1})
 
-    @staticmethod
-    def term(coeff, mono: Monomial) -> "Expr":
-        return Expr({mono: _as_rational(coeff)})
-
     # -- inspection ----------------------------------------------------
 
     def term_map(self) -> Dict[Monomial, Rational]:
@@ -281,14 +277,7 @@ class Expr:
     def __sub__(self, other: "Expr") -> "Expr":
         if not isinstance(other, Expr):
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = out.get(mono, 0) - coeff
-            if s:
-                out[mono] = _exact(s)
-            else:
-                out.pop(mono, None)
-        return _raw(out)
+        return self + -other
 
     def __neg__(self) -> "Expr":
         return _raw({m: -c for m, c in self._terms.items()})
@@ -349,7 +338,11 @@ class Expr:
     # -- calculus and structure -----------------------------------------
 
     def partial(self, v: VarId) -> "Expr":
-        """Formal partial derivative; every other variable is a constant."""
+        """Formal partial derivative; every other variable is a constant.
+
+        Taking one factor of v out of two distinct monomials leaves two
+        distinct monomials, so no two terms meet and none cancels.
+        """
         out: Dict[Monomial, Rational] = {}
         for mono, coeff in self._terms.items():
             for i, (w, e) in enumerate(mono):
@@ -358,11 +351,7 @@ class Expr:
                         reduced = mono[:i] + mono[i + 1:]
                     else:
                         reduced = mono[:i] + ((w, e - 1),) + mono[i + 1:]
-                    s = out.get(reduced, 0) + coeff * e
-                    if s:
-                        out[reduced] = _exact(s)
-                    else:
-                        out.pop(reduced, None)
+                    out[reduced] = _exact(coeff * e)
                     break
         return _raw(out)
 
@@ -391,7 +380,7 @@ class Expr:
                 else:
                     p = repl ** e
                     piece = p if piece is None else piece * p
-            term = Expr.term(coeff, tuple(kept))
+            term = Expr({tuple(kept): coeff})
             if piece is not None:
                 term = term * piece
             result = result + term

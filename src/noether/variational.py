@@ -127,7 +127,7 @@ def _normalize(space: JetSpace, raw: List[Expr]) -> ELSystem:
             if lead.is_constant and top not in solved:
                 lead = lead.constant_value()
                 normalized.append(eq / lead)
-                solved[top] = (Expr.term(lead, ((top, 1),)) - eq) / lead
+                solved[top] = (Expr({((top, 1),): lead}) - eq) / lead
                 continue
         normalized.append(eq)
     return ELSystem(space=space, equations=normalized,

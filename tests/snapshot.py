@@ -5,11 +5,13 @@
 Runs each of the four commands under each flag set (none,
 ``--evolutionary``, ``--jet-order 1``), always with ``--json
 --deterministic``, on ``problems/*.prob``, ``tests/data/*.prob`` and any
-extra paths, and argparse's two exits: ``--help`` and a usage error (an
-unknown command).  Each run is its own subprocess, two at a time,
-importing the ``noether`` package from ``--src`` (default: this
-checkout's ``src``), and writes ``stdout``, ``stderr`` and ``exit`` into
-the directory ``OUT/<path>/<command><flags>``, or ``OUT/argparse/<name>``
+extra paths; each command once over all those paths with ``--jobs 2``
+(so the process pool's output is covered too); and argparse's two exits:
+``--help`` and a usage error (an unknown command).  Each run is its own
+subprocess, two at a time, importing the ``noether`` package from
+``--src`` (default: this checkout's ``src``), and writes ``stdout``,
+``stderr`` and ``exit`` into the directory ``OUT/<path>/<command><flags>``,
+``OUT/jobs2/<command>`` for the pool runs, or ``OUT/argparse/<name>``
 for argparse's exits.  The bundled paths are passed
 relative to this checkout's root and extra paths as absolute paths, so
 two trees give byte-identical output exactly when ``diff -r OUT1 OUT2``
@@ -58,8 +60,8 @@ def _run(src: str, where: Path, argv: Sequence[str]) -> None:
 
 def write_snapshot(out: Path, paths: Sequence[str],
                    src: Path = ROOT / "src") -> int:
-    """Run every command and flag set on each path, and argparse's exits;
-    return the run count."""
+    """Run every command and flag set on each path, each command on all
+    paths with ``--jobs 2``, and argparse's exits; return the run count."""
     out = Path(out)
     runs = [(str(src), out / "argparse" / name, argv)
             for name, argv in PARSER_RUNS.items()]
@@ -67,6 +69,9 @@ def write_snapshot(out: Path, paths: Sequence[str],
                   command + "".join(flags).replace("-", "_")),
               (command, path, *flags, "--json", "--deterministic"))
              for path in paths for command in COMMANDS for flags in FLAG_SETS]
+    runs += [(str(src), out / "jobs2" / command,
+              (command, *paths, "--jobs", "2", "--json", "--deterministic"))
+             for command in COMMANDS]
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
         list(ex.map(lambda run: _run(*run), runs))
     return len(runs)

@@ -475,7 +475,6 @@ def test_closed_stdout_pipe_ends_quietly(argv, code):
     # Buffered, the output waits in stdout's buffer until the final flush.
     for buffered in (True, False):
         env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen([sys.executable, "-m", "noether.cli", *argv],
@@ -548,8 +547,8 @@ def test_jobs_capped_at_file_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
@@ -626,12 +625,13 @@ def test_jobs_zero_exits_2_on_stderr(capsys):
 def test_snapshot_records_every_command_and_flag_set(tmp_path, monkeypatch,
                                                      capsys):
     """``tests/snapshot.py`` writes what the CLI prints, one directory per
-    command and flag set, and one per exit of argparse's."""
+    command and flag set, one per command over all paths with ``--jobs
+    2``, and one per exit of argparse's."""
     import snapshot
     path = "problems/free_particle.prob"
     assert path in snapshot.bundled()
     monkeypatch.setenv("COLUMNS", "80")   # the width argparse wraps help to
-    assert snapshot.write_snapshot(tmp_path, [path]) == 14
+    assert snapshot.write_snapshot(tmp_path, [path]) == 18
     monkeypatch.chdir(ROOT)
     for name, code in (("help", 0), ("usage_error", 2)):
         where = tmp_path / "argparse" / name
@@ -640,15 +640,21 @@ def test_snapshot_records_every_command_and_flag_set(tmp_path, monkeypatch,
         assert result == (int((where / "exit").read_text()),
                           (where / "stdout").read_text(),
                           (where / "stderr").read_text())
+
+    def same_as_main(where, argv):
+        code = main([*argv, "--json", "--deterministic"])
+        assert (where / "exit").read_text() == f"{code}\n"
+        out, err = capsys.readouterr()
+        assert (where / "stdout").read_text() == out
+        assert (where / "stderr").read_text() == err == ""
+
     for command in snapshot.COMMANDS:
         for flags in snapshot.FLAG_SETS:
-            where = tmp_path / "problems__free_particle.prob" / (
-                command + "".join(flags).replace("-", "_"))
-            code = main([command, path, *flags, "--json", "--deterministic"])
-            assert (where / "exit").read_text() == f"{code}\n"
-            out, err = capsys.readouterr()
-            assert (where / "stdout").read_text() == out
-            assert (where / "stderr").read_text() == err == ""
+            same_as_main(tmp_path / "problems__free_particle.prob" / (
+                command + "".join(flags).replace("-", "_")),
+                [command, path, *flags])
+        same_as_main(tmp_path / "jobs2" / command,
+                     [command, path, "--jobs", "2"])
 
 
 _LOC_SNIPPET = '''"""Module docstring,

@@ -1090,3 +1090,26 @@ def test_coefficients_are_int_or_true_fraction(path):
     numbers += [c for e in exprs for c in e.term_map().values()]
     assert numbers and all(is_canonical(c) for c in numbers), \
         sorted({type(c).__name__ for c in numbers if not is_canonical(c)})
+
+
+def test_law_builders_refuse_the_other_kind_of_problem(free_particle,
+                                                       quartic_field):
+    with pytest.raises(ValueError) as caught:
+        first_integral(quartic_field, Generator(), Expr.zero())
+    assert str(caught.value) == \
+        "first_integral applies to single-independent problems"
+    with pytest.raises(ValueError) as caught:
+        conservation_vector(free_particle, Generator(), [Expr.zero()])
+    assert str(caught.value) == "conservation_vector applies to PDE problems"
+
+
+@pytest.mark.parametrize("field, message", [
+    ("coeff_degree", "ansatz degree must be non-negative"),
+    ("gauge_degree", "gauge degree must be non-negative"),
+    ("coeff_jet_order", "ansatz jet order must be non-negative"),
+    ("gauge_jet_order", "gauge jet order must be non-negative"),
+])
+def test_ansatz_refuses_a_negative_field(field, message):
+    with pytest.raises(ValueError) as caught:
+        Ansatz(**{field: -1})
+    assert str(caught.value) == message

@@ -154,6 +154,54 @@ def test_ring_axioms_property(rng, ode):
         assert a * (b + c) == a * b + a * c
 
 
+def _canonical(c):
+    """An exact coefficient as it is stored: an integral Fraction as int."""
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _typed_items(terms):
+    return [(mono, c, type(c)) for mono, c in terms]
+
+
+def test_subtraction_keeps_the_term_order(rng, ode):
+    """a - b lists the items a copy of a's terms has after subtracting b's
+    in b's order and popping each zero: same monomials, order, values and
+    coefficient types."""
+    vars = [ode.lookup(n) for n in ("x", "y", "y'")]
+    cancelled = 0
+    for _ in range(200):
+        a = rand_expr(rng, vars, max_terms=6)
+        shared = [(m, c) for m, c in a.term_map().items() if rng.random() < 0.5]
+        b = Expr(dict(shared)) + rand_expr(rng, vars, max_terms=6)
+        out = a.term_map()
+        for mono, coeff in b.term_map().items():
+            diff = _canonical(out.get(mono, 0) - coeff)
+            if diff:
+                out[mono] = diff
+            else:
+                cancelled += 1
+                out.pop(mono, None)
+        assert _typed_items((a - b).term_map().items()) == \
+            _typed_items(out.items())
+    assert cancelled > 50
+
+
+def test_partial_keeps_the_term_order(rng, ode):
+    """e.partial(v) lists one term per term of e holding v, in e's order."""
+    vars = [ode.lookup(n) for n in ("x", "y", "y'")]
+    for _ in range(200):
+        e = rand_expr(rng, vars, max_terms=6, max_degree=5)
+        v = rng.choice(vars)
+        expected = [
+            (tuple((w, k - (w is v)) for w, k in mono
+                   if w is not v or k > 1), _canonical(coeff * dict(mono)[v]))
+            for mono, coeff in e.term_map().items() if v in dict(mono)]
+        assert _typed_items(e.partial(v).term_map().items()) == \
+            _typed_items(expected)
+
+
 def test_partial_product_rule_property(rng, ode):
     vars = [ode.lookup(n) for n in ("x", "y", "y'")]
     for _ in range(40):
@@ -282,3 +330,20 @@ def test_float_coefficient_refused():
 def test_constant_value_of_zero_is_int():
     value = Expr.zero().constant_value()
     assert type(value) is int and value == 0
+
+
+@pytest.mark.parametrize("act, error, message", [
+    (lambda y: y / y, ValueError,
+     "division is only defined by rational constants"),
+    (lambda y: y / 0, ZeroDivisionError, "division of an expression by zero"),
+    (lambda y: y / Expr.zero(), ZeroDivisionError,
+     "division of an expression by zero"),
+    (lambda y: y ** -1, ValueError,
+     "exponent must be a non-negative integer, got -1"),
+    (lambda y: y.evaluate({}), ValueError,
+     "unbound variable 'y' in evaluation"),
+], ids=["by-variable", "by-0", "by-zero-expr", "negative-power", "unbound"])
+def test_refusals_name_their_cause(ode, act, error, message):
+    with pytest.raises(error) as caught:
+        act(parse("y", ode))
+    assert str(caught.value) == message

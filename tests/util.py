@@ -49,8 +49,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def child_env():
-    """The environment of a child interpreter that imports this checkout."""
+    """The environment of a child interpreter that imports this checkout,
+    with stdout buffered as in an installed ``noether``: no
+    ``PYTHONUNBUFFERED``."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return env
