@@ -162,8 +162,7 @@ def condition_residual(L: Lagrangian, g: Generator,
             qs[i], v.multi_index, space, memos[i]) * p
     for j, x in enumerate(space.independents):
         flux = g.xi_of(x) * L.body - gauge[j]
-        if not flux.is_zero:
-            residual = residual + total_derivative(flux, x, space)
+        residual = residual + total_derivative(flux, x, space)
     return residual
 
 
@@ -423,7 +422,8 @@ def _assemble(L: Lagrangian, packing: _Packing,
     e_j for gauge j; for xi_j, dL/dx_j, L and the characteristic form's
     D^mu(-m*u_i,j) + m*u_i,mu+j, expanded by Leibniz so that its nu = 0
     term cancels.  Past the n columns, constant k, a residual's term map,
-    is column n + k; monomials that only constants hold add rows last.
+    is column n + k.  The rows are sorted once, constants included, since
+    row order changes no solve.
     """
     space, n = L.space, len(L.space.independents)
     unit = packing.unit
@@ -492,13 +492,11 @@ def _assemble(L: Lagrangian, packing: _Packing,
                 if c:
                     rows.setdefault(key, {})[k] = c
             k += 1
-    rows = dict(sorted(rows.items()))
     for i, terms in enumerate(constants):
-        packed = packing.pack(terms)
-        for key in sorted(packed):
-            rows.setdefault(key, {})[k + i] = packed[key] * scale
-    return list(rows.values()), [(s, p) for s, (*_, monos)
-                                 in enumerate(slots) for p in monos], scale
+        for key, c in packing.pack(terms).items():
+            rows.setdefault(key, {})[k + i] = c * scale
+    return [rows[key] for key in sorted(rows)], [
+        (s, p) for s, (*_, monos) in enumerate(slots) for p in monos], scale
 
 
 def _slot_values(vec: Row, columns: Sequence[Tuple[int, int]],
@@ -523,19 +521,21 @@ def _system(L: Lagrangian, ansatz: Ansatz
     of slots (xi, then one eta per dependent and one gauge per
     independent) and the packing of its monomials.  Constant gauge
     monomials, which would only add additive-constant directions, are
-    never instantiated.
+    never instantiated.  With ``include_gauge`` off the gauge slots have
+    degree 0, so no monomials: ``gauge_degree`` is then neither
+    enumerated, bounded nor packed for.
     """
     space = L.space
     if ansatz.coeff_jet_order > L.order:
         raise ValueError(
             "coefficient jet order above the Lagrangian order is not "
             "meaningful once the equations of motion constrain the system")
-    packing = _Packing(L, max(ansatz.coeff_degree, ansatz.gauge_degree))
+    gauge_degree = ansatz.gauge_degree if ansatz.include_gauge else 0
+    packing = _Packing(L, max(ansatz.coeff_degree, gauge_degree))
     coeff = packing.monomials(ansatz.coeff_jet_order, ansatz.coeff_degree)
     gauge = packing.monomials(ansatz.resolved_gauge_jet_order(L),
-                              ansatz.gauge_degree, include_constant=False)
+                              gauge_degree, include_constant=False)
     xs = () if ansatz.suppress_xi else space.independents
-    gauge = gauge if ansatz.include_gauge else []
     slots = ([("xi", j, coeff) for j in range(len(xs))]
              + [("eta", i, coeff) for i in range(len(space.dependents))]
              + [("gauge", j, gauge) for j in range(len(space.independents))])

@@ -20,8 +20,9 @@ engine's invariance residual and boundary terms.
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .expr import DEPENDENT, INDEPENDENT, JET, Expr, Record, VarId
 
@@ -30,19 +31,6 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
 class HeadroomError(ValueError):
     """A derivative would exceed the registered working order."""
-
-
-def _multi_indices(n: int, total: int) -> Iterator[Tuple[int, ...]]:
-    """All length-n tuples of non-negative ints with the given sum.
-
-    Enumerated with the first slot largest first: (2,0), (1,1), (0,2).
-    """
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _multi_indices(n - 1, total - first):
-            yield (first,) + rest
 
 
 class JetSpace:
@@ -73,9 +61,13 @@ class JetSpace:
             for i, n in enumerate(dependents))
         for i, dep in enumerate(self.dependents):
             self._jets[(i, dep.multi_index)] = dep
+        idx = range(len(self.independents))
         for order in range(1, max_order + 1):
             for i, dep in enumerate(self.dependents):
-                for multi in _multi_indices(len(self.independents), order):
+                # Counted per independent, the first slot largest first:
+                # (2,0), (1,1), (0,2).
+                for c in itertools.combinations_with_replacement(idx, order):
+                    multi = tuple(map(c.count, idx))
                     v = self._register(JET, self._jet_name(dep, multi),
                                        dep_index=i, multi_index=multi)
                     self._jets[(i, multi)] = v

@@ -323,6 +323,31 @@ def test_huge_gauge_degree_in_verify_exits_2_before_building(tmp_path,
     assert "ansatz degree 100000" in out
 
 
+@pytest.mark.parametrize("gauge, flags",
+                         [("off", ()), ("on", ("--no-gauge",))])
+def test_gauge_off_ignores_the_gauge_degree(tmp_path, capsys, gauge, flags):
+    """With the gauge off, by the file or by ``--no-gauge``, no gauge slot
+    is built, so a gauge degree past the slot bound is never enumerated:
+    the search runs and lists what it lists at gauge degree 4."""
+    records = []
+    for degree in (200, 4):
+        path = tmp_path / f"gauge_{degree}.prob"
+        path.write_text("[problem]\nindependents = t\ndependents = x, y\n"
+                        "lagrangian = 1/2*x'^2 + 1/2*y'^2\norder = 1\n\n"
+                        f"[ansatz]\ngauge = {gauge}\n"
+                        f"gauge_degree = {degree}\n")
+        with deadline(10):
+            code, out = run(capsys, "integrals", str(path), *flags,
+                            "--json", "--deterministic")
+        assert code == 0
+        record = json.loads(out)
+        assert record.pop("file") == str(path)
+        assert record["ansatz"].pop("gauge_degree") == degree
+        records.append(record)
+    assert records[0] == records[1]
+    assert len(records[0]["solutions"]) == 5
+
+
 def test_numcheck_overflowing_integral_fails_cleanly(tmp_path, capsys):
     cubic = tmp_path / "cubic.prob"
     cubic.write_text("[problem]\nindependents = t\ndependents = y\n"

@@ -13,6 +13,8 @@ from noether.jets import multi_derivative
 
 from util import closed_form_zeta, rand_expr
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def D(e, space, name="x"):
     return total_derivative(e, space.lookup(name), space)
@@ -51,6 +53,58 @@ def test_jet_vars_follow_sort_index(independents, dependents):
             found = [v.sort_index
                      for v in space.jet_vars(dep_index, max_order)]
             assert found and found == sorted(set(found))
+
+
+def _reference_registry(independents, dependents, max_order):
+    """(name, dependent index, multi-index) of every variable a JetSpace
+    registers, in registration order: the independents, the dependents,
+    then per order and per dependent each composition of the order over
+    the independents once, descending lexicographically."""
+    n = len(independents)
+    out = [(x, -1, ()) for x in independents]
+    out += [(u, i, (0,) * n) for i, u in enumerate(dependents)]
+    for order in range(1, max_order + 1):
+        multis = sorted((m for m in itertools.product(range(order + 1),
+                                                      repeat=n)
+                         if sum(m) == order), reverse=True)
+        for i, u in enumerate(dependents):
+            for m in multis:
+                name = (u + "'" * order if n == 1 else u + "_" + "".join(
+                    x * c for x, c in zip(independents, m)))
+                out.append((name, i, m))
+    return out
+
+
+def _registry(space):
+    return [(v.name, v.dep_index, v.multi_index)
+            for v in [*space.independents, *space.jet_vars()]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_each_composition_registers_once_descending(n):
+    """For 1-4 independents and orders up to 6, each order's jets are the
+    compositions of the order, each once, in descending lexicographic
+    order of multi-index, and the sort indices count registrations."""
+    independents = ["t", "x", "y", "z"][:n]
+    for dependents in (["u"], ["u", "v"]):
+        space = JetSpace(independents, dependents, max_order=6)
+        assert _registry(space) == _reference_registry(
+            independents, dependents, 6)
+        variables = [*space.independents, *space.jet_vars()]
+        assert [v.sort_index for v in variables] == \
+            list(range(space.variable_count))
+
+
+def test_bundled_problems_keep_their_jet_names():
+    """Every bundled problem's space registers the names, in the order,
+    that the reference enumeration gives."""
+    paths = sorted((ROOT / "problems").glob("*.prob"))
+    for path in paths:
+        space = load_problem(str(path)).lagrangian.space
+        assert _registry(space) == _reference_registry(
+            [x.name for x in space.independents],
+            [u.name for u in space.dependents], space.max_order)
+    assert len(paths) == 5
 
 
 def test_commutativity_of_total_derivatives(rng, pde):

@@ -11,14 +11,14 @@ column index, the ``Fraction`` elimination normalizes each pivot row to 1
 at its lead where ``noether.linalg`` keeps primitive integer rows and
 divides only at read-out, the scanning fill reads every template term for
 every assignment where ``noether.engine`` reads only the solution's entries,
-the template rows split the invariance residual of the whole ansatz by
-unknown where ``noether.engine`` assembles them column by column, the
-tuple enumerator sorts monomials by ``mono_key`` where ``noether.engine``
-sorts packed ints, the recursive prolongation and its residual peel
-one derivative at a time off the lower coefficient where ``noether``
-differentiates the characteristic, and the reference normal form splits
-each Euler-Lagrange expression on the powers of its top jet where
-``noether.variational`` takes one partial.
+the template rows split the recursive prolongation's invariance residual
+of the whole ansatz by unknown where ``noether.engine`` assembles them
+column by column, the tuple enumerator sorts monomials by ``mono_key``
+where ``noether.engine`` sorts packed ints, the recursive prolongation
+and its residual peel one derivative at a time off the lower coefficient
+where ``noether`` differentiates the characteristic, and the reference
+normal form splits each Euler-Lagrange expression on the powers of its
+top jet where ``noether.variational`` takes one partial.
 
 The solve oracles keep the shape the solver had before right-hand sides
 became columns: a list of ``(row, {k: b_k})`` pairs for A x = b_k.
@@ -38,8 +38,7 @@ import signal
 from fractions import Fraction
 from pathlib import Path
 
-from noether import (Expr, Generator, JetSpace, condition_residual,
-                     total_derivative)
+from noether import Expr, Generator, JetSpace, total_derivative
 from noether.engine import _ansatz
 from noether.expr import _as_rational, _exact, mono_key, rational_div
 from noether.numeric import state_variables
@@ -606,16 +605,17 @@ def template_rows(L, ds):
     column assembly: the invariance residual of its templates, in which
     every term carries its unknown as a factor, split by unknown."""
     g = Generator(xi=dict(ds.xi_templates), eta=dict(ds.eta_templates))
-    residual = condition_residual(L, g, ds.gauge_templates)
+    residual = prolongation_residual(L, g, ds.gauge_templates)
     return list(split_rows(residual, ds.unknowns).values())
 
 
 def template_gauge_systems(L, generators, degree=4, jet_order=None):
     """The systems ``find_gauges`` eliminates, one per gauge jet order in
     order of first use, as they were built before column assembly: the
-    rows split from the gauge templates' divergence, ascending, then each
-    candidate's new residual monomials, ascending.  Each is a list of
-    (row, right-hand sides) pairs, with its number of unknowns."""
+    rows split from the gauge templates' divergence, with a row for each
+    candidate's residual monomial, all ascending by ``mono_key``.  Each is
+    a list of (row, right-hand sides) pairs, with its number of
+    unknowns."""
     space = L.space
     groups = {}
     for k, g in enumerate(generators):
@@ -630,12 +630,13 @@ def template_gauge_systems(L, generators, degree=4, jet_order=None):
         n = len(space.independents)
         unknowns, templates = _ansatz(
             space, [(j, m) for j in range(n) for m in monos], n)
-        divergence = condition_residual(L, Generator(), templates)
+        divergence = prolongation_residual(L, Generator(), templates)
         system = {mono: (row, {})
                   for mono, row in split_rows(divergence, unknowns).items()}
         for k, member in enumerate(members):
-            terms = condition_residual(L, generators[member]).term_map()
-            for mono in sorted(terms, key=mono_key):
-                system.setdefault(mono, ({}, {}))[1][k] = -terms[mono]
-        systems.append((list(system.values()), len(unknowns)))
+            terms = prolongation_residual(L, generators[member]).term_map()
+            for mono, c in terms.items():
+                system.setdefault(mono, ({}, {}))[1][k] = -c
+        systems.append(([system[m] for m in sorted(system, key=mono_key)],
+                        len(unknowns)))
     return systems
