@@ -59,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the structured result as JSON")
     p.add_argument("--deterministic", action="store_true",
                    help="omit the timestamp for byte-identical reruns")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="process this many files concurrently")
     p.add_argument("--step", type=float, default=None, help="integration step")
     p.add_argument("--horizon", type=float, default=None,
                    help="integration horizon")
@@ -265,23 +263,7 @@ def render(result: Dict) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be positive", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    n = len(args.files)
-    if args.jobs > 1 and n > 1:
-        # The pool may start every worker at once, so never ask for more
-        # workers than there are files.  Imported here: a one-process run
-        # should not pay for it at start-up.
-        import concurrent.futures
-        workers = min(args.jobs, n)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            outcomes = list(ex.map(run_file, [args.command] * n, args.files,
-                                   [args] * n))
-    else:
-        outcomes = [run_file(args.command, path, args) for path in args.files]
-
+    outcomes = [run_file(args.command, path, args) for path in args.files]
     try:
         _emit(args, outcomes)
     except BrokenPipeError:

@@ -1,6 +1,5 @@
 """Command-line interface: output modes, determinism, exit codes."""
 
-import concurrent.futures
 import json
 import re
 import subprocess
@@ -174,11 +173,10 @@ def test_json_timestamp_present_by_default(capsys):
     assert "timestamp" in json.loads(out)
 
 
-def test_multiple_files_and_jobs(capsys):
-    code, out = run(capsys, "symmetries", FREE, PLANAR, "--jobs", "2")
+def test_multiple_files_print_in_order(capsys):
+    code, out = run(capsys, "symmetries", FREE, PLANAR)
     assert code == 0
-    assert "symmetries found: 5" in out
-    assert "symmetries found: 8" in out
+    assert out.index("symmetries found: 5") < out.index("symmetries found: 8")
 
 
 def test_multiple_files_json_is_array(capsys):
@@ -557,34 +555,20 @@ def test_output_past_a_pipe_buffer_arrives_whole(capsys):
     assert out == _in_process(capsys, argv)[1]
 
 
-def test_jobs_capped_at_file_count(monkeypatch, capsys):
-    requested = []
-
-    class RecordingPool:
-        """Records the worker count and runs the tasks in this process."""
-
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    code, out = run(capsys, "symmetries", FREE, PLANAR, "--jobs", "100000")
-    assert code == 0
-    assert "symmetries found: 5" in out and "symmetries found: 8" in out
-    assert requested == [2]
+def test_jobs_is_a_usage_error(capsys):
+    """Several files run one after another in one process; ``--jobs`` is
+    no option, so argparse refuses it, in process and as a process."""
+    argv = ["symmetries", FREE, PLANAR, "--jobs", "2"]
+    code, out, err = _as_process(argv)
+    assert _in_process(capsys, argv) == (code, out, err)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: noether ")
+    assert "unrecognized arguments: --jobs 2" in err
+    assert "Traceback" not in err
 
 
 def test_process_pool_imported_only_when_started():
-    # A one-process run should not pay for concurrent.futures at start-up.
+    # Every run is one process, so the CLI never loads a process pool.
     probe = ("import sys, noether.cli; "
              "print('concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -642,16 +626,11 @@ def test_empty_generator_pieces_are_skipped(tmp_path):
     assert padded == plain and len(plain.eta) == 1
 
 
-def test_jobs_zero_exits_2_on_stderr(capsys):
-    assert main(["symmetries", FREE, "--jobs", "0"]) == 2
-    assert capsys.readouterr() == ("", "error: --jobs must be positive\n")
-
-
 def test_snapshot_records_every_command_and_flag_set(tmp_path, monkeypatch,
                                                      capsys):
     """``tests/snapshot.py`` writes what the CLI prints, one directory per
-    command and flag set, one per command over all paths with ``--jobs
-    2``, and one per exit of argparse's."""
+    command and flag set, one per command over all paths, and one per
+    exit of argparse's."""
     import snapshot
     path = "problems/free_particle.prob"
     assert path in snapshot.bundled()
@@ -678,8 +657,7 @@ def test_snapshot_records_every_command_and_flag_set(tmp_path, monkeypatch,
             same_as_main(tmp_path / "problems__free_particle.prob" / (
                 command + "".join(flags).replace("-", "_")),
                 [command, path, *flags])
-        same_as_main(tmp_path / "jobs2" / command,
-                     [command, path, "--jobs", "2"])
+        same_as_main(tmp_path / "files" / command, [command, path])
 
 
 _LOC_SNIPPET = '''"""Module docstring,

@@ -17,11 +17,11 @@ from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
                      verify_candidate)
 from noether.engine import _ansatz, _Packing, _system
 
-from util import (constant_columns, first_integral_closed_form, is_canonical,
-                  monomials_upto, on_shell_zero, prolongation_residual,
-                  rand_expr, rand_nonzero_expr, recursive_prolong,
-                  scanning_fill, split_rows, template_gauge_systems,
-                  template_rows)
+from util import (LOADABLE, bundled_solutions, constant_columns,
+                  first_integral_closed_form, is_canonical, monomials_upto,
+                  on_shell_zero, prolongation_residual, rand_expr,
+                  rand_nonzero_expr, recursive_prolong, scanning_fill,
+                  split_rows, template_gauge_systems, template_rows)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -745,6 +745,39 @@ def test_noether_identity_is_the_invariance_residual(rng):
     assert refused > 100   # of 135 draws: most are not symmetries
 
 
+def test_every_law_has_a_divergence_product():
+    """Anco-Bluman: Q.E(L) is a total divergence, so its own Euler-Lagrange
+    expressions E_u(Q.E(L)) vanish identically, for the characteristic Q_i
+    = eta_i - sum_j xi_j u_i,j of every law ``solve_noether`` returns on
+    the bundled and tests/data problems at their own [ansatz].  The check
+    reads only the generator, not the law: the printed product is parsed
+    again as the body of a Lagrangian over a jet space with room for its
+    Euler-Lagrange expressions (Anco and Bluman, Eur. J. Appl. Math. 13,
+    2002)."""
+    checked = 0
+    for path, problem, solutions in bundled_solutions():
+        space, n = problem.space, len(problem.space.independents)
+        raw = euler_lagrange(problem.lagrangian).raw
+        for sol in solutions:
+            g = sol.generator
+            product = Expr.zero()
+            for i, (u, e) in enumerate(zip(space.dependents, raw)):
+                q = g.eta_of(u)
+                for j, x in enumerate(space.independents):
+                    u_j = space.jet(i, tuple(int(a == j) for a in range(n)))
+                    q = q - g.xi_of(x) * Expr.variable(u_j)
+                product = product + q * e
+            order = product.max_jet_order()
+            room = JetSpace([x.name for x in space.independents],
+                            [u.name for u in space.dependents],
+                            max_order=2 * order)
+            L = Lagrangian(room, order, parse(str(product), room))
+            assert all(e.is_zero for e in euler_lagrange(L).raw), \
+                (path, str(g.eta), str(g.xi))
+            checked += 1
+    assert checked == 72
+
+
 def test_law_equals_the_unscaled_formula(rng):
     """``_law`` works on k*g and k*F, k an lcm of denominators, and
     divides each component by k at the end; the law equals the unscaled
@@ -1061,14 +1094,6 @@ def test_evolutionary_search_spans_point_laws(free_particle, ode):
 
 
 # -- stored coefficient types ---------------------------------------------------
-
-# Every loadable problem file; tests/data/unknown_variable.prob is invalid
-# input by design.
-LOADABLE = sorted(str(p.relative_to(ROOT))
-                  for p in [*(ROOT / "problems").glob("*.prob"),
-                            *(ROOT / "tests/data").glob("*.prob")]
-                  if p.name != "unknown_variable.prob")
-
 
 @pytest.mark.parametrize("path", LOADABLE)
 def test_coefficients_are_int_or_true_fraction(path):

@@ -1,0 +1,41 @@
+"""The scale ladder (``tests/ladder.py``) at degree 3: a smoke run that
+checks the record's shape, not its times."""
+
+import json
+
+import ladder
+
+
+def test_ladder_records_sizes_times_and_slopes(tmp_path):
+    record = ladder.run(tmp_path, degrees=(3,), gauge_degrees=(3,),
+                        steps=(100, 200))
+    json.dumps(record)   # the record is plain JSON
+    ladders = record["ladders"]
+    (search,), (fit,) = (ladders[k]["rungs"] for k in ("symmetries",
+                                                       "verify"))
+    # Three slots of C(5 + 3, 3) monomials over t, x, y, x', y' and a gauge
+    # of C(3 + 3, 3) - 1 over t, x, y.
+    assert (search["unknowns"], search["rank"], search["nullity"]) == \
+        (3 * 56 + 19, 171, 16)
+    assert search["laws"] == search["nullity"]   # no gauge-only direction
+    assert search["rows"] > 0 and search["nnz"] >= search["rows"]
+    assert (fit["candidates"], fit["accepted"], fit["nullity"]) == (4, 2, 0)
+    assert fit["rank"] == fit["unknowns"] > 0
+    assert [r["steps"] for r in ladders["numcheck"]["rungs"]] == [100, 200]
+    assert all(r["runs"] == 20 and r["truncated"] == 0
+               for r in ladders["numcheck"]["rungs"])
+    for name, layers in (("symmetries", {"_system", "nullspace", "_law"}),
+                         ("verify", {"_assemble", "solve_affine_many",
+                                     "_law"}),
+                         ("numcheck", {"check_integrals"})):
+        assert all(set(r["times_s"]) == layers and
+                   min(r["times_s"].values()) >= 0
+                   for r in ladders[name]["rungs"])
+        assert set(ladders[name]["slopes"]) == layers
+    assert ladders["symmetries"]["slopes"]["_law"] is None   # one rung
+    assert isinstance(ladders["numcheck"]["slopes"]["check_integrals"], float)
+
+
+def test_slope_of_a_power_law():
+    assert abs(ladder.slope([(10, 3), (100, 300), (1000, 30000)]) - 2) < 1e-12
+    assert ladder.slope([(10, 1.0), (10, 2.0)]) is None

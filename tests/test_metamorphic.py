@@ -5,15 +5,19 @@ Relabelling the dependents of a time-like problem, or the independents of
 a field problem, only relabels its variational symmetries, and scaling L
 by a rational c keeps them while scaling each gauge and law by c.  The
 spans are compared both ways with ``match_generator``, never the bases,
-which depend on the registration order."""
+which depend on the registration order.  The bracket of two variational
+point symmetries is one again, so it admits a gauge."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from noether import (Ansatz, Expr, Generator, JetSpace, Lagrangian,
-                     match_generator, solve_noether)
+                     find_gauges, match_generator, solve_noether)
 from noether.expr import INDEPENDENT
+
+from util import bundled_solutions
 
 ANSATZ = Ansatz(coeff_degree=2, gauge_degree=2)
 
@@ -158,3 +162,46 @@ def test_scaling_the_lagrangian_scales_gauges_and_laws(rng, kind):
             assert match.gauge == tuple(f * c for f in sol.gauge)
             assert match.law.components == \
                 tuple(p * c for p in sol.law.components)
+
+
+def _bracket(v, w, space):
+    """The Lie bracket [v, w] of two point generators: each coefficient is
+    v applied to w's minus w applied to v's, v acting on a function of the
+    independents and dependents as sum_j xi_j d/dx_j + sum_i eta_i d/du_i."""
+    def act(g, e):
+        out = Expr.zero()
+        for x in space.independents:
+            out = out + g.xi_of(x) * e.partial(x)
+        for u in space.dependents:
+            out = out + g.eta_of(u) * e.partial(u)
+        return out
+    return Generator(
+        xi={x: act(v, w.xi_of(x)) - act(w, v.xi_of(x))
+            for x in space.independents},
+        eta={u: act(v, w.eta_of(u)) - act(w, v.eta_of(u))
+             for u in space.dependents})
+
+
+def test_brackets_of_point_symmetries_admit_a_gauge():
+    """The variational symmetries form a Lie algebra: the bracket of two
+    point generators ``solve_noether`` finds on a bundled or tests/data
+    problem at its own [ansatz] is a variational symmetry.  Its degree
+    is at most twice the coefficient degree less one, so a gauge is sought
+    at the gauge degree plus the coefficient degree less one.  The
+    bracket need not lie in the listed span, whose gauge degree is the
+    file's: schrodinger_pair's span misses 2 of its 19 nonzero brackets
+    and wave_2plus1's 15 of 100."""
+    brackets = 0
+    for path, problem, solutions in bundled_solutions():
+        L, ansatz = problem.lagrangian, problem.ansatz
+        points = [s.generator for s in solutions
+                  if s.generator.dependence_order == 0]
+        pairs = [_bracket(v, w, L.space)
+                 for v, w in itertools.combinations(points, 2)]
+        pairs = [b for b in pairs if not b.is_zero]
+        gauges = find_gauges(
+            L, pairs, degree=ansatz.gauge_degree + ansatz.coeff_degree - 1,
+            jet_order=ansatz.gauge_jet_order)
+        assert None not in gauges, path
+        brackets += len(pairs)
+    assert brackets == 178

@@ -30,6 +30,7 @@ the sign is written here once, apart from ``noether``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -38,13 +39,34 @@ import signal
 from fractions import Fraction
 from pathlib import Path
 
-from noether import Expr, Generator, JetSpace, total_derivative
+from noether import (Expr, Generator, JetSpace, load_problem, solve_noether,
+                     total_derivative)
 from noether.engine import _ansatz
 from noether.expr import _as_rational, _exact, mono_key, rational_div
 from noether.numeric import state_variables
 
 SEED = 42
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# Every loadable problem file; tests/data/unknown_variable.prob is invalid
+# input by design.
+LOADABLE = sorted(str(p.relative_to(ROOT))
+                  for p in [*(ROOT / "problems").glob("*.prob"),
+                            *(ROOT / "tests/data").glob("*.prob")]
+                  if p.name != "unknown_variable.prob")
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_solutions():
+    """(path, problem, solutions) for each ``LOADABLE`` file, solved by
+    ``solve_noether`` at the file's own ``[ansatz]``, once per run."""
+    out = []
+    for path in LOADABLE:
+        problem = load_problem(str(ROOT / path))
+        out.append((path, problem,
+                    tuple(solve_noether(problem.lagrangian, problem.ansatz))))
+    return tuple(out)
 
 
 def child_env():
