@@ -213,36 +213,6 @@ def multi_derivative(e: Expr, multi: Tuple[int, ...], space: JetSpace,
     return memo[multi]
 
 
-def prolong_pde(g: Generator, target: VarId, space: JetSpace) -> Expr:
-    """Extension coefficient of a generator at a jet coordinate.
-
-    The general prolongation formula (Olver, Thm 2.36): D^mu Q_i plus
-    sum_l xi_l * u_i,mu+l, where Q_i is the characteristic and (i, mu) the
-    target.  Where some xi_l is nonzero this needs the jets one order above
-    the target, so at the space's top order it raises ``HeadroomError``.
-    """
-    if target.kind not in (DEPENDENT, JET):
-        raise ValueError(f"{target.name!r} is not a jet coordinate")
-    i, multi = target.dep_index, target.multi_index
-    result = multi_derivative(characteristics(g, space)[i], multi, space)
-    for l, x in enumerate(space.independents):
-        if x in g.xi:
-            jet = Expr.variable(space.derivative(target, l))
-            result = result + g.xi[x] * jet
-    return result
-
-
-def evolutionary_form(g: Generator, space: JetSpace) -> Generator:
-    """Equivalent generator with zero independent-variable coefficients.
-
-    The dependent coefficients become the characteristics
-    eta_i - sum_j xi_j * u_i,j.  They add only first derivatives, which
-    every jet space holds, so every generator has an evolutionary form.
-    """
-    qs = characteristics(g, space)
-    return Generator(eta=dict(zip(space.dependents, qs)))
-
-
 def characteristics(g: Generator, space: JetSpace) -> List[Expr]:
     """Q_i = eta_i - sum_j xi_j * u_i,j for each dependent variable."""
     out = []

@@ -259,7 +259,7 @@ def load_problem(path: str) -> Problem:
     cp = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     cp.optionxform = str
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             cp.read_file(fh, source=path)
     except OSError as err:
         raise ProblemError(f"cannot read {path}: {err}")

@@ -1,4 +1,4 @@
-"""Euler-Lagrange synthesis, the velocity Hessian, and on-shell reduction.
+"""Euler-Lagrange synthesis and on-shell reduction.
 
 The Euler operator is applied per dependent variable over distinct jet
 coordinates.  Each resulting equation is solved for its distinguished
@@ -166,16 +166,3 @@ def reduce_mod_el(e: Expr, el: ELSystem, space: JetSpace) -> Expr:
         replacement = multi_derivative(solved[h], delta, space, memos[h])
         e = e.substitute({v: replacement})
     raise ReductionError("reduction did not terminate; malformed solved forms")
-
-
-def _hessian_matrix(L: Lagrangian) -> List[List[Expr]]:
-    """The velocity Hessian d2L/dv_i dv_j of a first-order time-like
-    Lagrangian."""
-    space = L.space
-    if L.order != 1 or not space.is_ode:
-        raise ValueError("the velocity Hessian requires a first-order "
-                         "Lagrangian in one independent variable")
-    vels = [space.jet(i, (1,)) for i in range(len(space.dependents))]
-    first = {v: p for _, v, p in L.partials}
-    return [[first.get(vi, Expr.zero()).partial(vj) for vj in vels]
-            for vi in vels]

@@ -7,7 +7,10 @@ docstring (the first statement of a module, class or function body when
 it is a string literal).  Blank lines, comment lines and docstring lines
 do not count; a string literal that is not a docstring counts every line
 it spans.  Prints one line per module of ``DIR/noether`` (default: this
-checkout's ``src``), then the total.
+checkout's ``src``), then the total, then the code lines of the modules
+that ``import noether.cli`` loads: what every command compiles when it
+starts without a bytecode cache.  That import runs in a child process
+that writes no bytecode.
 
 Standard library only; pytest does not collect this file.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -59,6 +63,26 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+# Prints the file of each noether module that importing the CLI loads.
+_STARTUP_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import noether.cli
+for name, module in sys.modules.items():
+    if name == "noether" or name.startswith("noether."):
+        print(module.__file__)
+"""
+
+
+def startup_files(src: Path) -> list:
+    """The source files of the noether modules that a child process's
+    ``import noether.cli`` loads from ``src``."""
+    out = subprocess.run([sys.executable, "-B", "-c", _STARTUP_PROBE,
+                          str(src)], capture_output=True, text=True,
+                         check=True)
+    return [Path(line) for line in out.stdout.splitlines()]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", type=Path, default=ROOT / "src",
@@ -70,6 +94,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         total += n
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
+    startup = sum(code_lines(path.read_text(encoding="utf-8"))
+                  for path in startup_files(args.src.resolve()))
+    print(f"{startup:6d}  import noether.cli")
     return 0
 
 

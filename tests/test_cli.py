@@ -209,6 +209,20 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_byte_order_mark_reads_as_the_same_file(tmp_path, capsys):
+    """A problem file saved with a UTF-8 byte-order mark gives the same
+    result; a byte that is not UTF-8 still exits 2 with its codec message."""
+    bom = tmp_path / "bom.prob"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(FREE).read_bytes())
+    assert _json_text(capsys, "verify", str(bom)) == \
+        _json_text(capsys, "verify", FREE)
+    latin = tmp_path / "latin.prob"
+    latin.write_bytes(Path(FREE).read_bytes() + b"# caf\xe9\n")
+    code, out = run(capsys, "verify", str(latin))
+    assert code == 2
+    assert "'utf-8' codec can't decode byte 0xe9" in out
+
+
 def test_evolutionary_flag(capsys):
     code, out = run(capsys, "symmetries", FREE, "--evolutionary")
     assert code == 0
@@ -682,10 +696,23 @@ class C:
 def test_loc_counts_lines_holding_code(tmp_path, capsys):
     """``tests/loc.py`` counts the lines holding a token that is neither a
     comment nor a docstring: every line of a multi-line string that is not
-    a docstring, no blank, comment or docstring line."""
+    a docstring, no blank, comment or docstring line.  The last line
+    counts only the modules that ``import noether.cli`` loads: in this
+    checkout, all but ``numeric`` and ``library``."""
     import loc
     assert loc.code_lines(_LOC_SNIPPET) == 7
-    (tmp_path / "noether").mkdir()
-    (tmp_path / "noether" / "snippet.py").write_text(_LOC_SNIPPET)
+    package = tmp_path / "noether"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("from . import snippet\n")
+    (package / "snippet.py").write_text(_LOC_SNIPPET)
+    (package / "unused.py").write_text("x = 1\n")
     assert loc.main(["--src", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == "     7  snippet.py\n     7  total\n"
+    assert capsys.readouterr().out == (
+        "     0  __init__.py\n     1  cli.py\n     7  snippet.py\n"
+        "     1  unused.py\n     9  total\n     8  import noether.cli\n")
+    assert loc.main([]) == 0
+    counts = {name: int(n) for n, name in (
+        line.split(None, 1) for line in capsys.readouterr().out.splitlines())}
+    assert counts["import noether.cli"] == (
+        counts["total"] - counts["numeric.py"] - counts["library.py"])

@@ -29,7 +29,7 @@ def test_library_tour_names_every_public_name():
 
 # ``expr`` and ``cli`` are left out: their public helpers are plumbing.
 @pytest.mark.parametrize("module", ["jets", "variational", "linalg", "engine",
-                                    "numeric", "problem"])
+                                    "library", "numeric", "problem"])
 def test_library_tour_row_names_its_module(module):
     """A module's row names every public function and class it defines."""
     mod = importlib.import_module(f"noether.{module}")

@@ -15,7 +15,8 @@ from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
                      match_generator, parse, prolong_pde, reduce_mod_el,
                      solve, solve_noether, total_derivative, verify,
                      verify_candidate)
-from noether.engine import _ansatz, _Packing, _system
+from noether.engine import _Packing, _system
+from noether.library import _ansatz
 
 from util import (LOADABLE, bundled_solutions, constant_columns,
                   first_integral_closed_form, is_canonical, monomials_upto,

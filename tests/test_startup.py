@@ -1,8 +1,9 @@
 """Start-up: what a fresh ``noether`` process imports and defines.
 
 Every command is a fresh process, so start-up is paid on every run.  Only
-``numcheck`` integrates, so only it may import ``noether.numeric``; the
-package resolves that module's names on first use.  Value classes are
+``numcheck`` integrates, so only it may import ``noether.numeric``, and no
+command imports ``noether.library``; the package resolves those modules'
+names on first use.  Value classes are
 plain classes, because ``@dataclass`` compiles generated source for each
 class at import; the three that remain are named here.
 """
@@ -30,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FREE = str(ROOT / "problems" / "free_particle.prob")
 FIELD = str(ROOT / "problems" / "quartic_field.prob")
 
-# Runs the CLI in process, then reports whether noether.numeric was loaded.
+# Runs the CLI in process, then reports the noether modules it loaded.
 _CLI_PROBE = """
 import sys
 from noether.cli import main
@@ -38,8 +39,13 @@ try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-sys.stderr.write(f"\\nnumeric loaded: {'noether.numeric' in sys.modules}\\n")
+loaded = sorted(m for m in sys.modules if m.startswith("noether."))
+sys.stderr.write(f"\\nloaded: {' '.join(loaded)}\\n")
 """
+
+# What ``import noether.cli`` loads; only ``numcheck`` adds to it.
+_CLI_MODULES = ["cli", "engine", "expr", "jets", "linalg", "parsing",
+                "problem", "variational"]
 
 
 def _child(*args):
@@ -49,16 +55,22 @@ def _child(*args):
     return out
 
 
-@pytest.mark.parametrize("argv, loaded", [
+@pytest.mark.parametrize("argv, numeric", [
     (["--help"], False),
     (["symmetries", FREE], False),
     (["integrals", FREE], False),
     (["verify", FREE], False),
     (["numcheck", FREE, "--horizon", "0.1"], True),
 ])
-def test_only_numcheck_imports_numeric(argv, loaded):
+def test_only_numcheck_imports_numeric(argv, numeric):
+    """Each command loads exactly these modules, so a module newly put on
+    a command's path, ``noether.library`` above all, fails by name."""
     out = _child("-c", _CLI_PROBE, *argv)
-    assert out.stderr.splitlines()[-1] == f"numeric loaded: {loaded}"
+    want = sorted(f"noether.{m}"
+                  for m in _CLI_MODULES + (["numeric"] if numeric else []))
+    head, *loaded = out.stderr.splitlines()[-1].split()
+    assert head == "loaded:"
+    assert loaded == want
 
 
 # Registers a handler that the interpreter's teardown runs, then runs the CLI

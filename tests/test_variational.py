@@ -8,7 +8,8 @@ import pytest
 from noether import (ELSystem, Expr, JetSpace, Lagrangian, ProblemError,
                      ReductionError, euler_lagrange, load_problem, parse,
                      reduce_mod_el, total_derivative)
-from noether.variational import _hessian_matrix, _normalize
+from noether.library import _hessian_matrix
+from noether.variational import _normalize
 
 from util import SEED, rand_expr, rand_nonzero_expr, reference_normalize
 

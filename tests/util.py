@@ -41,7 +41,7 @@ from pathlib import Path
 
 from noether import (Expr, Generator, JetSpace, load_problem, solve_noether,
                      total_derivative)
-from noether.engine import _ansatz
+from noether.library import _ansatz
 from noether.expr import _as_rational, _exact, mono_key, rational_div
 from noether.numeric import state_variables
 
