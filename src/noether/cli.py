@@ -186,14 +186,12 @@ def _run_numcheck(problem: Problem, el: ELSystem, args, result: Dict) -> None:
     result["numeric"] = {"step": cfg.step, "horizon": cfg.horizon,
                          "tolerance": cfg.tolerance, "seed": cfg.seed,
                          "laws": [str(l.components[0]) for l in laws]}
-    runs = []
-    for ic in seeded_initial_conditions(el, cfg.seed):
-        report = check_integrals(laws, el, cfg, ic)
-        runs.append({"initial": {v.name: x for v, x in ic.items()},
-                     "drifts": report.drifts,
-                     "passes": report.passes,
-                     "truncated": report.truncated})
-    result["numeric"]["runs"] = runs
+    ics = seeded_initial_conditions(el, cfg.seed)
+    result["numeric"]["runs"] = [
+        {"initial": {v.name: x for v, x in ic.items()},
+         "drifts": report.drifts, "passes": report.passes,
+         "truncated": report.truncated}
+        for ic, report in zip(ics, check_integrals(laws, el, cfg, ics))]
 
 
 COMMANDS = {"symmetries": _run_solve, "integrals": _run_solve,

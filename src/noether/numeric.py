@@ -7,13 +7,14 @@ show only roundoff-level relative drift.  Flux vectors of field problems
 are not validated numerically -- their divergence check is exact already.
 
 The work runs in one generated function ``run(source, t, s0, ..., sn)``,
-compiled once per distinct source: its arguments are the first row, each
-item of ``source`` yields the next row, and each row is folded into each
-integral's running drift.  ``check_integrals`` and ``integrate_el`` pass
-``range(steps)`` and the RK4 step; the first keeps no rows, the second
-has no integrals and keeps every row.  ``drift_report`` passes a kept
-trajectory's rows after the first.  The source names only internal
-locals and float literals (``repr`` of floats), no user identifier.
+compiled once per call of an entry point: its arguments are the first
+row, each item of ``source`` yields the next row, and each row is folded
+into each integral's running drift.  ``check_integrals`` and
+``integrate_el`` pass ``range(steps)`` and the RK4 step; the first keeps
+no rows and runs once per initial condition, the second has no integrals
+and keeps every row.  ``drift_report`` passes a kept trajectory's rows
+after the first.  The source names only internal locals and float
+literals (``repr`` of floats), no user identifier.
 
 Operation-order rule: the generated code performs the floating-point
 operations of a direct evaluation in the same order, or rewrites them in
@@ -53,7 +54,6 @@ ways that are exact, so its results are identical bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -92,14 +92,6 @@ def _sum(e: Expr, factor: Callable[[VarId, int], str],
         lines.append(f"{indent}{target} {sign}= {term}" if lines
                      else f"{indent}{target} = 0.0 {sign} {term}")
     return lines or [f"{indent}{target} = 0.0"]
-
-
-@functools.lru_cache(maxsize=128)
-def _define(source: str):
-    """The ``run`` function that generated source defines, compiled once."""
-    namespace: Dict = {}
-    exec(compile(source, "<noether.numeric.run>", "exec"), namespace)
-    return namespace["run"]
 
 
 class Trajectory(Record):
@@ -337,7 +329,7 @@ def _run_function(variables: Sequence[VarId], integrals: Sequence[Expr],
     entries = ["t", *(f"s{j}" for j in range(len(variables) - 1))]
     row = ", ".join(entries)
     names = dict(zip(variables, entries))
-    return _define(_RUN.format(
+    source = _RUN.format(
         row=row, rows=f"[({row})]" if keep_rows else "None",
         first="\n".join(_drift_lines(integrals, names, "    ", True)),
         target="_" if step else row + ",",
@@ -345,23 +337,27 @@ def _run_function(variables: Sequence[VarId], integrals: Sequence[Expr],
         append=f"        rows.append(({row}))\n" if keep_rows else "",
         fold="\n".join(_drift_lines(integrals, names, "        ", False)),
         extremes="".join(f"(first{i}, hi{i}, lo{i}, bad{i}), "
-                         for i in range(len(integrals)))))
+                         for i in range(len(integrals))))
+    namespace: Dict = {}
+    exec(compile(source, "<noether.numeric.run>", "exec"), namespace)
+    return namespace["run"]
 
 
-def _run(el: ELSystem, cfg: NumericConfig, ic: Dict[VarId, float],
+def _run(el: ELSystem, cfg: NumericConfig, ics: Sequence[Dict[VarId, float]],
          integrals: Sequence[Expr], keep_rows: bool):
-    """Validate, then run the generated RK4 loop from ``ic`` at t = 0:
-    ``(row variables, *run(...))``."""
+    """Validate every initial condition, then run the generated RK4 loop,
+    compiled once, from each at t = 0: ``(row variables, [run(...), ...])``."""
     t_var, states, slopes = _plan(el)
-    missing = [v.name for v in states if v not in ic]
-    if missing:
-        raise ValueError(f"initial condition missing {', '.join(missing)}")
+    for ic in ics:
+        missing = [v.name for v in states if v not in ic]
+        if missing:
+            raise ValueError(f"initial condition missing {', '.join(missing)}")
     variables = (t_var, *states)
     run = _run_function(variables, integrals, keep_rows,
                         _rk4_lines(t_var, states, slopes, cfg.step))
-    return (variables,
-            *run(range(round(cfg.horizon / cfg.step)), 0.0,
-                 *(float(ic[v]) for v in states)))
+    steps = range(round(cfg.horizon / cfg.step))
+    return variables, [run(steps, 0.0, *(float(ic[v]) for v in states))
+                       for ic in ics]
 
 
 def integrate_el(el: ELSystem, cfg: NumericConfig,
@@ -373,7 +369,7 @@ def integrate_el(el: ELSystem, cfg: NumericConfig,
     row.  An ``OverflowError`` or ``ValueError`` inside a step, or a
     non-finite value in the new row, truncates the trajectory.
     """
-    variables, truncated, rows, _ = _run(el, cfg, ic, (), True)
+    variables, [(truncated, rows, _)] = _run(el, cfg, [ic], (), True)
     return Trajectory(variables=variables, rows=rows, truncated=truncated)
 
 
@@ -392,17 +388,19 @@ def _report(extremes, cfg: NumericConfig, truncated: bool) -> NumericReport:
 
 
 def check_integrals(laws: Sequence, el: ELSystem, cfg: NumericConfig,
-                    ic: Dict[VarId, float]) -> NumericReport:
-    """Integrate from ``ic`` and measure each integral's drift on the way.
+                    ics: Sequence[Dict[VarId, float]]) -> List[NumericReport]:
+    """Integrate from each of ``ics`` and measure each integral's drift on
+    the way: one report per initial condition, in order.
 
     The same RK4 loop as ``integrate_el`` and the same drift as
-    ``drift_report``, bit for bit, in one generated function that keeps
-    no rows: memory does not grow with the step count.  ``truncated`` on
-    the report is the trajectory's.
+    ``drift_report``, bit for bit, in one generated function, compiled
+    once and called once per initial condition, that keeps no rows:
+    memory does not grow with the step count.  ``truncated`` on each
+    report is its trajectory's.
     """
-    _, truncated, _, extremes = _run(el, cfg, ic,
-                                     [_integral(l) for l in laws], False)
-    return _report(extremes, cfg, truncated)
+    _, runs = _run(el, cfg, ics, [_integral(l) for l in laws], False)
+    return [_report(extremes, cfg, truncated)
+            for truncated, _, extremes in runs]
 
 
 def drift_report(laws: Sequence, traj: Trajectory,

@@ -259,8 +259,11 @@ def load_problem(path: str) -> Problem:
     cp = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     cp.optionxform = str
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            cp.read_file(fh, source=path)
+        # A byte-order mark is dropped by hand: the interpreter has the
+        # utf-8 codec loaded already, and utf-8-sig would be one more import.
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read().removeprefix("\ufeff")
+        cp.read_string(text, source=path)
     except OSError as err:
         raise ProblemError(f"cannot read {path}: {err}")
     except configparser.Error as err:

@@ -16,13 +16,13 @@ from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
                      solve, solve_noether, total_derivative, verify,
                      verify_candidate)
 from noether.engine import _Packing, _system
-from noether.library import _ansatz
 
 from util import (LOADABLE, bundled_solutions, constant_columns,
-                  first_integral_closed_form, is_canonical, monomials_upto,
-                  on_shell_zero, prolongation_residual, rand_expr,
-                  rand_nonzero_expr, recursive_prolong, scanning_fill,
-                  split_rows, template_gauge_systems, template_rows)
+                  first_integral_closed_form, fresh_unknowns, is_canonical,
+                  monomials_upto, on_shell_zero, prolongation_residual,
+                  rand_expr, rand_nonzero_expr, recursive_prolong,
+                  scanning_fill, split_rows, template_gauge_systems,
+                  template_rows)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -282,7 +282,7 @@ def test_command_paths_make_no_solver_unknowns(monkeypatch, capsys):
 
 
 def test_rows_refuse_what_is_not_linear_homogeneous(ode):
-    (c0, c1), _ = _ansatz(ode, [(0, ()), (1, ())], 2)
+    c0, c1 = fresh_unknowns(ode, 2)
     y = Expr.variable(ode.lookup("y"))
     a, b = Expr.variable(c0), Expr.variable(c1)
     assert split_rows(y * a + b * 2 + y * b, [c0, c1]) == \

@@ -206,7 +206,7 @@ def _assert_matches_reference(el, cfg, ic, integrals):
     report = drift_report(integrals, traj, cfg)
     assert _same_floats(report.drifts, drifts), (report.drifts, drifts)
     assert report.truncated == truncated
-    fused = check_integrals(integrals, el, cfg, ic)
+    [fused] = check_integrals(integrals, el, cfg, [ic])
     assert _same_floats(fused.drifts, drifts), (fused.drifts, drifts)
     assert fused.passes == report.passes
     assert fused.truncated == truncated
@@ -222,8 +222,16 @@ def test_bundled_problems_match_reference(name):
     laws = [s.law.components[0]
             for s in solve_noether(problem.lagrangian, problem.ansatz)]
     assert laws
-    for ic in seeded_initial_conditions(el, SEED, count=2):
+    ics = seeded_initial_conditions(el, SEED, count=2)
+    for ic in ics:
         _assert_matches_reference(el, cfg, ic, laws)
+    # One call with both conditions reports on each as a call of its own.
+    for ic, report in zip(ics, check_integrals(laws, el, cfg, ics),
+                          strict=True):
+        [alone] = check_integrals(laws, el, cfg, [ic])
+        assert _same_floats(report.drifts, alone.drifts)
+        assert (report.passes, report.truncated) == (alone.passes,
+                                                      alone.truncated)
 
 
 @pytest.mark.parametrize("dof", [1, 2])
@@ -284,8 +292,8 @@ def test_time_overflow_alone_truncates():
     assert len(traj.rows) == 12
     assert all(map(math.isfinite, traj.rows[-1]))
     assert traj.rows[-1][1:] == (1.0, 2.0)
-    report = check_integrals(
-        [ConservationLaw((parse("x", s),))], el, cfg, ic)
+    [report] = check_integrals(
+        [ConservationLaw((parse("x", s),))], el, cfg, [ic])
     assert report.truncated and report.drifts == [0.0]
 
 
@@ -328,23 +336,29 @@ def test_large_law_compiles_and_evaluates():
 
 def test_numcheck_compiles_each_source_once(monkeypatch, capsys):
     """free_particle's five integrals and its RK4 step make one generated
-    loop: 1 distinct source, which the five initial conditions share."""
+    loop, written and compiled once and run from each of the five initial
+    conditions."""
     import builtins
+    import json
 
     from noether import numeric
     from noether.cli import main
 
-    sources = []
+    calls = []
 
-    def counting_compile(source, *args, **kwargs):
-        sources.append(source)
-        return builtins.compile(source, *args, **kwargs)
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        monkeypatch.setattr(numeric, name, wrapper, raising=False)
 
-    getattr(numeric._define, "cache_clear", lambda: None)()
-    monkeypatch.setattr(numeric, "compile", counting_compile, raising=False)
-    assert main(["numcheck", str(PROBLEMS / "free_particle.prob")]) == 0
-    capsys.readouterr()
-    assert len(sources) == len(set(sources)) == 1
+    counted("_rk4_lines", numeric._rk4_lines)
+    counted("_run_function", numeric._run_function)
+    counted("compile", builtins.compile)
+    assert main(["numcheck", str(PROBLEMS / "free_particle.prob"),
+                 "--json", "--deterministic"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["numeric"]["runs"]) == 5
+    assert sorted(calls) == ["_rk4_lines", "_run_function", "compile"]
 
 
 def test_every_entry_point_compiles_only_run_sources(monkeypatch,
@@ -361,14 +375,13 @@ def test_every_entry_point_compiles_only_run_sources(monkeypatch,
         compiled.append((filename, source))
         return builtins.compile(source, filename, *args, **kwargs)
 
-    numeric._define.cache_clear()
     monkeypatch.setattr(numeric, "compile", recording_compile, raising=False)
     el = euler_lagrange(free_particle)
     cfg = NumericConfig(horizon=0.1)
     ic = {ode.dependents[0]: 0.3, ode.lookup("y'"): 0.7}
     laws = [parse("y - x*y'", ode), parse("y'", ode)]
     drift_report(laws, integrate_el(el, cfg, ic), cfg)
-    check_integrals(laws, el, cfg, ic)
+    check_integrals(laws, el, cfg, [ic])
     header = numeric._RUN.split("{", 1)[0]
     assert len(compiled) == 3
     for filename, source in compiled:
@@ -396,7 +409,7 @@ def test_overflow_gives_that_law_alone_infinite_drift(y0, free_particle, ode):
     ic = {ode.dependents[0]: y0, ode.lookup("y'"): 1e152}
     laws = [parse("y^2", ode), parse("y'", ode)]
     _assert_matches_reference(el, cfg, ic, laws)
-    report = check_integrals(laws, el, cfg, ic)
+    [report] = check_integrals(laws, el, cfg, [ic])
     assert report.drifts == [math.inf, 0.0]
     assert report.passes == [False, True]
     assert not report.truncated
@@ -533,7 +546,6 @@ def test_fold_has_no_abs_and_each_power_once_per_row(monkeypatch,
         sources.append(source)
         return builtins.compile(source, *args, **kwargs)
 
-    numeric._define.cache_clear()
     monkeypatch.setattr(numeric, "compile", recording_compile, raising=False)
     laws = [parse(law, ode) for law in
             ("y^2 + x^3*y'^2", "y^2*y' - x^3", "y'^2 - y", "-y")]
@@ -542,7 +554,7 @@ def test_fold_has_no_abs_and_each_power_once_per_row(monkeypatch,
     ic = {ode.dependents[0]: 0.3, ode.lookup("y'"): 0.7}
     traj = integrate_el(el, cfg, ic)
     drift_report(laws, traj, cfg)
-    check_integrals(laws, el, cfg, ic)
+    check_integrals(laws, el, cfg, [ic])
     assert len(sources) == 3
     for source in sources[1:]:   # the first is integrate_el's: no integrals
         assert "abs(" not in source
@@ -583,7 +595,6 @@ def test_generated_arithmetic_has_only_float_literals(monkeypatch,
         sources.append(source)
         return builtins.compile(source, *args, **kwargs)
 
-    numeric._define.cache_clear()
     monkeypatch.setattr(numeric, "compile", recording_compile, raising=False)
     rng = random.Random(SEED)
     cases = []
@@ -603,7 +614,7 @@ def test_generated_arithmetic_has_only_float_literals(monkeypatch,
         el = euler_lagrange(L)
         ic = dict.fromkeys(state_variables(el), 0.5)
         drift_report(laws, integrate_el(el, cfg, ic), cfg)
-        check_integrals(laws, el, cfg, ic)
+        check_integrals(laws, el, cfg, [ic])
     literals = [c for source in sources for c in _arithmetic_literals(source)]
     assert {type(c) for c in literals} == {float}
     assert 2.0 in literals and 3.0 in literals
@@ -619,13 +630,13 @@ def test_check_memory_does_not_grow_with_steps(free_particle, ode):
     ic = {ode.dependents[0]: 0.3, ode.lookup("y'"): 0.7}
     configs = [NumericConfig(step=1e-3), NumericConfig(step=1e-4)]
     for cfg in configs:   # compile both loops before measuring
-        check_integrals(laws, el, cfg, ic)
+        check_integrals(laws, el, cfg, [ic])
     peaks = []
     tracemalloc.start()
     try:
         for cfg in configs:
             tracemalloc.reset_peak()
-            check_integrals(laws, el, cfg, ic)
+            check_integrals(laws, el, cfg, [ic])
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
@@ -647,7 +658,6 @@ def test_step_does_only_float_work(monkeypatch, free_particle, chain):
         sources.append(source)
         return builtins.compile(source, *args, **kwargs)
 
-    numeric._define.cache_clear()
     monkeypatch.setattr(numeric, "compile", recording_compile, raising=False)
     for L, top in ((free_particle, 1), (chain, 3)):
         el = euler_lagrange(L)

@@ -31,7 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FREE = str(ROOT / "problems" / "free_particle.prob")
 FIELD = str(ROOT / "problems" / "quartic_field.prob")
 
-# Runs the CLI in process, then reports the noether modules it loaded.
+# Runs the CLI in process, checks that reading the file loaded no codec
+# beyond the interpreter's own utf-8, then reports the noether modules it
+# loaded.
 _CLI_PROBE = """
 import sys
 from noether.cli import main
@@ -39,6 +41,7 @@ try:
     main(sys.argv[1:])
 except SystemExit:
     pass
+assert "encodings.utf_8_sig" not in sys.modules
 loaded = sorted(m for m in sys.modules if m.startswith("noether."))
 sys.stderr.write(f"\\nloaded: {' '.join(loaded)}\\n")
 """

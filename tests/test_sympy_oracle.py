@@ -1,5 +1,5 @@
-"""SymPy as an independent oracle for the Euler-Lagrange expressions and
-for Noether's identity.
+"""SymPy as an independent oracle for the Euler-Lagrange expressions, for
+Noether's identity and for the nullity of the determining systems.
 
 SymPy is a test-only dependency: without it these tests are skipped."""
 
@@ -8,12 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from noether import Expr, JetSpace, Lagrangian, euler_lagrange
+from noether import (Ansatz, Expr, JetSpace, Lagrangian, euler_lagrange,
+                     load_problem)
+from noether.engine import _system
+from noether.linalg import nullspace
 
-from util import SEED, bundled_solutions, rand_expr
+from util import LOADABLE, ROOT, SEED, bundled_solutions, rand_expr
 
 sympy = pytest.importorskip("sympy")
 from sympy.calculus.euler import euler_equations  # noqa: E402
+from sympy.polys.domains import QQ  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 
 def _draw(rng):
@@ -98,3 +103,23 @@ def test_every_law_meets_noether_identity_in_sympy():
             assert sympy.expand(identity) == 0, (path, str(g.eta))
             checked += 1
     assert checked == 72 - 19 + 6
+
+
+def test_search_nullity_matches_sympy_rank():
+    """The search's nullspace on each determining system has n - rank
+    vectors, n its unknowns and the rank SymPy's over QQ: on every
+    loadable file at coefficient and gauge degree 2, in point form and in
+    evolutionary form at jet order 1.  The rows are the solver's own,
+    from ``_system``."""
+    for path in LOADABLE:
+        L = load_problem(str(ROOT / path)).lagrangian
+        for ansatz in (Ansatz(coeff_degree=2, gauge_degree=2),
+                       Ansatz(coeff_degree=2, gauge_degree=2,
+                              coeff_jet_order=1, suppress_xi=True)):
+            rows, columns = _system(L, ansatz)[:2]
+            n = len(columns)
+            matrix = DomainMatrix(
+                {i: {c: QQ(v) for c, v in row.items()}
+                 for i, row in enumerate(rows)}, (len(rows), n), QQ)
+            assert len(nullspace(rows, n)) == n - matrix.rank(), \
+                (path, ansatz)

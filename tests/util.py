@@ -41,8 +41,7 @@ from pathlib import Path
 
 from noether import (Expr, Generator, JetSpace, load_problem, solve_noether,
                      total_derivative)
-from noether.library import _ansatz
-from noether.expr import _as_rational, _exact, mono_key, rational_div
+from noether.expr import VarId, _as_rational, _exact, mono_key, rational_div
 from noether.numeric import state_variables
 
 SEED = 42
@@ -606,6 +605,14 @@ def scanning_fill(template, values):
                  if values.get(mono[-1][0])})
 
 
+def fresh_unknowns(space, count):
+    """``count`` solver unknowns ``c0``, ``c1``, ... of a kind of their own,
+    never registered in ``space``: each orders after every variable of the
+    space, so it is its term's last factor."""
+    return [VarId("unknown", f"c{k}", space.variable_count + k)
+            for k in range(count)]
+
+
 def split_rows(e, unknowns):
     """The equation e = 0, for e linear and homogeneous in ``unknowns``, as
     sparse rows: each monomial in the other variables, ascending by
@@ -650,8 +657,10 @@ def template_gauge_systems(L, generators, degree=4, jet_order=None):
     for order, members in groups.items():
         monos = monomials_upto(space, order, degree, include_constant=False)
         n = len(space.independents)
-        unknowns, templates = _ansatz(
-            space, [(j, m) for j in range(n) for m in monos], n)
+        unknowns = fresh_unknowns(space, n * len(monos))
+        templates = [Expr({m + ((c, 1),): 1 for m, c in
+                           zip(monos, unknowns[j * len(monos):])})
+                     for j in range(n)]
         divergence = prolongation_residual(L, Generator(), templates)
         system = {mono: (row, {})
                   for mono, row in split_rows(divergence, unknowns).items()}
