@@ -133,11 +133,9 @@ def condition_residual(L: Lagrangian, g: Generator,
     space = L.space
     gauge = _gauge(space, gauge)
     qs = characteristics(g, space)
-    memos: List[Dict[Tuple[int, ...], Expr]] = [{} for _ in qs]
     residual = Expr.zero()
     for i, v, p in L.partials:
-        residual = residual + multi_derivative(
-            qs[i], v.multi_index, space, memos[i]) * p
+        residual = residual + multi_derivative(qs[i], v.multi_index, space) * p
     for j, x in enumerate(space.independents):
         flux = g.xi_of(x) * L.body - gauge[j]
         residual = residual + total_derivative(flux, x, space)
@@ -161,13 +159,12 @@ def _gauge(space: JetSpace, gauge: Sequence[Expr] | None) -> Sequence[Expr]:
 def _boundary_terms(L: Lagrangian, qs: Sequence[Expr]) -> List[Expr]:
     """``boundary_terms`` of the generator whose characteristics are qs."""
     space = L.space
-    memos: List[Dict[Tuple[int, ...], Expr]] = [{} for _ in qs]
     b = [Expr.zero() for _ in space.independents]
     for i, v, p in L.partials:
         multi, cur = v.multi_index, p
         while any(multi):
             j, multi = _peel(multi)
-            b[j] = b[j] + multi_derivative(qs[i], multi, space, memos[i]) * cur
+            b[j] = b[j] + multi_derivative(qs[i], multi, space) * cur
             if any(multi):
                 cur = -total_derivative(cur, space.independents[j], space)
     return b

@@ -198,19 +198,13 @@ def _peel(multi: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
     return j, multi[:j] + (multi[j] - 1,) + multi[j + 1:]
 
 
-def multi_derivative(e: Expr, multi: Tuple[int, ...], space: JetSpace,
-                     memo: Dict[Tuple[int, ...], Expr] | None = None) -> Expr:
-    """D^multi of ``e``; ``memo``, one per ``e``, shares the lower orders."""
-    memo = {} if memo is None else memo
-    if multi not in memo:
-        if any(multi):
-            j, lower = _peel(multi)
-            memo[multi] = total_derivative(
-                multi_derivative(e, lower, space, memo),
-                space.independents[j], space)
-        else:
-            memo[multi] = e
-    return memo[multi]
+def multi_derivative(e: Expr, multi: Tuple[int, ...], space: JetSpace) -> Expr:
+    """D^multi of ``e``: D_j(D^(multi - e_j) e), j as ``_peel`` picks it."""
+    if not any(multi):
+        return e
+    j, lower = _peel(multi)
+    return total_derivative(multi_derivative(e, lower, space),
+                            space.independents[j], space)
 
 
 def characteristics(g: Generator, space: JetSpace) -> List[Expr]:

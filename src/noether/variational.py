@@ -147,7 +147,6 @@ def reduce_mod_el(e: Expr, el: ELSystem, space: JetSpace) -> Expr:
     if not el.reducible:
         raise ReductionError("solved forms unavailable; cannot reduce")
     solved = el.solved_forms
-    memos: Dict[VarId, Dict] = {h: {} for h in solved}
     guard = space.variable_count + 8
     for _ in range(guard):
         reducible = []
@@ -163,6 +162,6 @@ def reduce_mod_el(e: Expr, el: ELSystem, space: JetSpace) -> Expr:
             return e
         v, h = max(reducible, key=lambda pair: _jet_rank(pair[0]))
         delta = tuple(a - b for a, b in zip(v.multi_index, h.multi_index))
-        replacement = multi_derivative(solved[h], delta, space, memos[h])
+        replacement = multi_derivative(solved[h], delta, space)
         e = e.substitute({v: replacement})
     raise ReductionError("reduction did not terminate; malformed solved forms")

@@ -16,13 +16,15 @@ from noether import (Ansatz, Expr, Generator, HeadroomError, JetSpace,
                      solve, solve_noether, total_derivative, verify,
                      verify_candidate)
 from noether.engine import _Packing, _system
+from noether.expr import mono_degree
+from noether.linalg import nullspace
 
 from util import (LOADABLE, bundled_solutions, constant_columns,
                   first_integral_closed_form, fresh_unknowns, is_canonical,
-                  monomials_upto, on_shell_zero, prolongation_residual,
-                  rand_expr, rand_nonzero_expr, recursive_prolong,
-                  scanning_fill, split_rows, template_gauge_systems,
-                  template_rows)
+                  monomials_upto, multiplier_system, on_shell_zero,
+                  prolongation_residual, rand_expr, rand_nonzero_expr,
+                  recursive_prolong, scanning_fill, split_rows,
+                  template_gauge_systems, template_rows)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -779,6 +781,35 @@ def test_every_law_has_a_divergence_product():
     assert checked == 72
 
 
+def test_listed_characteristics_span_the_multiplier_nullspace():
+    """The search finds every characteristic of its coefficient ansatz:
+    in evolutionary form at coefficient degree 2 and jet order L.order,
+    with the gauge at degree deg L + 1 and jet order 2*L.order - 1, the
+    rank of the listed characteristics equals the nullity of the
+    multiplier system E(Q.E(L)) = 0 over the same Q ansatz, which holds no
+    gauge unknowns.  The rank, not the count: field problems list one
+    characteristic with gauges that differ by a divergence-free field."""
+    total = 0
+    for path in LOADABLE:
+        L = load_problem(str(ROOT / path)).lagrangian
+        rows, unknowns = multiplier_system(L, 2, L.order)
+        nullity = len(nullspace(rows, len(unknowns)))
+        degree = max(map(mono_degree, L.body.term_map()))
+        ansatz = Ansatz(coeff_degree=2, coeff_jet_order=L.order,
+                        gauge_degree=degree + 1,
+                        gauge_jet_order=2 * L.order - 1, suppress_xi=True)
+        columns, listed = {}, []
+        for sol in solve_noether(L, ansatz):
+            qs = characteristics(sol.generator, L.space)
+            listed.append({columns.setdefault((i, mono), len(columns)): c
+                           for i, q in enumerate(qs)
+                           for mono, c in q.term_map().items()})
+        assert len(columns) - len(nullspace(listed, len(columns))) \
+            == nullity, path
+        total += nullity
+    assert total == 79
+
+
 def test_law_equals_the_unscaled_formula(rng):
     """``_law`` works on k*g and k*F, k an lcm of denominators, and
     divides each component by k at the end; the law equals the unscaled
@@ -997,6 +1028,44 @@ def test_null_lagrangian_keeps_the_generators(path, f, gauge_degree, count):
             matched = match_generator(lagrangian, basis, sol.generator)
             assert matched is not None
             assert matched.generator == sol.generator
+
+
+def test_null_lagrangian_in_every_direction_keeps_the_generators(rng):
+    """As above with a seeded f = (f_1, ..., f_n), one non-constant
+    component per independent over the independents and dependents, and
+    L' = L + sum_j D_j f_j, on every loadable file.  A symmetry of L with
+    gauge F is one of L' with gauge F plus a shift: pr v(f) on a time-like
+    problem, and on a field problem pr v(f_i) + sum_j (xi_i D_j f_j -
+    xi_j D_j f_i), which holds first derivatives.  The gauge ansatz holds
+    every shift and no more: degree 1 + deg f on a time-like problem, and
+    2 + deg f at jet order 1 on a field problem."""
+    for path in LOADABLE:
+        L = load_problem(str(ROOT / path)).lagrangian
+        space = L.space
+        fs = []
+        for _ in space.independents:
+            f = Expr.zero()
+            while f.is_constant:
+                f = rand_expr(rng, [*space.independents, *space.dependents])
+            fs.append(f)
+        null = Expr.zero()
+        for f, x in zip(fs, space.independents):
+            null = null + total_derivative(f, x, space)
+        assert not null.is_zero
+        L_null = Lagrangian(space, L.order, L.body + null)
+        degree = max(mono_degree(m) for f in fs for m in f.term_map())
+        ansatz = Ansatz(coeff_degree=2,
+                        gauge_degree=degree + (1 if space.is_ode else 2),
+                        gauge_jet_order=None if space.is_ode else 1)
+        sols = solve_noether(L, ansatz)
+        sols_null = solve_noether(L_null, ansatz)
+        assert sols and sols_null
+        for lagrangian, basis, others in ((L_null, sols_null, sols),
+                                          (L, sols, sols_null)):
+            for sol in others:
+                matched = match_generator(lagrangian, basis, sol.generator)
+                assert matched is not None, path
+                assert matched.generator == sol.generator
 
 
 def test_law_scaling_linearity(free_particle, ode):

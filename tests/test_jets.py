@@ -128,15 +128,13 @@ def test_total_derivative_product_rule(rng, ode):
 
 
 def test_multi_derivative_matches_nested_total_derivatives(rng):
-    """D^mu equals nested D_x calls in every order, with and without a memo
-    shared between the multi-indices of one expression."""
+    """D^mu equals nested D_x calls in every order."""
     space = JetSpace(["t", "x"], ["u", "v"], max_order=5)
     vars = [space.lookup(n) for n in ("t", "x", "u", "v", "u_t", "v_x")]
     multis = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1),
               (1, 2), (0, 3)]
     for _ in range(10):
         e = rand_expr(rng, vars)
-        shared = {}
         for multi in multis:
             steps = [space.independents[j]
                      for j, count in enumerate(multi) for _ in range(count)]
@@ -145,7 +143,6 @@ def test_multi_derivative_matches_nested_total_derivatives(rng):
                 for x in order:
                     nested = total_derivative(nested, x, space)
                 assert multi_derivative(e, multi, space) == nested
-                assert multi_derivative(e, multi, space, shared) == nested
 
 
 def zeta(g, j, ode):

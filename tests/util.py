@@ -18,7 +18,9 @@ where ``noether.engine`` sorts packed ints, the recursive prolongation
 and its residual peel one derivative at a time off the lower coefficient
 where ``noether`` differentiates the characteristic, and the reference
 normal form splits each Euler-Lagrange expression on the powers of its
-top jet where ``noether.variational`` takes one partial.
+top jet where ``noether.variational`` takes one partial, and the
+multiplier system counts the characteristics with no gauge unknowns where
+``noether.engine`` solves for generator and gauge together.
 
 The solve oracles keep the shape the solver had before right-hand sides
 became columns: a list of ``(row, {k: b_k})`` pairs for A x = b_k.
@@ -39,8 +41,8 @@ import signal
 from fractions import Fraction
 from pathlib import Path
 
-from noether import (Expr, Generator, JetSpace, load_problem, solve_noether,
-                     total_derivative)
+from noether import (Expr, Generator, JetSpace, Lagrangian, euler_lagrange,
+                     load_problem, parse, solve_noether, total_derivative)
 from noether.expr import VarId, _as_rational, _exact, mono_key, rational_div
 from noether.numeric import state_variables
 
@@ -671,3 +673,32 @@ def template_gauge_systems(L, generators, degree=4, jet_order=None):
         systems.append(([system[m] for m in sorted(system, key=mono_key)],
                         len(unknowns)))
     return systems
+
+
+def multiplier_system(L, degree, jet_order):
+    """The system E(Q.E(L)) = 0 for the characteristics Q_i of degree <=
+    ``degree`` over the independents and the jets up to ``jet_order``, as
+    (rows, unknowns): each Q_i is a template of fresh unknowns, and the
+    system is linear in them with no gauge.  Its nullity counts the
+    independent characteristics of variational symmetries in that ansatz
+    (Olver, Thm 4.7 and Sec. 5.3; Anco and Bluman, Eur. J. Appl. Math. 13,
+    2002).  E(L) comes from ``euler_lagrange(...).raw``; E(Q.E(L)) reads
+    jets up to twice the product's order, past the problem's working
+    order, so L is parsed again in a jet space of its own with that
+    room."""
+    space = L.space
+    order = max(2 * L.order, jet_order)
+    room = JetSpace([x.name for x in space.independents],
+                    [u.name for u in space.dependents], max_order=2 * order)
+    raw = euler_lagrange(
+        Lagrangian(room, L.order, parse(str(L.body), room))).raw
+    monos = monomials_upto(room, jet_order, degree)
+    unknowns = fresh_unknowns(room, len(raw) * len(monos))
+    product = Expr.zero()
+    for i, e in enumerate(raw):
+        q = Expr({m + ((c, 1),): 1
+                  for m, c in zip(monos, unknowns[i * len(monos):])})
+        product = product + q * e
+    rows = [row for e in euler_lagrange(Lagrangian(room, order, product)).raw
+            for row in split_rows(e, unknowns).values()]
+    return rows, unknowns
