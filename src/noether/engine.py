@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .expr import Expr, Monomial, Rational, Record, VarId, mono_degree
 from .jets import (Generator, JetSpace, _peel, characteristics,
@@ -256,7 +256,7 @@ class _Packing:
     degree plus ``degree``, that of a slot or right-hand side, and a field
     holds one more."""
 
-    __slots__ = ("space", "vars", "width", "top", "unit", "unpacked")
+    __slots__ = ("space", "vars", "width", "top", "unit")
 
     def __init__(self, L: Lagrangian, degree: int):
         self.space = space = L.space
@@ -266,28 +266,21 @@ class _Packing:
         self.top = 1 << width * len(vars)
         self.unit = {v: self.top | 1 << width * (len(vars) - 1 - s)
                      for s, v in enumerate(vars)}
-        self.unpacked: Dict[int, Monomial] = {}
 
     def pack(self, terms: Dict[Monomial, Rational]) -> Dict[int, Rational]:
         return {sum(self.unit[v] * e for v, e in m): c
                 for m, c in terms.items()}
 
-    def factors(self, p: int) -> Iterator[Tuple[VarId, int]]:
-        """Each variable of the packed monomial p with its exponent, in
-        registration order: the highest field first."""
-        rest, width = p & self.top - 1, self.width
+    def factors(self, p: int) -> Monomial:
+        """The monomial that p packs: each variable with its exponent, in
+        registration order, read from the highest field down."""
+        rest, width, out = p & self.top - 1, self.width, []
         while rest:
             f = (rest.bit_length() - 1) // width
             e = rest >> width * f
             rest -= e << width * f
-            yield self.vars[len(self.vars) - 1 - f], e
-
-    def monomial(self, p: int) -> Monomial:
-        """The monomial that p packs, unpacked at its first read."""
-        m = self.unpacked.get(p)
-        if m is None:
-            m = self.unpacked[p] = tuple(self.factors(p))
-        return m
+            out.append((self.vars[len(self.vars) - 1 - f], e))
+        return tuple(out)
 
     def monomials(self, jet_order: int, degree: int,
                   include_constant: bool = True) -> List[int]:
@@ -411,7 +404,7 @@ def _slot_values(vec: Row, columns: Sequence[Tuple[int, int]],
     terms: List[Dict[Monomial, Rational]] = [{} for _ in range(n_slots)]
     for c, v in vec.items():
         s, p = columns[c]
-        terms[s][packing.monomial(p)] = v
+        terms[s][packing.factors(p)] = v
     return [Expr(t) for t in terms]
 
 
@@ -444,12 +437,6 @@ def _system(L: Lagrangian, ansatz: Ansatz
     return (*_assemble(L, packing, slots), xs, len(slots), packing)
 
 
-def _solution(L: Lagrangian, g: Generator, gauge: Tuple[Expr, ...]
-              ) -> NoetherSolution:
-    """The solution with its law; NonSymmetryError unless it is a symmetry."""
-    return NoetherSolution(generator=g, gauge=gauge, law=_law(L, g, gauge))
-
-
 def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
     """End to end: determining system, nullspace, verified solutions.
 
@@ -465,8 +452,8 @@ def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
         g = Generator(xi=dict(zip(xs, values)),
                       eta=dict(zip(us, values[len(xs):])))
         if not g.is_zero:
-            out.append(
-                _solution(L, g, tuple(values[len(xs) + len(us):])))
+            gauge = tuple(values[len(xs) + len(us):])
+            out.append(NoetherSolution(g, gauge, _law(L, g, gauge)))
     return out
 
 

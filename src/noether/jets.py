@@ -51,7 +51,6 @@ class JetSpace:
         self.max_order = max_order
         self._by_name: Dict[str, VarId] = {}
         self._jets: Dict[Tuple[int, Tuple[int, ...]], VarId] = {}
-        self._counter = 0
 
         self.independents: Tuple[VarId, ...] = tuple(
             self._register(INDEPENDENT, n) for n in independents)
@@ -76,10 +75,9 @@ class JetSpace:
                   multi_index: Tuple[int, ...] = ()) -> VarId:
         if name in self._by_name:
             raise ValueError(f"variable name collision: {name!r}")
-        v = VarId(kind=kind, name=name, sort_index=self._counter,
+        v = VarId(kind=kind, name=name, sort_index=len(self._by_name),
                   dep_index=dep_index, multi_index=multi_index)
         self._by_name[name] = v
-        self._counter += 1
         return v
 
     def _jet_name(self, dep: VarId, multi: Tuple[int, ...]) -> str:
@@ -140,7 +138,7 @@ class JetSpace:
 
     @property
     def variable_count(self) -> int:
-        return self._counter
+        return len(self._by_name)
 
 
 class Generator(Record):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import (Ansatz, ConservationLaw, NoetherSolution,
-                     _boundary_terms, _law, _solution, _system, find_gauges)
+                     _boundary_terms, _law, _system, find_gauges)
 from .expr import (DEPENDENT, JET, PARAMETER, Expr, Monomial, Rational,
                    VarId, rational_div)
 from .jets import Generator, JetSpace, characteristics, multi_derivative
@@ -144,7 +144,7 @@ def determining_system(L: Lagrangian, ansatz: Ansatz) -> DeterminingSystem:
     rows = [{c: rational_div(v, scale) for c, v in row.items()}
             for row in rows]
     unknowns, templates = _ansatz(
-        L.space, [(s, packing.monomial(p)) for s, p in columns], n_slots)
+        L.space, [(s, packing.factors(p)) for s, p in columns], n_slots)
     n = len(xs) + len(L.space.dependents)   # the xi and eta slots
     return DeterminingSystem(
         unknowns=unknowns, rows=rows, xi_templates=dict(zip(xs, templates)),
@@ -183,7 +183,8 @@ def verify_candidate(L: Lagrangian, g: Generator, degree: int = 4,
                      ) -> Optional[NoetherSolution]:
     """Full verification-mode pipeline for one candidate generator."""
     gauge = find_gauge(L, g, degree=degree, jet_order=jet_order)
-    return None if gauge is None else _solution(L, g, gauge)
+    return None if gauge is None else NoetherSolution(g, gauge,
+                                                      _law(L, g, gauge))
 
 
 # -- helpers for working with solution spaces ---------------------------------
@@ -216,10 +217,10 @@ def match_generator(L: Lagrangian, solutions: Sequence[NoetherSolution],
         return None
     # The weights reproduce the target exactly, slot by slot, so only the
     # gauge is summed; the law certifies the pair.
-    gauge = [Expr.zero() for _ in space.independents]
+    gauge = tuple(Expr.zero() for _ in space.independents)
     for k, w in weights.items():
-        gauge = [f + h * w for f, h in zip(gauge, solutions[k].gauge)]
-    return _solution(L, target, tuple(gauge))
+        gauge = tuple(f + h * w for f, h in zip(gauge, solutions[k].gauge))
+    return NoetherSolution(target, gauge, _law(L, target, gauge))
 
 
 # -- generators ---------------------------------------------------------------

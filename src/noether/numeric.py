@@ -68,8 +68,13 @@ from .variational import ELSystem, ReductionError, reduce_mod_el
 def _term(coeff, factors: List[str]) -> Tuple[str, str]:
     """The sign with which a term is added, ``+`` or ``-``, and its text:
     the coefficient times ``factors``, a coefficient of 1.0 or -1.0 left
-    out (module docstring)."""
-    c = float(coeff)
+    out (module docstring); ValueError for a coefficient beyond floating
+    point range."""
+    try:
+        c = float(coeff)
+    except OverflowError:
+        raise ValueError(f"a coefficient of {int(abs(coeff)).bit_length()} "
+                         "bits is beyond floating point range")
     sign = "-" if c == -1.0 else "+"
     if abs(c) != 1.0 or not factors:
         factors = [repr(-c if sign == "-" else c), *factors]
@@ -417,9 +422,8 @@ def drift_report(laws: Sequence, traj: Trajectory,
     return _report(extremes, cfg, traj.truncated)
 
 
-def seeded_initial_conditions(el: ELSystem, seed: int,
-                              count: int = 5) -> List[Dict[VarId, float]]:
-    """Reproducible random initial conditions, uniform in [-1, 1]."""
+def seeded_initial_conditions(el: ELSystem, seed: int) -> List[Dict[VarId, float]]:
+    """Five reproducible random initial conditions, uniform in [-1, 1]."""
     states = state_variables(el)
     rng = random.Random(seed)
-    return [{v: rng.uniform(-1.0, 1.0) for v in states} for _ in range(count)]
+    return [{v: rng.uniform(-1.0, 1.0) for v in states} for _ in range(5)]

@@ -71,6 +71,13 @@ _SECTIONS = {"problem", "ansatz", "generators", "laws", "numeric"}
 # take seconds and a few hundred MB.  ``check_integrals`` keeps none.
 MAX_STEPS = 10 ** 6
 
+# Bounds on the jet space, checked before it is built.  The derivative
+# recursions (``multi_derivative``, E(L)) go as deep as the order, and a
+# packed monomial holds one field per variable, so the determining
+# system's memory grows with the square of the variable count.
+MAX_ORDER = 100
+MAX_VARIABLES = 5_000
+
 
 @dataclass(frozen=True)
 class NumericConfig:
@@ -137,6 +144,13 @@ def _names(raw: str, what: str) -> List[str]:
     return names
 
 
+def _refuse_unknown(names, known, what: str) -> None:
+    """ProblemError naming, sorted, each of ``names`` not in ``known``."""
+    extra = set(names) - set(known)
+    if extra:
+        raise ProblemError(f"unknown {what}: {', '.join(sorted(extra))}")
+
+
 def _bool(raw: str, what: str) -> bool:
     v = raw.strip().lower()
     if v in ("on", "true", "yes", "1"):
@@ -177,10 +191,7 @@ def _settings(cp: configparser.ConfigParser, section: str, table: Dict,
     kwargs = {}
     if section in cp:
         sec = cp[section]
-        extra = set(sec) - set(table)
-        if extra:
-            raise ProblemError(
-                f"unknown [{section}] key(s): {', '.join(sorted(extra))}")
+        _refuse_unknown(sec, table, f"[{section}] key(s)")
         for key, (name, parse_value) in table.items():
             if key in sec:
                 kwargs[name] = parse_value(sec[key], f"{section}.{key}")
@@ -269,16 +280,12 @@ def load_problem(path: str) -> Problem:
     except configparser.Error as err:
         raise ProblemError(f"bad problem file {path}: {err}")
 
-    unknown = set(cp.sections()) - _SECTIONS
-    if unknown:
-        raise ProblemError(f"unknown section(s): {', '.join(sorted(unknown))}")
+    _refuse_unknown(cp.sections(), _SECTIONS, "section(s)")
     if "problem" not in cp:
         raise ProblemError("missing [problem] section")
 
     prob = cp["problem"]
-    extra = set(prob) - set(_PROBLEM_KEYS)
-    if extra:
-        raise ProblemError(f"unknown [problem] key(s): {', '.join(sorted(extra))}")
+    _refuse_unknown(prob, _PROBLEM_KEYS, "[problem] key(s)")
     for required in _PROBLEM_KEYS:
         if required not in prob:
             raise ProblemError(f"missing [problem] field {required!r}")
@@ -288,17 +295,20 @@ def load_problem(path: str) -> Problem:
     order = _int(prob["order"], "order")
     if order < 1:
         raise ProblemError("field 'order' must be at least 1")
-    # Each derivative order takes a character of the text (a prime, a 'd'
-    # or a suffix letter).  Checked before the space is built, whose jet
-    # names grow quadratically with the order.
-    if order > len(prob["lagrangian"]):
+    if order > MAX_ORDER:
+        raise ProblemError(f"field 'order' is {order}, above the bound "
+                           f"{MAX_ORDER}")
+    n, m = len(independents), len(dependents)
+    max_order = 2 * order + 2
+    count = n + m * math.comb(n + max_order, n)
+    if count > MAX_VARIABLES:
         raise ProblemError(
-            f"field 'order' is {order} but a lagrangian of "
-            f"{len(prob['lagrangian'])} characters has no derivative of "
-            f"that order")
+            f"field 'order' is {order}, so the jet space of {n} "
+            f"independent(s) and {m} dependent(s) would hold {count} "
+            f"variables, above the bound {MAX_VARIABLES}")
 
     try:
-        space = JetSpace(independents, dependents, max_order=2 * order + 2)
+        space = JetSpace(independents, dependents, max_order=max_order)
     except ValueError as err:
         raise ProblemError(str(err))
     body = _parse_expr(prob["lagrangian"], space, "field 'lagrangian'")

@@ -370,6 +370,24 @@ def test_numcheck_overflowing_integral_fails_cleanly(tmp_path, capsys):
     assert "ok" not in out.split("numeric check:")[1]
 
 
+@pytest.mark.parametrize("lagrangian,bits", [
+    ("1/2*y'^2 - 2^1100*y^2", 1102),   # in the solved form y'' = -2^1101*y
+    ("1/2*y'^2 + 2^1100*y'", 1101),    # in the momentum law
+])
+def test_numcheck_refuses_coefficients_beyond_float_range(tmp_path, capsys,
+                                                          lagrangian, bits):
+    big = tmp_path / "big.prob"
+    big.write_text("[problem]\nindependents = t\ndependents = y\n"
+                   f"lagrangian = {lagrangian}\norder = 1\n\n"
+                   "[ansatz]\ndegree = 1\n")
+    with deadline(1):
+        code, out = run(capsys, "numcheck", str(big), "--horizon", "0.05")
+    assert code == 2
+    assert f"a coefficient of {bits} bits is beyond floating point range" in out
+    code, out = run(capsys, "integrals", str(big))
+    assert code == 0
+
+
 @pytest.mark.parametrize("flag,value,field", [
     ("--horizon", "inf", "horizon"),
     ("--tol", "nan", "tolerance"),
@@ -488,7 +506,31 @@ def test_huge_order_exits_2_before_building(tmp_path, capsys, order):
     with deadline(1):
         code, out = run(capsys, "symmetries", str(bad))
     assert code == 2
-    assert f"field 'order' is {order} but a lagrangian of 8 characters" in out
+    assert f"field 'order' is {order}, above the bound 100" in out
+
+
+@pytest.mark.parametrize("independents,dependent,order,argv,words", [
+    # Deriving E(L) exceeded the interpreter's stack.
+    ("t", "y", 1000, (), "above the bound 100"),
+    # E(L) passed, but the search exceeded the stack.
+    ("t", "y", 980, ("--degree", "0", "--no-gauge"), "above the bound 100"),
+    # The search's packing grows with the square of the variable count.
+    ("t, x, z", "u", 20, ("--degree", "0", "--no-gauge"),
+     "would hold 14193 variables, above the bound 5000"),
+])
+def test_jet_space_bounds_exit_2_before_building(tmp_path, capsys,
+                                                 independents, dependent,
+                                                 order, argv, words):
+    lagrangian = (dependent + "'" * order + "^2" if independents == "t"
+                  else dependent + "_" + "t" * order)
+    bad = tmp_path / "order.prob"
+    bad.write_text(f"[problem]\nindependents = {independents}\n"
+                   f"dependents = {dependent}\nlagrangian = {lagrangian}\n"
+                   f"order = {order}\n")
+    with deadline(1):
+        code, out = run(capsys, "symmetries", str(bad), *argv)
+    assert code == 2
+    assert f"field 'order' is {order}" in out and words in out
 
 
 @pytest.mark.parametrize("power", ["(y + x)^3000", "(y + x + y')^150"])

@@ -810,6 +810,38 @@ def test_listed_characteristics_span_the_multiplier_nullspace():
     assert total == 79
 
 
+@pytest.mark.parametrize("d,expected", [(1, 55), (2, 73)])
+def test_listed_point_generators_span_the_point_multiplier_nullspace(
+        d, expected):
+    """The point search finds every variational point symmetry of its
+    ansatz: at coefficient degree d and jet order 0, with the gauge at
+    degree d + deg L and jet order 2*L.order - 1, the rank of the listed
+    (xi, eta) equals the nullity of the multiplier system E(Q.E(L)) = 0,
+    Q_i = eta_i - sum_j xi_j u_i,j over the same xi and eta templates.
+    This runs the xi slots and their Leibniz factors, which the
+    evolutionary-form search never builds."""
+    total = 0
+    for path in LOADABLE:
+        L = load_problem(str(ROOT / path)).lagrangian
+        rows, unknowns = multiplier_system(L, d, 0, point=True)
+        nullity = len(nullspace(rows, len(unknowns)))
+        degree = max(map(mono_degree, L.body.term_map()))
+        ansatz = Ansatz(coeff_degree=d, coeff_jet_order=0,
+                        gauge_degree=d + degree,
+                        gauge_jet_order=2 * L.order - 1)
+        columns, listed = {}, []
+        for sol in solve_noether(L, ansatz):
+            g = sol.generator
+            listed.append({columns.setdefault((kind, v, mono), len(columns)): c
+                           for kind, coeffs in (("xi", g.xi), ("eta", g.eta))
+                           for v, e in coeffs.items()
+                           for mono, c in e.term_map().items()})
+        assert len(columns) - len(nullspace(listed, len(columns))) \
+            == nullity, path
+        total += nullity
+    assert total == expected
+
+
 def test_law_equals_the_unscaled_formula(rng):
     """``_law`` works on k*g and k*F, k an lcm of denominators, and
     divides each component by k at the end; the law equals the unscaled

@@ -152,7 +152,7 @@ def test_all_verified_integrals_drift_within_tolerance(free_particle):
     el = euler_lagrange(free_particle)
     cfg = NumericConfig()
     laws = [s.law for s in solve_noether(free_particle, Ansatz())]
-    for ic in seeded_initial_conditions(el, cfg.seed, count=5):
+    for ic in seeded_initial_conditions(el, cfg.seed)[:5]:
         report = drift_report(laws, integrate_el(el, cfg, ic), cfg)
         assert all(report.passes)
 
@@ -163,7 +163,7 @@ def test_halving_step_does_not_double_drift(free_particle, ode):
     laws = [s.law for s in solve_noether(free_particle, Ansatz())]
     coarse = NumericConfig(step=2e-3)
     fine = NumericConfig(step=1e-3)
-    ic = seeded_initial_conditions(el, 42, count=1)[0]
+    ic = seeded_initial_conditions(el, 42)[0]
     rep_coarse = drift_report(laws, integrate_el(el, coarse, ic), coarse)
     rep_fine = drift_report(laws, integrate_el(el, fine, ic), fine)
     for dc, df in zip(rep_coarse.drifts, rep_fine.drifts):
@@ -222,7 +222,7 @@ def test_bundled_problems_match_reference(name):
     laws = [s.law.components[0]
             for s in solve_noether(problem.lagrangian, problem.ansatz)]
     assert laws
-    ics = seeded_initial_conditions(el, SEED, count=2)
+    ics = seeded_initial_conditions(el, SEED)[:2]
     for ic in ics:
         _assert_matches_reference(el, cfg, ic, laws)
     # One call with both conditions reports on each as a call of its own.

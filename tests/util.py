@@ -675,29 +675,39 @@ def template_gauge_systems(L, generators, degree=4, jet_order=None):
     return systems
 
 
-def multiplier_system(L, degree, jet_order):
+def multiplier_system(L, degree, jet_order, point=False):
     """The system E(Q.E(L)) = 0 for the characteristics Q_i of degree <=
     ``degree`` over the independents and the jets up to ``jet_order``, as
     (rows, unknowns): each Q_i is a template of fresh unknowns, and the
     system is linear in them with no gauge.  Its nullity counts the
     independent characteristics of variational symmetries in that ansatz
     (Olver, Thm 4.7 and Sec. 5.3; Anco and Bluman, Eur. J. Appl. Math. 13,
-    2002).  E(L) comes from ``euler_lagrange(...).raw``; E(Q.E(L)) reads
-    jets up to twice the product's order, past the problem's working
-    order, so L is parsed again in a jet space of its own with that
-    room."""
+    2002).  With ``point``, Q_i = eta_i - sum_j xi_j u_i,j instead, eta_i
+    and xi_j such templates, and the nullity counts the (xi, eta) of
+    variational point symmetries when ``jet_order`` is 0; the unknowns
+    are eta's, by dependent, then xi's, by independent.  E(L) comes from
+    ``euler_lagrange(...).raw``; E(Q.E(L)) reads jets up to twice the
+    product's order, past the problem's working order, so L is parsed
+    again in a jet space of its own with that room."""
     space = L.space
     order = max(2 * L.order, jet_order)
     room = JetSpace([x.name for x in space.independents],
                     [u.name for u in space.dependents], max_order=2 * order)
     raw = euler_lagrange(
         Lagrangian(room, L.order, parse(str(L.body), room))).raw
+    n = len(room.independents)
     monos = monomials_upto(room, jet_order, degree)
-    unknowns = fresh_unknowns(room, len(raw) * len(monos))
+    slots = len(raw) + (n if point else 0)
+    unknowns = fresh_unknowns(room, slots * len(monos))
+    templates = [Expr({m + ((c, 1),): 1
+                       for m, c in zip(monos, unknowns[k * len(monos):])})
+                 for k in range(slots)]
     product = Expr.zero()
     for i, e in enumerate(raw):
-        q = Expr({m + ((c, 1),): 1
-                  for m, c in zip(monos, unknowns[i * len(monos):])})
+        q = templates[i]
+        for j, xi in enumerate(templates[len(raw):]):
+            u_j = room.jet(i, tuple(int(a == j) for a in range(n)))
+            q = q - xi * Expr.variable(u_j)
         product = product + q * e
     rows = [row for e in euler_lagrange(Lagrangian(room, order, product)).raw
             for row in split_rows(e, unknowns).values()]
