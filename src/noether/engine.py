@@ -60,14 +60,12 @@ class Ansatz:
     suppress_xi: bool = False
 
     def __post_init__(self):
-        if self.coeff_degree < 0:
-            raise ValueError("ansatz degree must be non-negative")
-        if self.gauge_degree < 0:
-            raise ValueError("gauge degree must be non-negative")
-        if self.coeff_jet_order < 0:
-            raise ValueError("ansatz jet order must be non-negative")
-        if self.gauge_jet_order is not None and self.gauge_jet_order < 0:
-            raise ValueError("gauge jet order must be non-negative")
+        for label, value in (("ansatz degree", self.coeff_degree),
+                             ("gauge degree", self.gauge_degree),
+                             ("ansatz jet order", self.coeff_jet_order),
+                             ("gauge jet order", self.gauge_jet_order or 0)):
+            if value < 0:
+                raise ValueError(f"{label} must be non-negative")
 
     def resolved_gauge_jet_order(self, L: Lagrangian) -> int:
         if self.gauge_jet_order is not None:

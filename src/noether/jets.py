@@ -58,8 +58,6 @@ class JetSpace:
             self._register(DEPENDENT, n, dep_index=i,
                            multi_index=(0,) * len(self.independents))
             for i, n in enumerate(dependents))
-        for i, dep in enumerate(self.dependents):
-            self._jets[(i, dep.multi_index)] = dep
         idx = range(len(self.independents))
         for order in range(1, max_order + 1):
             for i, dep in enumerate(self.dependents):
@@ -67,9 +65,8 @@ class JetSpace:
                 # (2,0), (1,1), (0,2).
                 for c in itertools.combinations_with_replacement(idx, order):
                     multi = tuple(map(c.count, idx))
-                    v = self._register(JET, self._jet_name(dep, multi),
-                                       dep_index=i, multi_index=multi)
-                    self._jets[(i, multi)] = v
+                    self._register(JET, self._jet_name(dep, multi),
+                                   dep_index=i, multi_index=multi)
 
     def _register(self, kind: str, name: str, dep_index: int = -1,
                   multi_index: Tuple[int, ...] = ()) -> VarId:
@@ -78,6 +75,8 @@ class JetSpace:
         v = VarId(kind=kind, name=name, sort_index=len(self._by_name),
                   dep_index=dep_index, multi_index=multi_index)
         self._by_name[name] = v
+        if kind != INDEPENDENT:
+            self._jets[(dep_index, multi_index)] = v
         return v
 
     def _jet_name(self, dep: VarId, multi: Tuple[int, ...]) -> str:

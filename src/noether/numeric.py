@@ -141,12 +141,12 @@ def _plan(el: ELSystem):
 
     The state holds derivatives 0..order-1 of each dependent, its order
     that of its top: its highest solved derivative, of order one or more.
-    ``slopes[j]`` gives the derivative of state j: the index of the state
-    it equals or, for a dependent's last state, the top's solved form
-    reduced on shell by ``reduce_mod_el``.  A reduction that fails, or
-    that reads anything but the state and the independent variable,
-    refuses the system, naming what the unreduced form reads outside the
-    state.  The initial condition is not read here.
+    ``slopes[j]`` gives the derivative of state j: ``None`` where it
+    copies the next state or, for a dependent's last state, the top's
+    solved form reduced on shell by ``reduce_mod_el``.  A reduction that
+    fails, or that reads anything but the state and the independent
+    variable, refuses the system, naming what the unreduced form reads
+    outside the state.  The initial condition is not read here.
     """
     space = el.space
     if not space.is_ode:
@@ -174,7 +174,7 @@ def _plan(el: ELSystem):
             raise ValueError(
                 f"solved form for {h.name} references non-state variables: "
                 f"{', '.join(v.name for v in bad)}")
-        slopes += [*range(len(slopes) + 1, len(slopes) + h.order), reduced]
+        slopes += [None] * (h.order - 1) + [reduced]
     return space.independents[0], states, slopes
 
 
@@ -250,11 +250,11 @@ def _rk4_lines(t_var: VarId, states: List[VarId], slopes: List,
 
     Stage k's states are the locals ``s<j>``, ``a<j>``, ``b<j>`` or
     ``c<j>``, at time ``t``, ``tm`` (half step) or ``tn`` (full step); its
-    slope j is the stage's state that ``slopes[j]`` names, ``0.0`` for a
-    zero solved form, or ``k<k>_<j>``.  Only values some slope reads are
-    computed, each distinct expression once.  An ``OverflowError`` or
-    ``ValueError`` in a stage, or a non-finite entry in the new row, ends
-    the loop truncated.
+    slope j is the stage's state j + 1 where ``slopes[j]`` is ``None``,
+    ``0.0`` for a zero solved form, or ``k<k>_<j>``.  Only values some
+    slope reads are computed, each distinct expression once.  An
+    ``OverflowError`` or ``ValueError`` in a stage, or a non-finite entry
+    in the new row, ends the loop truncated.
     """
     step = repr(h)
     indent = " " * 12
@@ -267,13 +267,10 @@ def _rk4_lines(t_var: VarId, states: List[VarId], slopes: List,
             body.append(f"{indent}{name} = {text}")
         return known[text]
 
-    reads = set()
-    for j, slope in enumerate(slopes):
-        if isinstance(slope, int):
-            # The update of s<j> reads s<j+1> before overwriting it.
-            assert slope == j + 1, (j, slope)
-            reads.add(states[slope])
-        else:
+    # The update of s<j> reads s<j+1> before overwriting it.
+    reads = {states[j + 1] for j, slope in enumerate(slopes) if slope is None}
+    for slope in slopes:
+        if slope is not None:
             reads |= slope.variables()
     ks: List[List[str]] = []
     stage = {v: f"s{j}" for j, v in enumerate(states)}
@@ -291,8 +288,8 @@ def _rk4_lines(t_var: VarId, states: List[VarId], slopes: List,
                                      f"s{j} + {inc} * {kj}", f"{prefix}{j}")
         ks.append([])
         for j, slope in enumerate(slopes):
-            if isinstance(slope, int):
-                ks[-1].append(stage[states[slope]])
+            if slope is None:
+                ks[-1].append(stage[states[j + 1]])
             elif slope.is_zero:
                 ks[-1].append("0.0")
             else:

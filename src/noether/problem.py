@@ -78,6 +78,10 @@ MAX_STEPS = 10 ** 6
 MAX_ORDER = 100
 MAX_VARIABLES = 5_000
 
+# A problem file is read whole, so its length is bounded too; an endless
+# stream such as /dev/zero is refused after one character more.
+MAX_FILE_CHARS = 1_000_000
+
 
 @dataclass(frozen=True)
 class NumericConfig:
@@ -270,11 +274,14 @@ def load_problem(path: str) -> Problem:
     cp = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     cp.optionxform = str
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read(MAX_FILE_CHARS + 1)
+        if len(text) > MAX_FILE_CHARS:
+            raise ProblemError("the file is longer than the bound of "
+                               f"{MAX_FILE_CHARS} characters")
         # A byte-order mark is dropped by hand: the interpreter has the
         # utf-8 codec loaded already, and utf-8-sig would be one more import.
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read().removeprefix("\ufeff")
-        cp.read_string(text, source=path)
+        cp.read_string(text.removeprefix("\ufeff"), source=path)
     except OSError as err:
         raise ProblemError(f"cannot read {path}: {err}")
     except configparser.Error as err:

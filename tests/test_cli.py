@@ -1,6 +1,7 @@
 """Command-line interface: output modes, determinism, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from noether import Expr, JetSpace, parse
 from noether.cli import build_parser, exit_code, main, render, run_file
+from noether.problem import MAX_FILE_CHARS
 
 from util import child_env, deadline
 
@@ -531,6 +533,48 @@ def test_jet_space_bounds_exit_2_before_building(tmp_path, capsys,
         code, out = run(capsys, "symmetries", str(bad), *argv)
     assert code == 2
     assert f"field 'order' is {order}" in out and words in out
+
+
+def _capped_address_space():
+    # A loader that read an endless file whole would fill this, not the
+    # machine, and end in MemoryError.
+    import resource
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, hard))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_file_exits_2_at_the_file_bound(capsys):
+    """An endless stream is refused after ``MAX_FILE_CHARS`` characters:
+    exit code 2 and a message naming the bound, no traceback."""
+    words = f"longer than the bound of {MAX_FILE_CHARS} characters"
+    proc = subprocess.run(
+        [sys.executable, "-m", "noether.cli", "integrals", "/dev/zero"],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+        preexec_fn=_capped_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert words in proc.stdout and "Traceback" not in proc.stderr
+    with deadline(1):
+        code, out = run(capsys, "integrals", "/dev/zero")
+    assert code == 2 and words in out
+
+
+def test_file_bound_counts_characters(tmp_path, capsys):
+    """A valid problem padded with a comment to exactly ``MAX_FILE_CHARS``
+    characters loads; one character more exits 2."""
+    text = Path(FREE).read_text(encoding="utf-8")
+    pad = MAX_FILE_CHARS - len(text) - len("#\n")
+    at = tmp_path / "at_bound.prob"
+    at.write_text(text + "#" + "x" * pad + "\n", encoding="utf-8")
+    over = tmp_path / "over_bound.prob"
+    over.write_text(text + "#" + "x" * (pad + 1) + "\n", encoding="utf-8")
+    assert len(at.read_text(encoding="utf-8")) == MAX_FILE_CHARS
+    assert _json_text(capsys, "verify", str(at)) == \
+        _json_text(capsys, "verify", FREE)
+    with deadline(1):
+        code, out = run(capsys, "verify", str(over))
+    assert code == 2
+    assert f"longer than the bound of {MAX_FILE_CHARS} characters" in out
 
 
 @pytest.mark.parametrize("power", ["(y + x)^3000", "(y + x + y')^150"])
