@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import Expr, Monomial, Rational, Record, VarId, mono_degree
+from .expr import (Expr, Monomial, Rational, Record, VarId, mono_degree,
+                   mono_key, mono_mul, rational_div)
 from .jets import (Generator, JetSpace, _peel, characteristics,
                    multi_derivative, total_derivative)
 from .linalg import Row, nullspace, solve_affine_many
@@ -123,10 +124,12 @@ def condition_residual(L: Lagrangian, g: Generator,
     a quadratic Lagrangian leaves a positive residual.  By the general
     prolongation formula (``prolong_pde``) it is the sum of D^mu(Q_i) *
     dL/du_i,mu over the Lagrangian's partials plus the sum over j of
-    D_j(xi_j L - F_j), Q_i the characteristics.  ``find_gauges`` packs it
-    as each candidate's constant column.  Neither the determining system
-    (``_assemble``) nor a law (``_law``) is built through it: a law is
-    accepted by Noether's identity, which equals this polynomial.
+    D_j(xi_j L - F_j), Q_i the characteristics.  ``find_gauges`` takes
+    it with zero gauge: it integrates it on a time-like problem, and
+    packs it as each candidate's constant column on a field problem.
+    Neither the determining system (``_assemble``) nor a law (``_law``)
+    is built through it: a law is accepted by Noether's identity, which
+    equals this polynomial.
     """
     space = L.space
     gauge = _gauge(space, gauge)
@@ -282,24 +285,30 @@ class _Packing:
 
     def monomials(self, jet_order: int, degree: int,
                   include_constant: bool = True) -> List[int]:
-        """A slot's monomials of total degree <= degree over the
-        independents and the jets up to ``jet_order``, ascending;
-        ValueError for a negative degree or for more than
-        ``MAX_SLOT_MONOMIALS`` monomials."""
-        if degree < 0:
-            raise ValueError(f"ansatz degree {degree} must be non-negative")
-        vars = [*self.space.independents,
-                *self.space.jet_vars(max_order=jet_order)]
-        count = math.comb(len(vars) + degree, degree) - (not include_constant)
-        if count > MAX_SLOT_MONOMIALS:
-            raise ValueError(
-                f"ansatz degree {degree} over {len(vars)} variables needs "
-                f"{count} monomials per slot; the bound is "
-                f"{MAX_SLOT_MONOMIALS}")
-        units = [self.unit[v] for v in vars]
+        """A slot's monomials, ascending, over ``_slot_vars``."""
+        units = [self.unit[v] for v in _slot_vars(
+            self.space, jet_order, degree, include_constant)]
         lowest = 0 if include_constant else 1
         return sorted(sum(c) for d in range(lowest, degree + 1)
                       for c in itertools.combinations_with_replacement(units, d))
+
+
+def _slot_vars(space: JetSpace, jet_order: int, degree: int,
+               include_constant: bool = True) -> List[VarId]:
+    """The variables of a slot of total degree <= degree: the independents
+    and the jets up to ``jet_order``.  ValueError for a negative degree or
+    for more than ``MAX_SLOT_MONOMIALS`` monomials, counted as C(variables
+    + degree, degree), less the constant unless it is included."""
+    if degree < 0:
+        raise ValueError(f"ansatz degree {degree} must be non-negative")
+    vars = [*space.independents, *space.jet_vars(max_order=jet_order)]
+    count = math.comb(len(vars) + degree, degree) - (not include_constant)
+    if count > MAX_SLOT_MONOMIALS:
+        raise ValueError(
+            f"ansatz degree {degree} over {len(vars)} variables needs "
+            f"{count} monomials per slot; the bound is "
+            f"{MAX_SLOT_MONOMIALS}")
+    return vars
 
 
 def _assemble(L: Lagrangian, packing: _Packing,
@@ -461,38 +470,87 @@ def solve_noether(L: Lagrangian, ansatz: Ansatz) -> List[NoetherSolution]:
 def find_gauges(L: Lagrangian, generators: Sequence[Generator],
                 degree: int = 4, jet_order: Optional[int] = None
                 ) -> List[Optional[Tuple[Expr, ...]]]:
-    """``find_gauge`` for each generator, sharing the work between them.
+    """``find_gauge`` for each generator.
 
-    The invariance residual is the candidate's residual with zero gauge
-    minus the divergence of the gauge, and only the first part depends on
-    the candidate.  So the candidates are grouped by gauge jet order (by
-    default each candidate's own, as ``Ansatz`` states it), and each group
-    assembles its gauge columns once and eliminates them once, with one
-    constant column per candidate: its residual, packed like the columns.
-    A residual's degree is at most the Lagrangian's plus its generator's,
-    so the packing is sized, and an over-bound degree refused, before any
-    residual is computed.
+    The invariance residual is the candidate's residual R with zero gauge
+    minus the divergence of the gauge.  On a time-like problem the gauge
+    is then an antiderivative of R, integrated exactly by
+    ``_antiderivative`` and checked against the caps: ``jet_order``, by
+    default each candidate's own, as ``Ansatz`` states it.  On a field
+    problem the gauge columns are assembled once and eliminated once,
+    with one constant column per candidate: its residual, packed like the
+    columns.  A residual's degree is at most the Lagrangian's plus its
+    generator's, so the packing is sized, and an over-bound degree
+    refused, before any residual is computed.
     """
-    n = len(L.space.independents)
-    groups: Dict[int, List[int]] = {}
-    for k, g in enumerate(generators):
-        order = (_gauge_jet_order(L, g.dependence_order)
-                 if jet_order is None else jet_order)
-        groups.setdefault(order, []).append(k)
-    gauges: List[Optional[Tuple[Expr, ...]]] = [None] * len(generators)
-    for order, members in groups.items():
-        packing = _Packing(L, max([degree, *(
-            mono_degree(m) for k in members
-            for e in (*generators[k].xi.values(), *generators[k].eta.values())
-            for m in e.term_map())]))
-        monos = packing.monomials(order, degree, include_constant=False)
-        residuals = [condition_residual(L, generators[k]).term_map()
-                     for k in members]
-        rows, columns, _ = _assemble(
-            L, packing, [("gauge", j, monos) for j in range(n)], residuals)
-        solutions = solve_affine_many(rows, len(columns), len(members))
-        for member, sol in zip(members, solutions):
-            if sol is not None:
-                gauges[member] = tuple(
-                    _slot_values(sol, columns, packing, n))
-    return gauges
+    space = L.space
+    if space.is_ode:
+        return [_antiderivative(L, g, degree, jet_order) for g in generators]
+    if not generators:
+        return []
+    n = len(space.independents)
+    packing = _Packing(L, max([degree, *(
+        mono_degree(m) for g in generators
+        for e in (*g.xi.values(), *g.eta.values()) for m in e.term_map())]))
+    monos = packing.monomials(jet_order or 0, degree, include_constant=False)
+    residuals = [condition_residual(L, g).term_map() for g in generators]
+    rows, columns, _ = _assemble(
+        L, packing, [("gauge", j, monos) for j in range(n)], residuals)
+    return [None if sol is None else tuple(
+        _slot_values(sol, columns, packing, n))
+        for sol in solve_affine_many(rows, len(columns), len(generators))]
+
+
+def _antiderivative(L: Lagrangian, g: Generator, degree: int,
+                    jet_order: Optional[int]) -> Optional[Tuple[Expr]]:
+    """The gauge (F,) of a time-like candidate, D_t F = R with R its
+    residual with zero gauge, or None when R is no total derivative or F
+    lies outside the slot of ``degree`` over ``_slot_vars`` at
+    ``jet_order``, by default the candidate's own.  F has no constant
+    term, as no slot has, so it is the one gauge the slot can hold.
+
+    R is integrated order by order, top jet first.  At order k, for each
+    dependent u in turn, the coefficient A of u^(k) in R must be free of
+    jets of order k and up; G, A integrated in u^(k-1), joins F, and D_t G
+    leaves R.  One sweep must clear order k: repeating it could cycle, as
+    on u'*v + 2*u*v'.  What is left is integrated in t, and D_t F = R
+    certifies F.  No step goes past R's jet order; the slot's refusals
+    are the linear path's, with its messages.
+    """
+    space = L.space
+    if jet_order is None:
+        jet_order = _gauge_jet_order(L, g.dependence_order)
+    vars = _slot_vars(space, jet_order, degree, include_constant=False)
+    if degree and jet_order >= space.max_order:
+        # ``_assemble`` takes D_t of every slot monomial, so there a slot
+        # holding the top jet raises ``HeadroomError``.
+        space.derivative(vars[-1], 0)
+    t = space.independents[0]
+    residual = R = condition_residual(L, g)
+    F = Expr.zero()
+    for k in range(R.max_jet_order(), 0, -1):
+        for i in range(len(space.dependents)):
+            A = residual.partial(space.jet(i, (k,)))
+            if A.max_jet_order() >= k:
+                return None
+            G = _integral(A, space.jet(i, (k - 1,)))
+            F = F + G
+            residual = residual - total_derivative(G, t, space)
+        if residual.max_jet_order() >= k:
+            return None
+    F = F + _integral(residual, t)
+    terms = F.term_map()
+    if (max(map(mono_degree, terms), default=0) > degree
+            or not F.variables() <= set(vars)
+            or total_derivative(F, t, space) != R):
+        return None
+    return (Expr({m: terms[m] for m in sorted(terms, key=mono_key)}),)
+
+
+def _integral(e: Expr, v: VarId) -> Expr:
+    """The antiderivative of e in v whose every term holds v."""
+    out = {}
+    for m, c in e.term_map().items():
+        m = mono_mul(m, ((v, 1),))
+        out[m] = rational_div(c, dict(m)[v])
+    return Expr(out)

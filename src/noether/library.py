@@ -33,8 +33,8 @@ class DeterminingSystem:
     ``rows`` are sparse over positions in ``unknowns``.  The templates are
     linear in the parameters, one parameter per term, and describe the
     ansatz to callers of this record.  No command builds them:
-    ``solve_noether`` and ``find_gauges`` read each solution straight from
-    its columns, one monomial in one slot each.
+    ``solve_noether``, and ``find_gauges`` on a field problem, read each
+    solution straight from its columns, one monomial in one slot each.
     """
 
     unknowns: List[VarId]
@@ -170,10 +170,13 @@ def find_gauge(L: Lagrangian, g: Generator, degree: int = 4,
     """Gauge term making the candidate a symmetry, or None if none exists.
 
     The gauge is sought as a polynomial over the independents, dependents
-    and (optionally) derivatives up to ``jet_order``.  Among the affine
-    family of solutions the canonical one (free directions zeroed) is
-    returned, so for instance the time-translation candidate of a free field
-    gets the zero gauge rather than an arbitrary divergence-free one.
+    and (optionally) derivatives up to ``jet_order``, with no constant
+    term.  On a time-like problem that makes it unique: the antiderivative
+    of the candidate's residual.  On a field problem it is unique only up
+    to a divergence-free field, and among the affine family of solutions
+    the canonical one (free directions zeroed) is returned, so for
+    instance the time-translation candidate of a free field gets the zero
+    gauge rather than an arbitrary divergence-free one.
     """
     return find_gauges(L, [g], degree=degree, jet_order=jet_order)[0]
 

@@ -2,25 +2,29 @@
 
     PYTHONPATH=src python tests/ladder.py [--out BENCH_<tag>.json]
 
-Three ladders, one problem size per rung, all seeded with seed 1:
+Four ladders, one problem size per rung, all seeded with seed 1:
 
 - ``symmetries``: the bench's ``planar.prob`` searched at degree = gauge
   degree 5, 7, 9 and 11, jet order 1, as ``noether symmetries`` runs it;
 - ``verify``: the candidates of the bench's ``free_particle_3d.prob``
   fitted at gauge degree 2, 4, 6 and 8, each accepted one certified by its
   law, as ``noether verify`` runs them;
+- ``verify_field``: the same for the candidates of the bundled
+  ``quartic_field.prob``, whose gauges are solved as one linear system;
 - ``numcheck``: the four bundled time-like problems at 10^4 and 10^5 RK4
   steps (the files' step, then a tenth of it, over the same horizon), each
   law checked from five seeded initial conditions.
 
 The two bench files are written by ``bench/workloads.prepare`` into a
 temporary directory; ``bench/`` is only read.  Each rung records its sizes
-(unknowns, rows, nonzeros of the solver's rows, rank, nullity, steps) and
-the seconds spent in each layer, timed by wrapping the engine's own
-function while the command's pipeline runs: ``_system``, ``nullspace``
-and ``_law`` for a search; ``_assemble``, ``solve_affine_many`` and
-``_law`` for verify; ``check_integrals`` for numcheck.  Per ladder, each
-layer's slope of log time against log size (unknowns, or steps) is fitted
+(unknowns, rows, nonzeros of the solver's rows, rank, nullity, steps; for
+time-like verify, the terms of the residuals and of the gauges) and the
+seconds spent in each layer, timed by wrapping the engine's own function
+while the command's pipeline runs: ``_system``, ``nullspace`` and
+``_law`` for a search; ``_antiderivative`` and ``_law`` for time-like
+verify; ``_assemble``, ``solve_affine_many`` and ``_law`` for field
+verify; ``check_integrals`` for numcheck.  Per ladder, each layer's slope
+of log time against log size (unknowns, gauge degree, or steps) is fitted
 by least squares.  The record is printed as JSON; ``--out`` merges it
 into that file's JSON object under ``"ladder"``.  Nothing is gated.
 
@@ -58,9 +62,9 @@ NUMCHECK = ("free_particle", "free_particle_2d", "harmonic_oscillator",
             "second_order_chain")
 
 
-def bench_files(workdir: Path) -> Dict[str, Path]:
-    """The bench's seed-1 full-size ``planar.prob`` and
-    ``free_particle_3d.prob``, written into ``workdir``.  The bench's
+def prepare(workload: str, seed: int, workdir: Path) -> List:
+    """The jobs of a full-size bench workload at ``seed``, their files
+    written into ``workdir`` by ``bench/workloads.prepare``.  The bench's
     workload module is executed from its source, so nothing is written
     under ``bench/``."""
     source = ROOT / "bench" / "workloads.py"
@@ -70,12 +74,18 @@ def bench_files(workdir: Path) -> Dict[str, Path]:
     try:
         exec(compile(source.read_text(encoding="utf-8"), str(source),
                      "exec"), workloads.__dict__)
-        jobs = [job for workload in ("search", "verify")
-                for job in workloads.prepare(workload, SEED, "full", workdir,
-                                             workdir / "work")]
+        return workloads.prepare(workload, seed, "full", workdir,
+                                 workdir / "work")
     finally:
         del sys.modules[workloads.__name__]
-    return {job.name: workdir / job.path for job in jobs
+
+
+def bench_files(workdir: Path) -> Dict[str, Path]:
+    """The bench's seed-1 full-size ``planar.prob`` and
+    ``free_particle_3d.prob``, written into ``workdir``."""
+    return {job.name: workdir / job.path
+            for workload in ("search", "verify")
+            for job in prepare(workload, SEED, workdir)
             if job.name in ("planar", "free_particle_3d")}
 
 
@@ -124,18 +134,37 @@ def symmetries_rung(path: Path, degree: int) -> Dict:
 
 
 def verify_rung(path: Path, gauge_degree: int) -> Dict:
-    """Fit each candidate of ``path`` at ``gauge_degree`` and certify each
+    """Fit each candidate of the time-like ``path`` at ``gauge_degree``,
+    integrating its residual, and certify each accepted one by its law.
+    The sizes are the terms of the residuals and of the gauges found."""
+    problem = load_problem(str(path))
+    L = problem.lagrangian
+    candidates = [g for _, g in problem.candidates]
+    with timed(("_antiderivative", "_law")) as seen:
+        gauges = _fit(L, candidates, gauge_degree,
+                      problem.ansatz.gauge_jet_order)
+    return {"gauge_degree": gauge_degree,
+            "gauge_jet_order": problem.ansatz.gauge_jet_order,
+            "candidates": len(candidates),
+            "accepted": sum(gauge is not None for gauge in gauges),
+            "residual_terms": sum(len(engine.condition_residual(L, g))
+                                  for g in candidates),
+            "gauge_terms": sum(len(e) for gauge in gauges if gauge
+                               for e in gauge),
+            "times_s": seen["times_s"]}
+
+
+def field_verify_rung(path: Path, gauge_degree: int) -> Dict:
+    """Fit each candidate of the field problem ``path`` at
+    ``gauge_degree`` through its one linear system, and certify each
     accepted one by its law.  Rank and nullity are those of the gauge
     columns, from an untimed ``nullspace``."""
     problem = load_problem(str(path))
     L = problem.lagrangian
     candidates = [g for _, g in problem.candidates]
     with timed(("_assemble", "solve_affine_many", "_law")) as seen:
-        gauges = find_gauges(L, candidates, degree=gauge_degree,
-                             jet_order=problem.ansatz.gauge_jet_order)
-        for g, gauge in zip(candidates, gauges):
-            if gauge is not None:
-                engine._law(L, g, gauge)
+        gauges = _fit(L, candidates, gauge_degree,
+                      problem.ansatz.gauge_jet_order)
     rows, columns = seen["returns"]["_assemble"][:2]
     n = len(columns)
     nullity = len(nullspace([{c: v for c, v in row.items() if c < n}
@@ -145,6 +174,16 @@ def verify_rung(path: Path, gauge_degree: int) -> Dict:
             **_sizes(rows, n, nullity), "candidates": len(candidates),
             "accepted": sum(gauge is not None for gauge in gauges),
             "times_s": seen["times_s"]}
+
+
+def _fit(L, candidates, gauge_degree: int, jet_order) -> List:
+    """``noether verify``'s gauge fit and law certificates."""
+    gauges = find_gauges(L, candidates, degree=gauge_degree,
+                         jet_order=jet_order)
+    for g, gauge in zip(candidates, gauges):
+        if gauge is not None:
+            engine._law(L, g, gauge)
+    return gauges
 
 
 def numcheck_rung(steps: int) -> Dict:
@@ -198,7 +237,10 @@ def run(workdir: Path, degrees: Sequence[int] = DEGREES,
         "symmetries": _ladder([symmetries_rung(files["planar"], d)
                                for d in degrees], "unknowns"),
         "verify": _ladder([verify_rung(files["free_particle_3d"], d)
-                           for d in gauge_degrees], "unknowns"),
+                           for d in gauge_degrees], "gauge_degree"),
+        "verify_field": _ladder([field_verify_rung(
+            ROOT / "problems" / "quartic_field.prob", d)
+            for d in gauge_degrees], "unknowns"),
         "numcheck": _ladder([numcheck_rung(n) for n in steps], "steps"),
     }
     return {"python": platform.python_version(), "host": platform.node(),

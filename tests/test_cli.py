@@ -13,7 +13,7 @@ from noether import Expr, JetSpace, parse
 from noether.cli import build_parser, exit_code, main, render, run_file
 from noether.problem import MAX_FILE_CHARS
 
-from util import child_env, deadline
+from util import LOADABLE, child_env, deadline, field_files
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -100,11 +100,12 @@ def test_verify_refuses_a_wrong_boundary_term(monkeypatch, capsys):
 
 
 def test_condition_residual_runs_only_in_the_gauge_solve(monkeypatch,
-                                                          capsys):
-    """``integrals`` and ``verify`` on every bundled file call
-    ``condition_residual`` only from ``find_gauges``, once per candidate,
-    and never while a law is built: each law is certified by Noether's
-    identity instead."""
+                                                          capsys, tmp_path):
+    """``integrals`` and ``verify`` on every bundled file and on the field
+    files call ``condition_residual`` only inside ``find_gauges``, once per
+    candidate, and never while a law is built: each law is certified by
+    Noether's identity instead.  ``find_gauges`` packs it itself on a
+    field problem; on a time-like one, ``_antiderivative`` integrates it."""
     from noether import engine
     from noether.problem import load_problem
     stacks = []
@@ -118,19 +119,55 @@ def test_condition_residual_runs_only_in_the_gauge_solve(monkeypatch,
         stacks.append(names)
         return original(*args)
     monkeypatch.setattr(engine, "condition_residual", recording)
-    checked = 0
-    for path in sorted(PROBLEMS.glob("*.prob")):
-        candidates = len(load_problem(str(path)).candidates)
+    checked = {"_antiderivative": 0, "find_gauges": 0}
+    for path in [*sorted(PROBLEMS.glob("*.prob")), *field_files(tmp_path)]:
+        problem = load_problem(str(path))
+        caller = "_antiderivative" if problem.space.is_ode else "find_gauges"
         for command in ("integrals", "verify"):
             stacks.clear()
             run(capsys, command, str(path))
-            expected = candidates if command == "verify" else 0
+            expected = len(problem.candidates) if command == "verify" else 0
             # The first named frame: a comprehension has a frame of its own.
             assert [next(n for n in names if n[0] != "<") for names in stacks
-                    ] == ["find_gauges"] * expected, (command, path.name)
+                    ] == [caller] * expected, (command, path.name)
+            assert all("find_gauges" in names for names in stacks)
             assert not any("_law" in names for names in stacks)
-            checked += len(stacks)
-    assert checked == 11   # free_particle's five candidates, quartic's six
+            checked[caller] += len(stacks)
+    # free_particle's five candidates; quartic's six, twice, and three
+    # each for wave_2plus1 and schrodinger_pair.
+    assert checked == {"_antiderivative": 5, "find_gauges": 18}
+
+
+def test_time_like_verify_solves_no_linear_system(monkeypatch, capsys,
+                                                  tmp_path):
+    """``verify`` integrates each time-like candidate's residual: on every
+    time-like bundled and ``tests/data`` file it assembles and eliminates
+    no system.  On the field files it still does both."""
+    from noether import engine
+    from noether.problem import load_problem
+    calls = []
+
+    def recording(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+    for name in ("_assemble", "solve_affine_many"):
+        monkeypatch.setattr(engine, name,
+                            recording(name, getattr(engine, name)))
+    time_like = [ROOT / path for path in LOADABLE
+                 if load_problem(str(ROOT / path)).space.is_ode]
+    assert len(time_like) == 9
+    checked = 0
+    for path in time_like:
+        out = json.loads(run(capsys, "verify", str(path), "--json")[1])
+        checked += len(out.get("generators_checked", ()))
+    assert checked == 11   # free_particle 5, degenerate 2, verify_batch 4
+    assert calls == []
+    for path in field_files(tmp_path):
+        calls.clear()
+        run(capsys, "verify", str(path))
+        assert calls == ["_assemble", "solve_affine_many"], path.name
 
 
 def test_verify_law_section(capsys):

@@ -19,12 +19,14 @@ from noether.engine import _Packing, _system
 from noether.expr import mono_degree
 from noether.linalg import nullspace
 
-from util import (LOADABLE, bundled_solutions, constant_columns,
-                  first_integral_closed_form, fresh_unknowns, is_canonical,
-                  monomials_upto, multiplier_system, on_shell_zero,
-                  prolongation_residual, rand_expr, rand_nonzero_expr,
-                  recursive_prolong, scanning_fill, split_rows,
-                  template_gauge_systems, template_rows)
+import ladder
+from util import (LOADABLE, bundled_solutions, constant_columns, deadline,
+                  field_files, first_integral_closed_form, fresh_unknowns,
+                  is_canonical, linear_gauges, monomials_upto,
+                  multiplier_system, on_shell_zero, prolongation_residual,
+                  rand_expr, rand_nonzero_expr, recursive_prolong,
+                  scanning_fill, split_rows, template_gauge_systems,
+                  template_rows)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -418,8 +420,11 @@ def test_solver_rows_are_ints_scaled_back_for_the_record(rng):
 
 def test_assembly_refuses_a_derivative_past_the_working_order():
     """A D^nu inside the assembly that reaches past the space's working
-    order raises HeadroomError there, in the search and in the gauge
-    solve, with the jet space's own message."""
+    order raises HeadroomError there, in the search and in a field
+    problem's gauge solve, with the jet space's own message.  A time-like
+    gauge solve assembles nothing: ``_antiderivative`` raises the same
+    error for a slot that holds the top jet, and none for an empty slot,
+    as the assembly of that slot would."""
     ode = JetSpace(["t"], ["y"], max_order=4)
     free = Lagrangian(ode, 1, parse("1/2*y'^2", ode))
     tight = JetSpace(["t"], ["y"], max_order=1)
@@ -427,58 +432,158 @@ def test_assembly_refuses_a_derivative_past_the_working_order():
     wave = Lagrangian(pde, 1, parse("1/2*u_t^2 - 1/2*u_x^2", pde))
     calls = [
         (lambda: solve_noether(free, Ansatz(coeff_degree=1, gauge_degree=1,
-                                            gauge_jet_order=4)), 5, 4),
-        (lambda: determining_system(free, Ansatz(gauge_jet_order=4)), 5, 4),
+                                            gauge_jet_order=4)), 5, 4,
+         "_assemble"),
+        (lambda: determining_system(free, Ansatz(gauge_jet_order=4)), 5, 4,
+         "_assemble"),
         (lambda: solve_noether(
             Lagrangian(tight, 1, parse("1/2*y'^2", tight)),
             Ansatz(coeff_degree=1, coeff_jet_order=1, include_gauge=False)),
-         2, 1),
+         2, 1, "_assemble"),
         (lambda: find_gauges(free, [gen(ode, eta={"y": "1"})], degree=1,
-                             jet_order=4), 5, 4),
+                             jet_order=4), 5, 4, "_antiderivative"),
+        (lambda: find_gauges(free, [gen(ode, eta={"y": "1"})], degree=1,
+                             jet_order=9), 5, 4, "_antiderivative"),
         (lambda: find_gauges(wave, [gen(pde, eta={"u": "1"})], degree=1,
-                             jet_order=2), 3, 2)]
-    for call, order, working in calls:
+                             jet_order=2), 3, 2, "_assemble")]
+    for call, order, working, where in calls:
         with pytest.raises(HeadroomError) as err:
             call()
         assert str(err.value) == \
             f"derivative order {order} exceeds working order {working}"
-        assert "_assemble" in [frame.name for frame
-                               in traceback.extract_tb(err.tb)]
+        assert where in [frame.name for frame
+                         in traceback.extract_tb(err.tb)]
+    for L, space, name in ((free, ode, "y"), (wave, pde, "u")):
+        assert find_gauges(L, [gen(space, eta={name: "1"})], degree=0,
+                           jet_order=4) == [(Expr.zero(),) * len(
+                               space.independents)]
 
 
-def test_gauge_systems_match_template_path(monkeypatch):
-    """``find_gauges`` eliminates, row for row, the systems split from the
-    gauge templates' divergence and the candidates' residuals, each
-    candidate's residual in its own constant column."""
+def test_gauge_systems_match_template_path(monkeypatch, tmp_path):
+    """On a field problem, ``find_gauges`` eliminates, row for row, the
+    system split from the gauge templates' divergence and the candidates'
+    residuals, each candidate's residual in its own constant column."""
     import noether.engine as engine
     eliminate, seen = engine.solve_affine_many, []
     monkeypatch.setattr(engine, "solve_affine_many",
                         lambda rows, n_cols, n_rhs: seen.append(
                             (rows, n_cols)) or eliminate(rows, n_cols, n_rhs))
     cases = []
-    for path in LOADABLE:
-        problem = load_problem(str(ROOT / path))
-        if problem.candidates:
-            cases.append((problem.lagrangian,
-                          [g for _, g in problem.candidates], 4))
-    ode = JetSpace(["t"], ["y"], max_order=4)
-    free = Lagrangian(ode, 1, parse("1/2*y'^2", ode))
-    # Residuals of degree up to 11 and 30 over gauges of degree 2 and 4;
-    # too narrow a field merges two monomials of the first.
-    gens = [Generator(eta={ode.dependents[0]: parse(text, ode)})
-            for text in ("y^9*y' + t*y'^9", "y^20*t^9", "y")]
-    cases += [(free, gens, 2), (free, gens, 4)]
+    for path in field_files(tmp_path):
+        problem = load_problem(str(path))
+        cases.append((problem.lagrangian,
+                      [g for _, g in problem.candidates], 4))
+    pde = JetSpace(["t", "x"], ["u"], max_order=4)
+    quartic = Lagrangian(pde, 1, parse("1/12*u_x^4 + 1/2*u_t^2", pde))
+    # Residuals of degree up to 13 and 32 over gauges of degree 2 and 4.
+    gens = [Generator(eta={pde.dependents[0]: parse(text, pde)})
+            for text in ("u^9*u_t + t*u_x^9", "u^20*t^9", "u")]
+    cases += [(quartic, gens, 2), (quartic, gens, 4)]
     for L, gens, degree in cases:
         seen.clear()
         find_gauges(L, gens, degree=degree)
         want = [(constant_columns(system, n_cols), n_cols) for system, n_cols
                 in template_gauge_systems(L, gens, degree)]
-        assert seen == want
+        assert len(seen) == 1 and seen == want
         assert [{c: type(v) for c, v in row.items()}
                 for rows, _ in seen for row in rows] == \
             [{c: type(v) for c, v in row.items()}
              for rows, _ in want for row in rows]
-    assert len(cases) >= 4
+    assert len(cases) == 5
+
+
+def _time_like_candidates(rng, tmp_path):
+    """(Lagrangian, candidates) for every time-like bundled and
+    ``tests/data`` file, its candidates being its own, the generators its
+    search finds and two seeded random ones; for the bench's verify file
+    at seeds 1-5; and for the free particle with eta = y'^5, whose gauge
+    5/6*y'^6 needs degree 6 and jet order 1."""
+    for _, problem, solutions in bundled_solutions():
+        L = problem.lagrangian
+        if not L.space.is_ode:
+            continue
+        vars = [*L.space.independents, *L.space.jet_vars(max_order=L.order)]
+        drawn = [Generator(xi={x: rand_expr(rng, vars, 2, 2)
+                               for x in L.space.independents},
+                           eta={u: rand_expr(rng, vars, 3, 3)
+                                for u in L.space.dependents})
+                 for _ in range(2)]
+        yield L, [*(g for _, g in problem.candidates),
+                  *(s.generator for s in solutions), *drawn]
+    for seed in range(1, 6):
+        jobs = ladder.prepare("verify", seed, tmp_path / str(seed))
+        job, = [job for job in jobs if job.seeded]
+        problem = load_problem(str(tmp_path / str(seed) / job.path))
+        yield problem.lagrangian, [g for _, g in problem.candidates]
+    ode = JetSpace(["x"], ["y"], max_order=4)
+    yield (Lagrangian(ode, 1, parse("1/2*y'^2", ode)),
+           [gen(ode, eta={"y": "y'^5"})])
+
+
+def test_time_like_gauges_match_the_linear_system(rng, tmp_path):
+    """On a time-like problem the gauge is the antiderivative of the
+    candidate's residual, so ``find_gauges`` returns, gauge for gauge and
+    None for None, with the same terms in the same order, what the linear
+    system over the gauge slot returns, at gauge degrees 2, 4 and 6 and
+    at the default jet order and jet order 0."""
+    counts = {"accepted": 0, "rejected": 0}
+    for L, gens in _time_like_candidates(rng, tmp_path):
+        for degree in (2, 4, 6):
+            for jet_order in (None, 0):
+                got = find_gauges(L, gens, degree=degree, jet_order=jet_order)
+                want = linear_gauges(L, gens, degree, jet_order)
+                assert got == want
+                assert [g and [list(e.term_map()) for e in g] for g in got] \
+                    == [g and [list(e.term_map()) for e in g] for g in want]
+                counts["accepted"] += sum(g is not None for g in got)
+                counts["rejected"] += got.count(None)
+    assert min(counts.values()) >= 100, counts
+
+
+def test_a_residual_that_is_no_total_derivative_is_refused_at_once(
+        monkeypatch):
+    """u'*v + 2*u*v' is no total derivative.  One sweep over u and v at
+    order 1 leaves -u'*v, so sweeping again would never end; one sweep
+    per order refuses it."""
+    import noether.engine as engine
+    space = JetSpace(["t"], ["u", "v"], max_order=4)
+    L = Lagrangian(space, 1, parse("1/2*u'^2 + 1/2*v'^2", space))
+    monkeypatch.setattr(engine, "condition_residual",
+                        lambda L, g: parse("u'*v + 2*u*v'", space))
+    with deadline(1):
+        assert find_gauges(L, [Generator()], degree=6) == [None]
+
+
+def test_a_residual_nonlinear_in_its_top_jet_is_refused_there():
+    """y''^2, the residual of eta = y on L = 1/2*y''^2, is nonlinear in
+    its top jet, so it is no total derivative.  With no room above that
+    jet, it is refused before anything is integrated in it: its
+    integral's total derivative would need y'''."""
+    space = JetSpace(["t"], ["y"], max_order=2)
+    L = Lagrangian(space, 2, parse("1/2*y''^2", space))
+    g = gen(space, eta={"y": "y"})
+    assert condition_residual(L, g) == parse("y''^2", space)
+    assert find_gauges(L, [g]) == linear_gauges(L, [g]) == [None]
+
+
+@pytest.mark.parametrize("lagrangian,order,eta", [
+    ("1/2*y'^2", 1, "y'''"), ("1/2*y''^2", 2, "y''''")])
+def test_candidate_at_headroom_is_integrated(tmp_path, lagrangian, order,
+                                             eta):
+    """A candidate at the top of the order its file allows has a residual
+    at the working order: its integration stays within that order, and
+    gives the linear system's verdicts."""
+    edge = tmp_path / "edge.prob"
+    edge.write_text(f"[problem]\nindependents = x\ndependents = y\n"
+                    f"lagrangian = {lagrangian}\norder = {order}\n\n"
+                    f"[generators]\nG1 = eta: {eta}\nG2 = eta: 1\n")
+    problem = load_problem(str(edge))
+    L, gens = problem.lagrangian, [g for _, g in problem.candidates]
+    assert condition_residual(L, gens[0]).max_jet_order() == \
+        L.space.max_order
+    for degree in (2, 4):
+        assert find_gauges(L, gens, degree=degree) == \
+            linear_gauges(L, gens, degree)
 
 
 def test_find_gauges_with_high_degree_candidates():

@@ -6,12 +6,9 @@ elimination, on seeded random rational systems.  The solve oracles take
 (row, right-hand sides) pairs, and ``constant_columns`` turns each system
 into the solver's rows with constant columns."""
 
-import importlib.util
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -20,9 +17,11 @@ from noether import Ansatz, determining_system, find_gauges, load_problem
 from noether.expr import _as_rational, rational_div
 from noether.linalg import _eliminate, nullspace, solve_affine_many
 
-from util import (SEED, constant_columns, deadline, fraction_eliminate,
-                  is_canonical, reference_nullspace, reference_solve_affine,
-                  scanning_nullspace, scanning_rref, scanning_solve_affine_many)
+import ladder
+from util import (SEED, constant_columns, deadline, field_files,
+                  fraction_eliminate, is_canonical, reference_nullspace,
+                  reference_solve_affine, scanning_nullspace, scanning_rref,
+                  scanning_solve_affine_many, template_gauge_systems)
 
 
 def _fraction_entry(rng):
@@ -364,25 +363,13 @@ def _assert_row_order_is_free(rng, rows, n_cols, n_rhs, shuffles=3):
     return want[1]
 
 
-def _generated_verify_file(tmp_path, monkeypatch):
-    """The benchmark's generated ``free_particle_3d`` verify file, seed 1,
-    full size, written by ``bench/workloads.py``."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up while they are created.
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    jobs = workloads.prepare("verify", 1, "full", tmp_path, tmp_path / "work")
-    job, = [job for job in jobs if job.name == "free_particle_3d"]
-    return tmp_path / job.path
-
-
 def test_row_order_cannot_change_a_solve(planar, monkeypatch, tmp_path):
     """The reduced row echelon form is unique for a fixed column order, so
     shuffling the rows changes no solution: on seeded sparse systems, on
-    planar's determining rows (its gauge columns taken as constants) and
-    on the gauge systems of a generated verify file."""
+    planar's determining rows (its gauge columns taken as constants), on
+    the gauge systems ``find_gauges`` solves for the field files, and on
+    the gauge system of a generated time-like verify file, which
+    ``find_gauges`` no longer builds."""
     rng = random.Random(SEED)
     seen = {"inconsistent": 0, "solved": 0}
     for _ in range(100):
@@ -404,12 +391,32 @@ def test_row_order_cannot_change_a_solve(planar, monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "solve_affine_many",
                         lambda *system: systems.append(system)
                         or solve_affine_many(*system))
-    problem = load_problem(str(_generated_verify_file(tmp_path, monkeypatch)))
-    gauges = find_gauges(problem.lagrangian, [g for _, g in problem.candidates],
-                         degree=problem.ansatz.gauge_degree,
+    verdicts = []
+    for path in field_files(tmp_path):
+        problem = load_problem(str(path))
+        systems.clear()
+        gauges = find_gauges(problem.lagrangian,
+                             [g for _, g in problem.candidates])
+        assert len(systems) == 1
+        solutions = _assert_row_order_is_free(rng, *systems[0])
+        assert [sol is not None for sol in solutions] == \
+            [gauge is not None for gauge in gauges]
+        verdicts += [gauge is not None for gauge in gauges]
+    assert verdicts == [True] * 4 + [False] * 2 + [True, True, False] * 2
+
+    systems.clear()
+    job, = [job for job in ladder.prepare("verify", 1, tmp_path)
+            if job.seeded]
+    problem = load_problem(str(tmp_path / job.path))
+    L, gens = problem.lagrangian, [g for _, g in problem.candidates]
+    degree = problem.ansatz.gauge_degree
+    gauges = find_gauges(L, gens, degree=degree,
                          jet_order=problem.ansatz.gauge_jet_order)
     assert [gauge is not None for gauge in gauges] == \
         [True, True, False, False]
-    assert len(systems) == 1
-    solutions = _assert_row_order_is_free(rng, *systems[0])
+    assert systems == []
+    (system, n), = template_gauge_systems(
+        L, gens, degree, problem.ansatz.gauge_jet_order)
+    solutions = _assert_row_order_is_free(
+        rng, constant_columns(system, n), n, len(gens))
     assert [sol is not None for sol in solutions] == [True, True, False, False]

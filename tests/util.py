@@ -44,6 +44,7 @@ from pathlib import Path
 from noether import (Expr, Generator, JetSpace, Lagrangian, euler_lagrange,
                      load_problem, parse, solve_noether, total_derivative)
 from noether.expr import VarId, _as_rational, _exact, mono_key, rational_div
+from noether.linalg import solve_affine_many
 from noether.numeric import state_variables
 
 SEED = 42
@@ -56,6 +57,32 @@ LOADABLE = sorted(str(p.relative_to(ROOT))
                   for p in [*(ROOT / "problems").glob("*.prob"),
                             *(ROOT / "tests/data").glob("*.prob")]
                   if p.name != "unknown_variable.prob")
+
+
+# The field problems, whose gauges ``find_gauges`` still solves as one
+# linear system, with candidates: quartic_field's own, and for the two
+# files that have none, two symmetries and the scaling of u, which is none.
+FIELD_GENERATORS = {
+    "problems/quartic_field.prob": "",
+    "tests/data/wave_2plus1.prob":
+        "\n[generators]\nG1 = xi_t: 1\n"
+        "G2 = xi_t: t^2 + x^2 + y^2; xi_x: 2*t*x; xi_y: 2*t*y; eta_u: -t*u\n"
+        "G3 = eta_u: u\n",
+    "tests/data/schrodinger_pair.prob":
+        "\n[generators]\nG1 = eta_u: v; eta_v: -u\n"
+        "G2 = xi_x: t; eta_u: 1/2*x*v; eta_v: -1/2*x*u\nG3 = eta_u: u\n",
+}
+
+
+def field_files(directory):
+    """The ``FIELD_GENERATORS`` files, each written into ``directory``
+    with its candidates appended."""
+    out = []
+    for path, generators in FIELD_GENERATORS.items():
+        out.append(Path(directory) / Path(path).name)
+        out[-1].write_text((ROOT / path).read_text(encoding="utf-8")
+                           + generators, encoding="utf-8")
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -640,13 +667,14 @@ def template_rows(L, ds):
     return list(split_rows(residual, ds.unknowns).values())
 
 
-def template_gauge_systems(L, generators, degree=4, jet_order=None):
-    """The systems ``find_gauges`` eliminates, one per gauge jet order in
-    order of first use, as they were built before column assembly: the
+def _template_gauge_groups(L, generators, degree, jet_order):
+    """(members, gauge monomials, system, unknowns) for each gauge jet
+    order in order of first use, the candidates grouped by it as
+    ``find_gauges`` grouped them while every problem went through one
+    linear system.  The system is built as before column assembly: the
     rows split from the gauge templates' divergence, with a row for each
-    candidate's residual monomial, all ascending by ``mono_key``.  Each is
-    a list of (row, right-hand sides) pairs, with its number of
-    unknowns."""
+    candidate's residual monomial, all ascending by ``mono_key``; it is a
+    list of (row, right-hand sides) pairs."""
     space = L.space
     groups = {}
     for k, g in enumerate(generators):
@@ -655,7 +683,6 @@ def template_gauge_systems(L, generators, degree=4, jet_order=None):
             order = (max(L.order - 1, g.dependence_order)
                      if space.is_ode else 0)
         groups.setdefault(order, []).append(k)
-    systems = []
     for order, members in groups.items():
         monos = monomials_upto(space, order, degree, include_constant=False)
         n = len(space.independents)
@@ -670,9 +697,38 @@ def template_gauge_systems(L, generators, degree=4, jet_order=None):
             terms = prolongation_residual(L, generators[member]).term_map()
             for mono, c in terms.items():
                 system.setdefault(mono, ({}, {}))[1][k] = -c
-        systems.append(([system[m] for m in sorted(system, key=mono_key)],
-                        len(unknowns)))
-    return systems
+        yield (members, monos,
+               [system[m] for m in sorted(system, key=mono_key)],
+               len(unknowns))
+
+
+def template_gauge_systems(L, generators, degree=4, jet_order=None):
+    """The systems of ``_template_gauge_groups``, each with its number of
+    unknowns: on a field problem, ``find_gauges`` eliminates the one
+    system there is."""
+    return [(system, n) for _, _, system, n in
+            _template_gauge_groups(L, generators, degree, jet_order)]
+
+
+def linear_gauges(L, generators, degree=4, jet_order=None):
+    """The gauges ``find_gauges`` returns, or None where there is none,
+    solved by ``solve_affine_many`` on ``template_gauge_systems``: column
+    j * len(monos) + k is the coefficient of monos[k] in component j, so
+    each component's terms ascend by ``mono_key``.  On a time-like
+    problem this is the linear system that the antiderivative replaces."""
+    gauges = [None] * len(generators)
+    for members, monos, system, n in _template_gauge_groups(
+            L, generators, degree, jet_order):
+        solutions = solve_affine_many(constant_columns(system, n), n,
+                                      len(members))
+        for member, sol in zip(members, solutions):
+            if sol is not None:
+                gauges[member] = tuple(
+                    Expr({m: sol[j * len(monos) + k]
+                          for k, m in enumerate(monos)
+                          if j * len(monos) + k in sol})
+                    for j in range(len(L.space.independents)))
+    return gauges
 
 
 def multiplier_system(L, degree, jet_order, point=False):
