@@ -45,12 +45,12 @@ class Ansatz:
     ``coeff_jet_order`` 0 searches point symmetries; raising it admits
     generalized symmetries whose coefficients depend on derivatives (never
     beyond the Lagrangian order).  The ``verify`` command reads only the
-    two gauge fields.  An unset ``gauge_jet_order`` is one less than the
-    Lagrangian order raised to a derivative dependence, and 0 for field
-    problems: in ``verify``, each candidate's own; in the search, the
-    Lagrangian order in evolutionary form (``suppress_xi``), where the
+    two gauge fields, and only on a field problem: a time-like gauge is
+    integrated, so its degree and jet order are its own.  An unset
+    ``gauge_jet_order`` is 0 for field problems; on a time-like one it is
+    the Lagrangian order in evolutionary form (``suppress_xi``), where the
     gauge must absorb the derivative dependence the characteristics pick
-    up, and 0 otherwise.  ``suppress_xi`` does not change ``verify``'s.
+    up, and one less than the Lagrangian order otherwise.
     """
 
     coeff_degree: int = 4
@@ -71,13 +71,9 @@ class Ansatz:
     def resolved_gauge_jet_order(self, L: Lagrangian) -> int:
         if self.gauge_jet_order is not None:
             return self.gauge_jet_order
-        return _gauge_jet_order(L, L.order if self.suppress_xi else 0)
-
-
-def _gauge_jet_order(L: Lagrangian, dependence: int) -> int:
-    """The default gauge jet order for generators of the given derivative
-    dependence (see ``Ansatz``)."""
-    return max(L.order - 1, dependence) if L.space.is_ode else 0
+        if not L.space.is_ode:
+            return 0
+        return L.order if self.suppress_xi else L.order - 1
 
 
 class ConservationLaw(Record):
@@ -285,30 +281,25 @@ class _Packing:
 
     def monomials(self, jet_order: int, degree: int,
                   include_constant: bool = True) -> List[int]:
-        """A slot's monomials, ascending, over ``_slot_vars``."""
-        units = [self.unit[v] for v in _slot_vars(
-            self.space, jet_order, degree, include_constant)]
+        """A slot's monomials of total degree <= degree over the
+        independents and the jets up to ``jet_order``, ascending;
+        ValueError for a negative degree or for more than
+        ``MAX_SLOT_MONOMIALS`` monomials, counted as C(variables + degree,
+        degree), less the constant unless it is included."""
+        if degree < 0:
+            raise ValueError(f"ansatz degree {degree} must be non-negative")
+        vars = [*self.space.independents,
+                *self.space.jet_vars(max_order=jet_order)]
+        count = math.comb(len(vars) + degree, degree) - (not include_constant)
+        if count > MAX_SLOT_MONOMIALS:
+            raise ValueError(
+                f"ansatz degree {degree} over {len(vars)} variables needs "
+                f"{count} monomials per slot; the bound is "
+                f"{MAX_SLOT_MONOMIALS}")
+        units = [self.unit[v] for v in vars]
         lowest = 0 if include_constant else 1
         return sorted(sum(c) for d in range(lowest, degree + 1)
                       for c in itertools.combinations_with_replacement(units, d))
-
-
-def _slot_vars(space: JetSpace, jet_order: int, degree: int,
-               include_constant: bool = True) -> List[VarId]:
-    """The variables of a slot of total degree <= degree: the independents
-    and the jets up to ``jet_order``.  ValueError for a negative degree or
-    for more than ``MAX_SLOT_MONOMIALS`` monomials, counted as C(variables
-    + degree, degree), less the constant unless it is included."""
-    if degree < 0:
-        raise ValueError(f"ansatz degree {degree} must be non-negative")
-    vars = [*space.independents, *space.jet_vars(max_order=jet_order)]
-    count = math.comb(len(vars) + degree, degree) - (not include_constant)
-    if count > MAX_SLOT_MONOMIALS:
-        raise ValueError(
-            f"ansatz degree {degree} over {len(vars)} variables needs "
-            f"{count} monomials per slot; the bound is "
-            f"{MAX_SLOT_MONOMIALS}")
-    return vars
 
 
 def _assemble(L: Lagrangian, packing: _Packing,
@@ -474,18 +465,18 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
 
     The invariance residual is the candidate's residual R with zero gauge
     minus the divergence of the gauge.  On a time-like problem the gauge
-    is then an antiderivative of R, integrated exactly by
-    ``_antiderivative`` and checked against the caps: ``jet_order``, by
-    default each candidate's own, as ``Ansatz`` states it.  On a field
-    problem the gauge columns are assembled once and eliminated once,
-    with one constant column per candidate: its residual, packed like the
-    columns.  A residual's degree is at most the Lagrangian's plus its
-    generator's, so the packing is sized, and an over-bound degree
-    refused, before any residual is computed.
+    is then the antiderivative of R, integrated exactly by
+    ``_antiderivative``; ``degree`` and ``jet_order`` cap only a field
+    problem's gauge.  There the gauge columns, of ``degree`` over the jets
+    up to ``jet_order`` (0 when None), are assembled once and eliminated
+    once, with one constant column per candidate: its residual, packed
+    like the columns.  A residual's degree is at most the Lagrangian's
+    plus its generator's, so the packing is sized, and an over-bound
+    degree refused, before any residual is computed.
     """
     space = L.space
     if space.is_ode:
-        return [_antiderivative(L, g, degree, jet_order) for g in generators]
+        return [_antiderivative(L, g) for g in generators]
     if not generators:
         return []
     n = len(space.independents)
@@ -501,30 +492,20 @@ def find_gauges(L: Lagrangian, generators: Sequence[Generator],
         for sol in solve_affine_many(rows, len(columns), len(generators))]
 
 
-def _antiderivative(L: Lagrangian, g: Generator, degree: int,
-                    jet_order: Optional[int]) -> Optional[Tuple[Expr]]:
+def _antiderivative(L: Lagrangian, g: Generator) -> Optional[Tuple[Expr]]:
     """The gauge (F,) of a time-like candidate, D_t F = R with R its
-    residual with zero gauge, or None when R is no total derivative or F
-    lies outside the slot of ``degree`` over ``_slot_vars`` at
-    ``jet_order``, by default the candidate's own.  F has no constant
-    term, as no slot has, so it is the one gauge the slot can hold.
+    residual with zero gauge, or None when R is no total derivative.  F
+    has no constant term, so it is the one such gauge, and its degree and
+    jet order are the integration's to find: no cap applies.
 
     R is integrated order by order, top jet first.  At order k, for each
     dependent u in turn, the coefficient A of u^(k) in R must be free of
     jets of order k and up; G, A integrated in u^(k-1), joins F, and D_t G
     leaves R.  One sweep must clear order k: repeating it could cycle, as
     on u'*v + 2*u*v'.  What is left is integrated in t, and D_t F = R
-    certifies F.  No step goes past R's jet order; the slot's refusals
-    are the linear path's, with its messages.
+    certifies F.  No step goes past R's jet order.
     """
     space = L.space
-    if jet_order is None:
-        jet_order = _gauge_jet_order(L, g.dependence_order)
-    vars = _slot_vars(space, jet_order, degree, include_constant=False)
-    if degree and jet_order >= space.max_order:
-        # ``_assemble`` takes D_t of every slot monomial, so there a slot
-        # holding the top jet raises ``HeadroomError``.
-        space.derivative(vars[-1], 0)
     t = space.independents[0]
     residual = R = condition_residual(L, g)
     F = Expr.zero()
@@ -539,11 +520,9 @@ def _antiderivative(L: Lagrangian, g: Generator, degree: int,
         if residual.max_jet_order() >= k:
             return None
     F = F + _integral(residual, t)
-    terms = F.term_map()
-    if (max(map(mono_degree, terms), default=0) > degree
-            or not F.variables() <= set(vars)
-            or total_derivative(F, t, space) != R):
+    if total_derivative(F, t, space) != R:
         return None
+    terms = F.term_map()
     return (Expr({m: terms[m] for m in sorted(terms, key=mono_key)}),)
 
 

@@ -169,14 +169,16 @@ def find_gauge(L: Lagrangian, g: Generator, degree: int = 4,
                jet_order: Optional[int] = None) -> Optional[Tuple[Expr, ...]]:
     """Gauge term making the candidate a symmetry, or None if none exists.
 
-    The gauge is sought as a polynomial over the independents, dependents
-    and (optionally) derivatives up to ``jet_order``, with no constant
-    term.  On a time-like problem that makes it unique: the antiderivative
-    of the candidate's residual.  On a field problem it is unique only up
-    to a divergence-free field, and among the affine family of solutions
-    the canonical one (free directions zeroed) is returned, so for
-    instance the time-translation candidate of a free field gets the zero
-    gauge rather than an arbitrary divergence-free one.
+    The gauge is a polynomial with no constant term.  On a time-like
+    problem that makes it unique: the antiderivative of the candidate's
+    residual, of whatever degree and jet order it has, so ``degree`` and
+    ``jet_order`` are not read.  On a field problem it is sought of
+    ``degree`` over the independents, dependents and (optionally)
+    derivatives up to ``jet_order``; it is unique only up to a
+    divergence-free field, and among the affine family of solutions the
+    canonical one (free directions zeroed) is returned, so for instance
+    the time-translation candidate of a free field gets the zero gauge
+    rather than an arbitrary divergence-free one.
     """
     return find_gauges(L, [g], degree=degree, jet_order=jet_order)[0]
 

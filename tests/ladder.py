@@ -6,9 +6,11 @@ Four ladders, one problem size per rung, all seeded with seed 1:
 
 - ``symmetries``: the bench's ``planar.prob`` searched at degree = gauge
   degree 5, 7, 9 and 11, jet order 1, as ``noether symmetries`` runs it;
-- ``verify``: the candidates of the bench's ``free_particle_3d.prob``
-  fitted at gauge degree 2, 4, 6 and 8, each accepted one certified by its
-  law, as ``noether verify`` runs them;
+- ``verify``: the candidates of the bench's ``free_particle_3d.prob``,
+  each with y'^p added to its eta_y for p = 2, 4, 6 and 8, fitted and
+  each accepted one certified by its law, as ``noether verify`` runs
+  them; y'^p is a symmetry whose gauge has degree p + 1, so the verdicts
+  stay and the accepted gauges grow with p;
 - ``verify_field``: the same for the candidates of the bundled
   ``quartic_field.prob``, whose gauges are solved as one linear system;
 - ``numcheck``: the four bundled time-like problems at 10^4 and 10^5 RK4
@@ -24,7 +26,7 @@ while the command's pipeline runs: ``_system``, ``nullspace`` and
 ``_law`` for a search; ``_antiderivative`` and ``_law`` for time-like
 verify; ``_assemble``, ``solve_affine_many`` and ``_law`` for field
 verify; ``check_integrals`` for numcheck.  Per ladder, each layer's slope
-of log time against log size (unknowns, gauge degree, or steps) is fitted
+of log time against log size (unknowns, power p, or steps) is fitted
 by least squares.  The record is printed as JSON; ``--out`` merges it
 into that file's JSON object under ``"ladder"``.  Nothing is gated.
 
@@ -47,7 +49,7 @@ import types
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence
 
-from noether import engine, euler_lagrange, load_problem
+from noether import Generator, engine, euler_lagrange, load_problem, parse
 from noether.engine import Ansatz, find_gauges, solve_noether
 from noether.linalg import nullspace
 from noether.numeric import check_integrals, seeded_initial_conditions
@@ -57,6 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 DEGREES = (5, 7, 9, 11)
 GAUGE_DEGREES = (2, 4, 6, 8)
+POWERS = (2, 4, 6, 8)
 STEPS = (10 ** 4, 10 ** 5)
 NUMCHECK = ("free_particle", "free_particle_2d", "harmonic_oscillator",
             "second_order_chain")
@@ -133,19 +136,19 @@ def symmetries_rung(path: Path, degree: int) -> Dict:
             "laws": len(laws), "times_s": seen["times_s"]}
 
 
-def verify_rung(path: Path, gauge_degree: int) -> Dict:
-    """Fit each candidate of the time-like ``path`` at ``gauge_degree``,
-    integrating its residual, and certify each accepted one by its law.
-    The sizes are the terms of the residuals and of the gauges found."""
+def verify_rung(path: Path, power: int) -> Dict:
+    """Fit each candidate of the time-like ``path``, with y'^``power``
+    added to its eta_y, integrating its residual, and certify each
+    accepted one by its law.  The sizes are the terms of the residuals and
+    of the gauges found."""
     problem = load_problem(str(path))
     L = problem.lagrangian
-    candidates = [g for _, g in problem.candidates]
+    y, extra = L.space.lookup("y"), parse(f"y'^{power}", L.space)
+    candidates = [Generator(xi=g.xi, eta={**g.eta, y: g.eta_of(y) + extra})
+                  for _, g in problem.candidates]
     with timed(("_antiderivative", "_law")) as seen:
-        gauges = _fit(L, candidates, gauge_degree,
-                      problem.ansatz.gauge_jet_order)
-    return {"gauge_degree": gauge_degree,
-            "gauge_jet_order": problem.ansatz.gauge_jet_order,
-            "candidates": len(candidates),
+        gauges = _fit(L, candidates)
+    return {"power": power, "candidates": len(candidates),
             "accepted": sum(gauge is not None for gauge in gauges),
             "residual_terms": sum(len(engine.condition_residual(L, g))
                                   for g in candidates),
@@ -163,8 +166,8 @@ def field_verify_rung(path: Path, gauge_degree: int) -> Dict:
     L = problem.lagrangian
     candidates = [g for _, g in problem.candidates]
     with timed(("_assemble", "solve_affine_many", "_law")) as seen:
-        gauges = _fit(L, candidates, gauge_degree,
-                      problem.ansatz.gauge_jet_order)
+        gauges = _fit(L, candidates, degree=gauge_degree,
+                      jet_order=problem.ansatz.gauge_jet_order)
     rows, columns = seen["returns"]["_assemble"][:2]
     n = len(columns)
     nullity = len(nullspace([{c: v for c, v in row.items() if c < n}
@@ -176,10 +179,10 @@ def field_verify_rung(path: Path, gauge_degree: int) -> Dict:
             "times_s": seen["times_s"]}
 
 
-def _fit(L, candidates, gauge_degree: int, jet_order) -> List:
-    """``noether verify``'s gauge fit and law certificates."""
-    gauges = find_gauges(L, candidates, degree=gauge_degree,
-                         jet_order=jet_order)
+def _fit(L, candidates, **caps) -> List:
+    """``noether verify``'s gauge fit and law certificates; ``caps`` are
+    the gauge degree and jet order of a field problem."""
+    gauges = find_gauges(L, candidates, **caps)
     for g, gauge in zip(candidates, gauges):
         if gauge is not None:
             engine._law(L, g, gauge)
@@ -229,6 +232,7 @@ def _ladder(rungs: List[Dict], size: str) -> Dict:
 
 def run(workdir: Path, degrees: Sequence[int] = DEGREES,
         gauge_degrees: Sequence[int] = GAUGE_DEGREES,
+        powers: Sequence[int] = POWERS,
         steps: Sequence[int] = STEPS) -> Dict:
     """The ladder record; the bench files are written into ``workdir``."""
     start = time.perf_counter()
@@ -236,8 +240,8 @@ def run(workdir: Path, degrees: Sequence[int] = DEGREES,
     ladders = {
         "symmetries": _ladder([symmetries_rung(files["planar"], d)
                                for d in degrees], "unknowns"),
-        "verify": _ladder([verify_rung(files["free_particle_3d"], d)
-                           for d in gauge_degrees], "gauge_degree"),
+        "verify": _ladder([verify_rung(files["free_particle_3d"], p)
+                           for p in powers], "power"),
         "verify_field": _ladder([field_verify_rung(
             ROOT / "problems" / "quartic_field.prob", d)
             for d in gauge_degrees], "unknowns"),

@@ -363,15 +363,56 @@ def test_huge_degree_flag_exits_2_before_building(capsys):
 
 def test_huge_gauge_degree_in_verify_exits_2_before_building(tmp_path,
                                                               capsys):
+    """On a field problem the gauge degree sizes a linear system, so a
+    huge one is refused before the system is built.  A time-like gauge is
+    integrated, so there the same degree caps nothing and verify runs."""
     bad = tmp_path / "gauge_degree.prob"
-    bad.write_text("[problem]\nindependents = x\ndependents = y\n"
-                   "lagrangian = 1/2*y'^2\norder = 1\n\n"
+    bad.write_text("[problem]\nindependents = t, x\ndependents = u\n"
+                   "lagrangian = 1/2*u_t^2 - 1/2*u_x^2\norder = 1\n\n"
                    "[ansatz]\ngauge_degree = 100000\n\n"
-                   "[generators]\nG1 = eta: 1\n")
+                   "[generators]\nG1 = eta_u: 1\n")
     with deadline(2):
         code, out = run(capsys, "verify", str(bad))
     assert code == 2
     assert "ansatz degree 100000" in out
+    time_like = tmp_path / "time_like.prob"
+    time_like.write_text("[problem]\nindependents = x\ndependents = y\n"
+                         "lagrangian = 1/2*y'^2\norder = 1\n\n"
+                         "[ansatz]\ngauge_degree = 100000\n\n"
+                         "[generators]\nG1 = eta: 1\n")
+    with deadline(2):
+        code, out = run(capsys, "verify", str(time_like))
+    assert code == 0
+    assert "G1: gauge (0)" in out and "REJECTED" not in out
+
+
+def test_time_like_verify_reads_no_gauge_key(tmp_path, monkeypatch, capsys):
+    """A time-like gauge is the antiderivative of the candidate's residual,
+    so the file's gauge keys cap nothing.  On the free particle, eta =
+    y'^5 is accepted with its gauge 5/6*y'^6, of degree 6 and jet order 1,
+    and eta = t*y'^2 is rejected: its residual 2*t*y'^2*y'' + y'^3 is no
+    total derivative.  The bytes are the same under either ``[ansatz]``."""
+    outputs = []
+    for k, ansatz in enumerate(("gauge_degree = 6\ngauge_jet_order = 0\n",
+                                "gauge_degree = 100000\n")):
+        where = tmp_path / str(k)
+        where.mkdir()
+        (where / "free.prob").write_text(
+            "[problem]\nindependents = t\ndependents = y\n"
+            "lagrangian = 1/2*y'^2\norder = 1\n\n"
+            f"[ansatz]\n{ansatz}\n"
+            "[generators]\nA = eta: y'^5\nB = eta: t*y'^2\n")
+        monkeypatch.chdir(where)
+        with deadline(2):
+            code, out = run(capsys, "verify", "free.prob", "--json",
+                            "--deterministic")
+        assert code == 1
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    a, b = json.loads(outputs[0])["generators_checked"]
+    assert a["admits_gauge"] and a["verified"]
+    assert a["gauge"] == ["5/6*y'^6"] and a["law"] == ["-1/6*y'^6"]
+    assert not b["admits_gauge"] and "gauge" not in b
 
 
 @pytest.mark.parametrize("gauge, flags",

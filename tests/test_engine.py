@@ -158,9 +158,11 @@ def test_ansatz_slot_count_matches_binomial(planar):
                     comb(n_vars + degree, degree) - (not constant)
 
 
-def test_ansatz_beyond_the_slot_bound_is_refused(free_particle, ode):
+def test_ansatz_beyond_the_slot_bound_is_refused(free_particle,
+                                                 quartic_field, pde):
     # Over x and y, degree 139 gives C(141, 139) = 9870 monomials and
-    # degree 140 gives 10011, just past the bound of 10000.
+    # degree 140 gives 10011, just past the bound of 10000.  A field
+    # gauge slot lies over t, x and u; a time-like gauge has no slot.
     from noether.engine import MAX_SLOT_MONOMIALS
     assert MAX_SLOT_MONOMIALS == 10_000
     assert len(_Packing(free_particle, 139).monomials(0, 139)) == 9870
@@ -168,26 +170,26 @@ def test_ansatz_beyond_the_slot_bound_is_refused(free_particle, ode):
         _Packing(free_particle, 140).monomials(0, 140)
     with pytest.raises(ValueError, match="ansatz degree 140 over 2"):
         determining_system(free_particle, Ansatz(coeff_degree=140))
-    with pytest.raises(ValueError, match="ansatz degree 200 over 2"):
-        find_gauge(free_particle, gen(ode, eta={"y": "1"}), degree=200)
+    with pytest.raises(ValueError, match="ansatz degree 200 over 3"):
+        find_gauge(quartic_field, gen(pde, eta={"u": "1"}), degree=200)
     with pytest.raises(ValueError, match="degree -1 must be non-negative"):
-        find_gauge(free_particle, gen(ode, eta={"y": "1"}), degree=-1)
+        find_gauge(quartic_field, gen(pde, eta={"u": "1"}), degree=-1)
 
 
-def test_over_bound_gauge_degree_computes_no_residual(free_particle, ode,
+def test_over_bound_gauge_degree_computes_no_residual(quartic_field, pde,
                                                        monkeypatch):
-    """``find_gauges`` sizes its packing from the candidates' coefficient
-    degrees, so it refuses an over-bound gauge degree before any
-    candidate's residual is computed."""
+    """On a field problem, ``find_gauges`` sizes its packing from the
+    candidates' coefficient degrees, so it refuses an over-bound gauge
+    degree before any candidate's residual is computed."""
     import noether.engine as engine
 
     def residual(*args):
         raise AssertionError("condition_residual ran")
 
     monkeypatch.setattr(engine, "condition_residual", residual)
-    with pytest.raises(ValueError, match=r"ansatz degree 200 over 2 .*"
+    with pytest.raises(ValueError, match=r"ansatz degree 200 over 3 .*"
                                          r"the bound is 10000"):
-        find_gauges(free_particle, [gen(ode, eta={"y": "1"})], degree=200)
+        find_gauges(quartic_field, [gen(pde, eta={"u": "1"})], degree=200)
 
 
 @pytest.mark.parametrize("jet_order", [0, 1, 2])
@@ -421,10 +423,9 @@ def test_solver_rows_are_ints_scaled_back_for_the_record(rng):
 def test_assembly_refuses_a_derivative_past_the_working_order():
     """A D^nu inside the assembly that reaches past the space's working
     order raises HeadroomError there, in the search and in a field
-    problem's gauge solve, with the jet space's own message.  A time-like
-    gauge solve assembles nothing: ``_antiderivative`` raises the same
-    error for a slot that holds the top jet, and none for an empty slot,
-    as the assembly of that slot would."""
+    problem's gauge solve, with the jet space's own message, and none for
+    an empty slot.  A time-like gauge solve assembles nothing and reads no
+    jet order."""
     ode = JetSpace(["t"], ["y"], max_order=4)
     free = Lagrangian(ode, 1, parse("1/2*y'^2", ode))
     tight = JetSpace(["t"], ["y"], max_order=1)
@@ -440,10 +441,6 @@ def test_assembly_refuses_a_derivative_past_the_working_order():
             Lagrangian(tight, 1, parse("1/2*y'^2", tight)),
             Ansatz(coeff_degree=1, coeff_jet_order=1, include_gauge=False)),
          2, 1, "_assemble"),
-        (lambda: find_gauges(free, [gen(ode, eta={"y": "1"})], degree=1,
-                             jet_order=4), 5, 4, "_antiderivative"),
-        (lambda: find_gauges(free, [gen(ode, eta={"y": "1"})], degree=1,
-                             jet_order=9), 5, 4, "_antiderivative"),
         (lambda: find_gauges(wave, [gen(pde, eta={"u": "1"})], degree=1,
                              jet_order=2), 3, 2, "_assemble")]
     for call, order, working, where in calls:
@@ -497,7 +494,8 @@ def _time_like_candidates(rng, tmp_path):
     ``tests/data`` file, its candidates being its own, the generators its
     search finds and two seeded random ones; for the bench's verify file
     at seeds 1-5; and for the free particle with eta = y'^5, whose gauge
-    5/6*y'^6 needs degree 6 and jet order 1."""
+    5/6*y'^6 has degree 6 and jet order 1, and eta = x*y'^2, whose
+    residual 2*x*y'^2*y'' + y'^3 is no total derivative."""
     for _, problem, solutions in bundled_solutions():
         L = problem.lagrangian
         if not L.space.is_ode:
@@ -517,27 +515,40 @@ def _time_like_candidates(rng, tmp_path):
         yield problem.lagrangian, [g for _, g in problem.candidates]
     ode = JetSpace(["x"], ["y"], max_order=4)
     yield (Lagrangian(ode, 1, parse("1/2*y'^2", ode)),
-           [gen(ode, eta={"y": "y'^5"})])
+           [gen(ode, eta={"y": "y'^5"}), gen(ode, eta={"y": "x*y'^2"})])
 
 
 def test_time_like_gauges_match_the_linear_system(rng, tmp_path):
     """On a time-like problem the gauge is the antiderivative of the
-    candidate's residual, so ``find_gauges`` returns, gauge for gauge and
-    None for None, with the same terms in the same order, what the linear
-    system over the gauge slot returns, at gauge degrees 2, 4 and 6 and
-    at the default jet order and jet order 0."""
-    counts = {"accepted": 0, "rejected": 0}
+    candidate's residual, found under no cap.  At gauge degrees 2, 4 and
+    6, at the default jet order and at jet order 0: where the linear
+    system over that gauge slot finds a gauge, ``find_gauges`` returns it
+    with the same terms in the same order; where it finds none,
+    ``find_gauges`` returns None or a gauge beyond the slot, in degree or
+    in jet order."""
+    counts = {"equal": 0, "none": 0, "beyond": 0}
     for L, gens in _time_like_candidates(rng, tmp_path):
+        got = find_gauges(L, gens)
         for degree in (2, 4, 6):
             for jet_order in (None, 0):
-                got = find_gauges(L, gens, degree=degree, jet_order=jet_order)
                 want = linear_gauges(L, gens, degree, jet_order)
-                assert got == want
-                assert [g and [list(e.term_map()) for e in g] for g in got] \
-                    == [g and [list(e.term_map()) for e in g] for g in want]
-                counts["accepted"] += sum(g is not None for g in got)
-                counts["rejected"] += got.count(None)
-    assert min(counts.values()) >= 100, counts
+                for g, F, W in zip(gens, got, want):
+                    if W is not None:
+                        assert F == W
+                        assert [list(e.term_map()) for e in F] == \
+                            [list(e.term_map()) for e in W]
+                        counts["equal"] += 1
+                    elif F is None:
+                        counts["none"] += 1
+                    else:
+                        f, = F
+                        order = (max(L.order - 1, g.dependence_order)
+                                 if jet_order is None else jet_order)
+                        assert (max(map(mono_degree, f.term_map())) > degree
+                                or f.max_jet_order() > order)
+                        counts["beyond"] += 1
+    assert counts["equal"] >= 300 and counts["none"] >= 100 \
+        and counts["beyond"] >= 20, counts
 
 
 def test_a_residual_that_is_no_total_derivative_is_refused_at_once(
@@ -587,8 +598,9 @@ def test_candidate_at_headroom_is_integrated(tmp_path, lagrangian, order,
 
 
 def test_find_gauges_with_high_degree_candidates():
-    """Candidates whose residuals reach degree 30, and a gauge of degree
-    28, keep the verdicts and gauges of the template path."""
+    """Candidates whose residuals reach degree 30, and gauges of degree
+    28, keep the verdicts and gauges of the template path, which needs
+    gauge degree 28 for them; the integration needs no gauge degree."""
     ode = JetSpace(["t"], ["y"], max_order=4)
     t, y = ode.independents[0], ode.dependents[0]
 
@@ -609,9 +621,9 @@ def test_find_gauges_with_high_degree_candidates():
     shifted = Lagrangian(ode, 1, parse(
         "1/2*y'^2 + 20*y^19*y'*t^9 + 9*y^20*t^8", ode))
     gens = [g(eta="1"), g(eta="y^20*t^9"), g(xi="1")]
-    assert strs(find_gauges(shifted, gens, degree=28)) == \
-        [["20*t^9*y^19"], None, ["9*t^8*y^20"]]
-    assert find_gauges(shifted, gens, degree=27) == [None, None, None]
+    for degree in (28, 27):
+        assert strs(find_gauges(shifted, gens, degree=degree)) == \
+            [["20*t^9*y^19"], None, ["9*t^8*y^20"]]
 
 
 def test_solver_output_is_deterministic(free_particle):
@@ -853,37 +865,60 @@ def test_noether_identity_is_the_invariance_residual(rng):
     assert refused > 100   # of 135 draws: most are not symmetries
 
 
+def _divergence_product_is_null(L, g):
+    """Whether E(Q.E(L)) vanishes identically, Q_i = eta_i - sum_j xi_j
+    u_i,j the characteristic of g: the printed product is parsed again as
+    the body of a Lagrangian over a jet space with room for its
+    Euler-Lagrange expressions, twice its jet order (Anco and Bluman, Eur.
+    J. Appl. Math. 13, 2002)."""
+    space, n = L.space, len(L.space.independents)
+    product = Expr.zero()
+    for i, (u, e) in enumerate(zip(space.dependents, euler_lagrange(L).raw)):
+        q = g.eta_of(u)
+        for j, x in enumerate(space.independents):
+            u_j = space.jet(i, tuple(int(a == j) for a in range(n)))
+            q = q - g.xi_of(x) * Expr.variable(u_j)
+        product = product + q * e
+    if product.is_zero:
+        return True
+    order = max(product.max_jet_order(), 1)
+    room = JetSpace([x.name for x in space.independents],
+                    [u.name for u in space.dependents], max_order=2 * order)
+    body = Lagrangian(room, order, parse(str(product), room))
+    return all(e.is_zero for e in euler_lagrange(body).raw)
+
+
 def test_every_law_has_a_divergence_product():
     """Anco-Bluman: Q.E(L) is a total divergence, so its own Euler-Lagrange
     expressions E_u(Q.E(L)) vanish identically, for the characteristic Q_i
     = eta_i - sum_j xi_j u_i,j of every law ``solve_noether`` returns on
     the bundled and tests/data problems at their own [ansatz].  The check
-    reads only the generator, not the law: the printed product is parsed
-    again as the body of a Lagrangian over a jet space with room for its
-    Euler-Lagrange expressions (Anco and Bluman, Eur. J. Appl. Math. 13,
-    2002)."""
+    reads only the generator, not the law."""
     checked = 0
     for path, problem, solutions in bundled_solutions():
-        space, n = problem.space, len(problem.space.independents)
-        raw = euler_lagrange(problem.lagrangian).raw
         for sol in solutions:
             g = sol.generator
-            product = Expr.zero()
-            for i, (u, e) in enumerate(zip(space.dependents, raw)):
-                q = g.eta_of(u)
-                for j, x in enumerate(space.independents):
-                    u_j = space.jet(i, tuple(int(a == j) for a in range(n)))
-                    q = q - g.xi_of(x) * Expr.variable(u_j)
-                product = product + q * e
-            order = product.max_jet_order()
-            room = JetSpace([x.name for x in space.independents],
-                            [u.name for u in space.dependents],
-                            max_order=2 * order)
-            L = Lagrangian(room, order, parse(str(product), room))
-            assert all(e.is_zero for e in euler_lagrange(L).raw), \
+            assert _divergence_product_is_null(problem.lagrangian, g), \
                 (path, str(g.eta), str(g.xi))
             checked += 1
     assert checked == 72
+
+
+def test_time_like_verify_accepts_exactly_the_null_divergence_products(
+        rng, tmp_path):
+    """A time-like ``verify`` accepts a candidate, ``find_gauges`` giving
+    it a gauge, exactly when E(Q.E(L)) vanishes identically, whatever the
+    degree and jet order of that gauge: on every candidate of
+    ``_time_like_candidates``, eta = y'^5 (gauge 5/6*y'^6) and eta =
+    x*y'^2 on the free particle among them.  The oracle reads only the
+    generator and never integrates."""
+    counts = {True: 0, False: 0}
+    for L, gens in _time_like_candidates(rng, tmp_path):
+        for g, F in zip(gens, find_gauges(L, gens)):
+            null = _divergence_product_is_null(L, g)
+            assert (F is not None) == null, (str(g.xi), str(g.eta))
+            counts[null] += 1
+    assert counts[True] >= 60 and counts[False] >= 20, counts
 
 
 def test_listed_characteristics_span_the_multiplier_nullspace():
@@ -1068,10 +1103,10 @@ def test_verify_candidate_pipeline(quartic_field, pde):
 
 
 @pytest.mark.parametrize("path,admitted", [
-    ("problems/free_particle.prob", {4: "AAAAA", 0: "ARAAR"}),
+    # A time-like gauge is integrated, so no gauge degree changes it.
+    ("problems/free_particle.prob", {4: "AAAAA", 0: "AAAAA"}),
     ("problems/quartic_field.prob", {4: "AAAARR", 0: "AAARRR"}),
-    # gauge jet orders 0, 1, 1, 0
-    ("tests/data/verify_batch.prob", {4: "AARA", 0: "ARRA"}),
+    ("tests/data/verify_batch.prob", {4: "AARA", 0: "AARA"}),
 ])
 @pytest.mark.parametrize("degree", [4, 0])
 def test_find_gauges_matches_find_gauge(path, admitted, degree):
@@ -1085,7 +1120,7 @@ def test_find_gauges_matches_find_gauge(path, admitted, degree):
     for g, f in zip(gens, gauges):
         if f is not None:
             assert condition_residual(L, g, f).is_zero
-            if degree == 0:   # no gauge monomials at all
+            if degree == 0 and not L.space.is_ode:   # no gauge monomials
                 assert all(c.is_zero for c in f)
 
 

@@ -8,7 +8,7 @@ import ladder
 
 def test_ladder_records_sizes_times_and_slopes(tmp_path):
     record = ladder.run(tmp_path, degrees=(3,), gauge_degrees=(3,),
-                        steps=(100, 200))
+                        powers=(3,), steps=(100, 200))
     json.dumps(record)   # the record is plain JSON
     ladders = record["ladders"]
     (search,), (fit,), (field,) = (ladders[k]["rungs"] for k in (
